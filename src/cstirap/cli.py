@@ -5,7 +5,8 @@ One config describes one experiment and produces one table. Comparisons
 downstream by joining the output tables on the swept columns.
 
 Exit codes: 0 success, 1 bad invocation or config, 2 a numerical failure
-occurred (the table is still written, failed points carry NaN rows).
+occurred (the table is still written, failed points carry NaN rows and an
+`# error` comment line each).
 """
 
 from __future__ import annotations
@@ -39,6 +40,11 @@ _ALLOWED_KEYS = {
 
 _GRID_ARITY = {"simulate": (0,), "scan": (1,), "contour": (2,),
                "montecarlo": (0, 1), "decay": (1,)}
+
+# Swept parameters that are physical only when >= 0. A `delay` axis
+# reaching <= 0 is not rejected here: such points fail one by one, with
+# NaN rows, an `# error` line each, and exit code 2.
+_NONNEGATIVE_AXES = ("omega0", "gamma")
 
 
 class ConfigError(ValueError):
@@ -193,6 +199,10 @@ def _parse_grid(data, experiment, problems):
                                               points, spacing))
         except ValueError as exc:
             problems.append(f"{path}: {exc}")
+            broken = True
+            continue
+        if name in _NONNEGATIVE_AXES and lo < 0:
+            problems.append(f"{path}: {name} axis must stay >= 0 (min is {lo:g})")
             broken = True
     if broken:
         return None
@@ -380,13 +390,18 @@ def config_hash(resolved: dict) -> str:
 
 
 def emit_table(results, axis_names, digest: str) -> str:
-    """CSV with swept columns first, 17 significant digits, and a trailing
-    comment row carrying the config hash."""
+    """CSV with swept columns first, 17 significant digits, and trailing
+    comment rows: `# error row=<i>: <reason>` for each failed point (i
+    counts data rows from 0), then the config hash."""
     header = ",".join(tuple(axis_names) + ("P1", "P2", "P3", "infidelity", "norm_loss"))
     lines = [header]
     for r in results:
         vals = [v for _, v in r.coords] + [r.p1, r.p2, r.p3, r.infidelity, r.norm_loss]
         lines.append(",".join("%.17g" % v for v in vals))
+    for i, r in enumerate(results):
+        if r.error is not None:
+            reason = " ".join(r.error.split())
+            lines.append(f"# error row={i}: {reason}")
     lines.append(f"# sha256={digest}")
     return "\n".join(lines) + "\n"
 
@@ -416,10 +431,6 @@ def _run_table(cfg: RunConfig, threads: int):
         sigma, samples = cfg.noise
         rows = experiments.monte_carlo_phase_noise(cfg.scan, sigma, samples,
                                                    cfg.seed, threads)
-    elif cfg.experiment == "decay":
-        axis = cfg.scan.axes[0]
-        curves = experiments.decay_scan(replace(cfg.scan, axes=()), axis, threads)
-        rows = curves["single" if cfg.sequence.resolve().n_pairs == 1 else "composite"]
     else:
         rows = experiments.run_scan(cfg.scan, threads)
     names = [ax.name for ax in cfg.scan.axes]
@@ -480,7 +491,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", help="output file (default stdout)")
         p.add_argument("--seed", type=_u64, help="overrides the config seed")
-        p.add_argument("--threads", type=_positive_int, default=1)
+        p.add_argument("--threads", type=_positive_int, default=1,
+                       help="accepted for compatibility; changes neither "
+                            "the output nor the speed")
     return parser
 
 

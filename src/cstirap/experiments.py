@@ -1,15 +1,12 @@
 """Parameter scans, phase-noise Monte Carlo, and decay studies.
 
-Every grid point is an independent pure computation, so scans parallelize
-over a worker pool and the Monte Carlo draws come from a counter-based
-generator keyed on (seed, sample, grid index): results never depend on
-scheduling or worker count.
+Every grid point is an independent pure computation, evaluated in grid
+order, and the Monte Carlo draws come from a counter-based generator keyed
+on (seed, sample, grid index): results depend on the inputs alone.
 """
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -128,13 +125,14 @@ def _compose_from_pair(u_pair, seq: phases.CompositeSequence,
     return propalg.compose_sequence(props, seq.phase_pairs(), seq.alternate_ordering)
 
 
-def _point_params(spec: ScanSpec, coords) -> tuple[float, float | None, dynamics.SystemParams]:
+def _pair_propagator(spec: ScanSpec, coords) -> tuple[np.ndarray, dynamics.SystemParams]:
+    """The single-pair propagator at one grid point (coords override spec)."""
     over = dict(coords)
-    omega0 = over.get("omega0", spec.omega0)
-    delay = over.get("delay", spec.delay)
     sys = dynamics.SystemParams(over.get("delta", spec.system.delta),
                                 over.get("gamma", spec.system.gamma))
-    return omega0, delay, sys
+    pair = make_pair(spec.shape, over.get("omega0", spec.omega0), spec.width,
+                     over.get("delay", spec.delay))
+    return dynamics.propagate(pair, sys, rtol=spec.rtol, atol=spec.atol), sys
 
 
 def _populations(m: np.ndarray) -> tuple[float, float, float]:
@@ -146,17 +144,17 @@ def _result(coords, m) -> FidelityResult:
     return FidelityResult(coords, p1, p2, p3, 1.0 - p3, 1.0 - (p1 + p2 + p3))
 
 
+def _failed(coords, exc: Exception) -> FidelityResult:
+    nan = float("nan")
+    return FidelityResult(coords, nan, nan, nan, nan, nan, error=str(exc))
+
+
 def _scan_point(spec: ScanSpec, coords) -> FidelityResult:
-    omega0, delay, sys = _point_params(spec, coords)
-    seq = spec.sequence.resolve()
     try:
-        pair = make_pair(spec.shape, omega0, spec.width, delay)
-        u = dynamics.propagate(pair, sys, rtol=spec.rtol, atol=spec.atol)
-        m = _compose_from_pair(u, seq, sys, spec.gap)
+        u, sys = _pair_propagator(spec, coords)
     except (dynamics.IntegrationError, ValueError) as exc:
-        nan = float("nan")
-        return FidelityResult(coords, nan, nan, nan, nan, nan, error=str(exc))
-    return _result(coords, m)
+        return _failed(coords, exc)
+    return _result(coords, _compose_from_pair(u, spec.sequence.resolve(), sys, spec.gap))
 
 
 def grid_coords(axes) -> list[tuple[tuple[str, float], ...]]:
@@ -168,20 +166,15 @@ def grid_coords(axes) -> list[tuple[tuple[str, float], ...]]:
     return [tuple(zip(names, combo)) for combo in product(*values)]
 
 
-def _map_points(fn, points, threads: int):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, points))
-    return [fn(p) for p in points]
-
-
 def run_scan(spec: ScanSpec, threads: int = 1) -> list[FidelityResult]:
     """One FidelityResult per grid point, in grid order.
 
     Integration failures are recorded on the affected point (error field,
-    NaN populations) and the scan continues.
+    NaN populations) and the scan continues. `threads` is accepted for
+    compatibility and changes neither the output nor the speed: points are
+    evaluated one after another, each vectorized over its time steps.
     """
-    return _map_points(lambda c: _scan_point(spec, c), grid_coords(spec.axes), threads)
+    return [_scan_point(spec, c) for c in grid_coords(spec.axes)]
 
 
 def _noise_rng(seed: int, sample: int, point: int) -> np.random.Generator:
@@ -190,14 +183,11 @@ def _noise_rng(seed: int, sample: int, point: int) -> np.random.Generator:
 
 def _mc_point(spec: ScanSpec, coords, point_index: int, sigma: float,
               samples: int, seed: int) -> FidelityResult:
-    omega0, delay, sys = _point_params(spec, coords)
-    seq = spec.sequence.resolve()
     try:
-        pair = make_pair(spec.shape, omega0, spec.width, delay)
-        u = dynamics.propagate(pair, sys, rtol=spec.rtol, atol=spec.atol)
+        u, sys = _pair_propagator(spec, coords)
     except (dynamics.IntegrationError, ValueError) as exc:
-        nan = float("nan")
-        return FidelityResult(coords, nan, nan, nan, nan, nan, error=str(exc))
+        return _failed(coords, exc)
+    seq = spec.sequence.resolve()
     n = seq.n_pairs
     acc = np.zeros(3)
     for s in range(samples):
@@ -217,21 +207,24 @@ def _mc_point(spec: ScanSpec, coords, point_index: int, sigma: float,
 
 def monte_carlo_phase_noise(spec: ScanSpec, sigma: float, samples: int, seed: int,
                             threads: int = 1) -> list[FidelityResult]:
-    """Mean populations over Gaussian phase noise on every alpha_k, beta_k."""
+    """Mean populations over Gaussian phase noise on every alpha_k, beta_k.
+
+    `threads` changes neither the output nor the speed (see run_scan).
+    """
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     if samples < 1:
         raise ValueError("need at least one sample")
-    points = list(enumerate(grid_coords(spec.axes)))
-    return _map_points(lambda ic: _mc_point(spec, ic[1], ic[0], sigma, samples, seed),
-                       points, threads)
+    return [_mc_point(spec, coords, i, sigma, samples, seed)
+            for i, coords in enumerate(grid_coords(spec.axes))]
 
 
 def decay_scan(spec: ScanSpec, gammas, threads: int = 1) -> dict[str, list[FidelityResult]]:
     """Infidelity versus decay rate for the single pair and the composite.
 
     Pulse pairs sit back-to-back (spec.gap, default 0). Both curves reuse
-    the same per-gamma pair propagator.
+    the same per-gamma pair propagator. `threads` changes neither the
+    output nor the speed (see run_scan).
     """
     gammas = gammas.values() if isinstance(gammas, SweepAxis) else np.asarray(gammas, float)
     if np.any(gammas < 0):
@@ -241,18 +234,15 @@ def decay_scan(spec: ScanSpec, gammas, threads: int = 1) -> dict[str, list[Fidel
 
     def point(g):
         coords = (("gamma", float(g)),)
-        sys = dynamics.SystemParams(spec.system.delta, float(g))
         try:
-            pair = make_pair(spec.shape, spec.omega0, spec.width, spec.delay)
-            u = dynamics.propagate(pair, sys, rtol=spec.rtol, atol=spec.atol)
+            u, sys = _pair_propagator(spec, coords)
         except (dynamics.IntegrationError, ValueError) as exc:
-            nan = float("nan")
-            bad = FidelityResult(coords, nan, nan, nan, nan, nan, error=str(exc))
+            bad = _failed(coords, exc)
             return bad, bad
         return (_result(coords, _compose_from_pair(u, single, sys, spec.gap)),
                 _result(coords, _compose_from_pair(u, seq, sys, spec.gap)))
 
-    rows = _map_points(point, list(gammas), threads)
+    rows = [point(g) for g in gammas]
     return {"single": [r[0] for r in rows], "composite": [r[1] for r in rows]}
 
 
@@ -276,9 +266,7 @@ def decay_compensation_check(spec: ScanSpec, gammas, threshold: float,
     seq = spec.sequence.resolve()
 
     def infid(omega0, g):
-        sys = dynamics.SystemParams(spec.system.delta, float(g))
-        pair = make_pair(spec.shape, omega0, spec.width, spec.delay)
-        u = dynamics.propagate(pair, sys, rtol=spec.rtol, atol=spec.atol)
+        u, sys = _pair_propagator(spec, (("omega0", omega0), ("gamma", float(g))))
         m = _compose_from_pair(u, seq, sys, spec.gap)
         return 1.0 - abs(m[2, 0]) ** 2
 

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import dynamics, propalg
 from .pulses import PulsePair
@@ -134,6 +133,9 @@ def solve_phases(n: int, pair: PulsePair, sys: dynamics.SystemParams,
 
     def objective(x):
         return _sequence_infidelity(u_pair, unpack(x))
+
+    # Imported here so that the package imports without scipy's cost.
+    from scipy.optimize import minimize
 
     dim = x0.size
     simplex = np.vstack([x0] + [x0 + simplex_step * np.eye(dim)[i] for i in range(dim)])

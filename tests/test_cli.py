@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -250,3 +253,54 @@ def test_main_solve_phases_output(tmp_path):
     assert any(l.startswith("# infidelity=") for l in lines)
     assert any(l.startswith("# converged=") for l in lines)
     assert lines[-1].startswith("# sha256=")
+
+
+@pytest.mark.parametrize("experiment,axis", [
+    ("scan", {"name": "gamma", "min": -0.5, "max": 0.5, "points": 3}),
+    ("decay", {"name": "gamma", "min": -0.5, "max": 0.5, "points": 3}),
+    ("scan", {"name": "omega0", "min": -1.0, "max": 5.0, "points": 3}),
+])
+def test_grid_axis_domain_rejected(tmp_path, capsys, experiment, axis):
+    cfg = _scan_config(experiment=experiment, grid=[axis])
+    with pytest.raises(ConfigError) as err:
+        parse_config(cfg, experiment)
+    assert err.value.problems == (
+        f"grid[0]: {axis['name']} axis must stay >= 0 (min is {axis['min']:g})",)
+    path = _write(tmp_path, "bad.json", cfg)
+    assert main([experiment, "--config", path]) == 1
+    assert "config error: grid[0]: " in capsys.readouterr().err
+
+
+def test_delay_axis_from_zero_says_why(tmp_path):
+    cfg = _scan_config(grid=[{"name": "delay", "min": 0.0, "max": 0.5, "points": 3}])
+    out = tmp_path / "zero.csv"
+    assert main(["scan", "--config", _write(tmp_path, "zero.json", cfg),
+                 "--out", str(out)]) == 2
+    lines = out.read_text().splitlines()
+    assert "nan" in lines[1] and "nan" not in lines[2]
+    assert lines[-2:-1] == ["# error row=0: delay must be > 0"]
+    assert lines[-1].startswith("# sha256=")
+
+
+def test_emit_table_error_lines():
+    nan = float("nan")
+    rows = [FidelityResult((("delay", 0.0),), nan, nan, nan, nan, nan,
+                           error="delay must be > 0"),
+            FidelityResult((("delay", 0.5),), 0.1, 0.2, 0.7, 0.3, 0.0),
+            FidelityResult((("delay", 1.0),), nan, nan, nan, nan, nan,
+                           error="Magnus stepping missed\nrtol (t = 2)")]
+    lines = emit_table(rows, ["delay"], "a" * 64).splitlines()
+    assert lines[1].startswith("0,nan,nan")
+    assert lines[4:] == ["# error row=0: delay must be > 0",
+                         "# error row=2: Magnus stepping missed rtol (t = 2)",
+                         "# sha256=" + "a" * 64]
+    # Without failures the table carries no error lines at all.
+    clean = emit_table(rows[1:2], ["delay"], "a" * 64).splitlines()
+    assert clean[-1] == "# sha256=" + "a" * 64 and len(clean) == 3
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = ("import sys, cstirap.cli; "
+            "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
