@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from dataclasses import dataclass, replace
 
@@ -68,7 +67,10 @@ class RunConfig:
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    # Exact for integers: one beyond float range fails (math.isfinite would
+    # raise OverflowError on it), and so do NaN and the infinities.
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
 
 
 def _is_int(x) -> bool:
@@ -92,7 +94,7 @@ def _parse_pulse(data, problems):
     before = len(problems)
     _reject_unknown(p, {"shape", "omega0", "width", "delay"}, "pulse", problems)
     shape = p.get("shape")
-    if shape not in _SHAPES:
+    if not isinstance(shape, str) or shape not in _SHAPES:
         problems.append("pulse.shape: must be 'sin2' or 'gaussian'")
     omega0 = p.get("omega0")
     if not _is_number(omega0) or omega0 <= 0:
@@ -426,13 +428,12 @@ def print_phases(source: str, n: int) -> str:
     raise ValueError("phase tables exist for 'resonant' and 'cap' sequences")
 
 
-def _run_table(cfg: RunConfig, threads: int):
+def _run_table(cfg: RunConfig):
     if cfg.experiment == "montecarlo":
         sigma, samples = cfg.noise
-        rows = experiments.monte_carlo_phase_noise(cfg.scan, sigma, samples,
-                                                   cfg.seed, threads)
+        rows = experiments.monte_carlo_phase_noise(cfg.scan, sigma, samples, cfg.seed)
     else:
-        rows = experiments.run_scan(cfg.scan, threads)
+        rows = experiments.run_scan(cfg.scan)
     names = [ax.name for ax in cfg.scan.axes]
     failed = any(r.error is not None for r in rows)
     return emit_table(rows, names, cfg.digest), failed
@@ -458,13 +459,13 @@ def _run_solve(cfg: RunConfig):
     return "\n".join(lines) + "\n", False
 
 
-def run_experiment(cfg: RunConfig, threads: int = 1) -> tuple[str, bool]:
+def run_experiment(cfg: RunConfig) -> tuple[str, bool]:
     """Returns (output text, numerical-failure flag)."""
     if cfg.experiment == "phases":
         return print_phases(cfg.sequence.source, cfg.sequence.n_pairs) + "\n", False
     if cfg.experiment == "solve-phases":
         return _run_solve(cfg)
-    return _run_table(cfg, threads)
+    return _run_table(cfg)
 
 
 def _u64(text: str) -> int:
@@ -525,7 +526,7 @@ def main(argv=None) -> int:
     if args.out is not None:
         cfg = replace(cfg, out=args.out)
 
-    text, failed = run_experiment(cfg, threads=args.threads)
+    text, failed = run_experiment(cfg)
     if cfg.out is None:
         sys.stdout.write(text)
     else:

@@ -114,15 +114,18 @@ def _gap_propagator(sys: dynamics.SystemParams, gap: float) -> np.ndarray:
     return np.diag([1.0, np.exp(-1j * (sys.delta - 0.5j * sys.gamma) * gap), 1.0]).astype(complex)
 
 
-def _compose_from_pair(u_pair, seq: phases.CompositeSequence,
-                       sys: dynamics.SystemParams, gap: float) -> np.ndarray:
-    props = [u_pair] * seq.n_pairs
-    if gap > 0 and seq.n_pairs > 1:
+def _compose(u_pair, sys: dynamics.SystemParams, gap: float, phase_sets,
+             alternate: bool) -> np.ndarray:
+    """Composite propagators, shape (..., 3, 3), for phase sets of shape
+    (..., N, 2) that all reuse one pair propagator."""
+    n = np.shape(phase_sets)[-2]
+    props = [u_pair] * n
+    if gap > 0 and n > 1:
         # Fold the inter-pair evolution into all but the last factor; it
         # commutes with the phase imprint and with the reversal.
         g = _gap_propagator(sys, gap)
-        props = [g @ u_pair] * (seq.n_pairs - 1) + [u_pair]
-    return propalg.compose_sequence(props, seq.phase_pairs(), seq.alternate_ordering)
+        props = [g @ u_pair] * (n - 1) + [u_pair]
+    return propalg.compose_sequence(props, phase_sets, alternate)
 
 
 def _pair_propagator(spec: ScanSpec, coords) -> tuple[np.ndarray, dynamics.SystemParams]:
@@ -135,26 +138,32 @@ def _pair_propagator(spec: ScanSpec, coords) -> tuple[np.ndarray, dynamics.Syste
     return dynamics.propagate(pair, sys, rtol=spec.rtol, atol=spec.atol), sys
 
 
-def _populations(m: np.ndarray) -> tuple[float, float, float]:
-    return abs(m[0, 0]) ** 2, abs(m[1, 0]) ** 2, abs(m[2, 0]) ** 2
-
-
-def _result(coords, m) -> FidelityResult:
-    p1, p2, p3 = _populations(m)
-    return FidelityResult(coords, p1, p2, p3, 1.0 - p3, 1.0 - (p1 + p2 + p3))
-
-
-def _failed(coords, exc: Exception) -> FidelityResult:
-    nan = float("nan")
-    return FidelityResult(coords, nan, nan, nan, nan, nan, error=str(exc))
-
-
-def _scan_point(spec: ScanSpec, coords) -> FidelityResult:
+def _evaluate(spec: ScanSpec, coords, requests) -> list[FidelityResult]:
+    """One FidelityResult per request (blocks, alternate) at one grid point,
+    all from one pair propagation. `blocks` iterates over phase-set stacks
+    of shape (k, N, 2); the populations are averaged over all their phase
+    sets, summed block by block in order. A failed propagation gives every
+    request a NaN row that carries the reason."""
     try:
         u, sys = _pair_propagator(spec, coords)
     except (dynamics.IntegrationError, ValueError) as exc:
-        return _failed(coords, exc)
-    return _result(coords, _compose_from_pair(u, spec.sequence.resolve(), sys, spec.gap))
+        nan = float("nan")
+        return [FidelityResult(coords, nan, nan, nan, nan, nan, str(exc))] * len(requests)
+    rows = []
+    for blocks, alternate in requests:
+        acc, count = np.zeros(3), 0
+        for phase_sets in blocks:
+            m = _compose(u, sys, spec.gap, phase_sets, alternate)
+            acc += np.sum(np.abs(m[:, :, 0]) ** 2, axis=0)
+            count += len(phase_sets)
+        p1, p2, p3 = acc / count
+        rows.append(FidelityResult(coords, p1, p2, p3, 1.0 - p3, 1.0 - (p1 + p2 + p3)))
+    return rows
+
+
+def _request(seq: phases.CompositeSequence):
+    """The request for `seq` alone: one block holding one phase set."""
+    return [np.array([seq.phase_pairs()], dtype=float)], seq.alternate_ordering
 
 
 def grid_coords(axes) -> list[tuple[tuple[str, float], ...]]:
@@ -166,83 +175,65 @@ def grid_coords(axes) -> list[tuple[tuple[str, float], ...]]:
     return [tuple(zip(names, combo)) for combo in product(*values)]
 
 
-def run_scan(spec: ScanSpec, threads: int = 1) -> list[FidelityResult]:
+def run_scan(spec: ScanSpec) -> list[FidelityResult]:
     """One FidelityResult per grid point, in grid order.
 
     Integration failures are recorded on the affected point (error field,
-    NaN populations) and the scan continues. `threads` is accepted for
-    compatibility and changes neither the output nor the speed: points are
-    evaluated one after another, each vectorized over its time steps.
+    NaN populations) and the scan continues.
     """
-    return [_scan_point(spec, c) for c in grid_coords(spec.axes)]
+    request = _request(spec.sequence.resolve())
+    return [_evaluate(spec, c, [request])[0] for c in grid_coords(spec.axes)]
+
+
+# Monte Carlo samples composed per compose_sequence call: enough to amortize
+# the call, few enough to keep memory flat for any sample count.
+_MC_BLOCK = 256
 
 
 def _noise_rng(seed: int, sample: int, point: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=[sample, point, 0, 0]))
 
 
-def _mc_point(spec: ScanSpec, coords, point_index: int, sigma: float,
-              samples: int, seed: int) -> FidelityResult:
-    try:
-        u, sys = _pair_propagator(spec, coords)
-    except (dynamics.IntegrationError, ValueError) as exc:
-        return _failed(coords, exc)
-    seq = spec.sequence.resolve()
-    n = seq.n_pairs
-    acc = np.zeros(3)
-    for s in range(samples):
+def _noisy_phase_blocks(seq: phases.CompositeSequence, sigma: float, samples: int,
+                        seed: int, point: int):
+    """The phase sets of `seq` with Gaussian noise, _MC_BLOCK samples at a
+    time; sample s adds the pump then the Stokes draws of its own
+    generator, _noise_rng(seed, s, point)."""
+    base = np.array(seq.phase_pairs(), dtype=float)
+    for start in range(0, samples, _MC_BLOCK):
+        block = np.repeat(base[None], min(_MC_BLOCK, samples - start), axis=0)
         if sigma > 0:
-            rng = _noise_rng(seed, s, point_index)
-            noisy = phases.CompositeSequence(
-                n, tuple(np.array(seq.pump_phases) + rng.normal(0.0, sigma, n)),
-                tuple(np.array(seq.stokes_phases) + rng.normal(0.0, sigma, n)),
-                seq.alternate_ordering)
-        else:
-            noisy = seq
-        m = _compose_from_pair(u, noisy, sys, spec.gap)
-        acc += _populations(m)
-    p1, p2, p3 = acc / samples
-    return FidelityResult(coords, p1, p2, p3, 1.0 - p3, 1.0 - (p1 + p2 + p3))
+            for j, phase_set in enumerate(block):
+                rng = _noise_rng(seed, start + j, point)
+                phase_set += rng.normal(0.0, sigma, (2, seq.n_pairs)).T
+        yield block
 
 
-def monte_carlo_phase_noise(spec: ScanSpec, sigma: float, samples: int, seed: int,
-                            threads: int = 1) -> list[FidelityResult]:
-    """Mean populations over Gaussian phase noise on every alpha_k, beta_k.
-
-    `threads` changes neither the output nor the speed (see run_scan).
-    """
+def monte_carlo_phase_noise(spec: ScanSpec, sigma: float, samples: int,
+                            seed: int) -> list[FidelityResult]:
+    """Mean populations over Gaussian phase noise on every alpha_k, beta_k."""
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     if samples < 1:
         raise ValueError("need at least one sample")
-    return [_mc_point(spec, coords, i, sigma, samples, seed)
+    seq = spec.sequence.resolve()
+    return [_evaluate(spec, coords,
+                      [(_noisy_phase_blocks(seq, sigma, samples, seed, i),
+                        seq.alternate_ordering)])[0]
             for i, coords in enumerate(grid_coords(spec.axes))]
 
 
-def decay_scan(spec: ScanSpec, gammas, threads: int = 1) -> dict[str, list[FidelityResult]]:
+def decay_scan(spec: ScanSpec, gammas) -> dict[str, list[FidelityResult]]:
     """Infidelity versus decay rate for the single pair and the composite.
 
-    Pulse pairs sit back-to-back (spec.gap, default 0). Both curves reuse
-    the same per-gamma pair propagator. `threads` changes neither the
-    output nor the speed (see run_scan).
+    Pulse pairs sit back-to-back (spec.gap, default 0). Both curves come
+    from the same per-gamma pair propagation.
     """
     gammas = gammas.values() if isinstance(gammas, SweepAxis) else np.asarray(gammas, float)
     if np.any(gammas < 0):
         raise ValueError("decay rates must be >= 0")
-    seq = spec.sequence.resolve()
-    single = phases.CompositeSequence(1, (0.0,), (0.0,), True)
-
-    def point(g):
-        coords = (("gamma", float(g)),)
-        try:
-            u, sys = _pair_propagator(spec, coords)
-        except (dynamics.IntegrationError, ValueError) as exc:
-            bad = _failed(coords, exc)
-            return bad, bad
-        return (_result(coords, _compose_from_pair(u, single, sys, spec.gap)),
-                _result(coords, _compose_from_pair(u, seq, sys, spec.gap)))
-
-    rows = [point(g) for g in gammas]
+    requests = [_request(SequenceSpec().resolve()), _request(spec.sequence.resolve())]
+    rows = [_evaluate(spec, (("gamma", float(g)),), requests) for g in gammas]
     return {"single": [r[0] for r in rows], "composite": [r[1] for r in rows]}
 
 
@@ -267,7 +258,7 @@ def decay_compensation_check(spec: ScanSpec, gammas, threshold: float,
 
     def infid(omega0, g):
         u, sys = _pair_propagator(spec, (("omega0", omega0), ("gamma", float(g))))
-        m = _compose_from_pair(u, seq, sys, spec.gap)
+        m = _compose(u, sys, spec.gap, seq.phase_pairs(), seq.alternate_ordering)
         return 1.0 - abs(m[2, 0]) ** 2
 
     rows = []

@@ -96,9 +96,8 @@ class SolveResult:
     iterations: int
 
 
-def _sequence_infidelity(u_pair, seq: CompositeSequence) -> float:
-    m = propalg.compose_sequence([u_pair] * seq.n_pairs, seq.phase_pairs(),
-                                 seq.alternate_ordering)
+def _sequence_infidelity(u_pair, phase_pairs, alternate: bool) -> float:
+    m = propalg.compose_sequence([u_pair] * len(phase_pairs), phase_pairs, alternate)
     return 1.0 - abs(m[2, 0]) ** 2
 
 
@@ -120,19 +119,19 @@ def solve_phases(n: int, pair: PulsePair, sys: dynamics.SystemParams,
         raise ValueError("phase optimization assumes gamma = 0")
 
     u_pair = dynamics.propagate(pair, sys, rtol=rtol, atol=atol)
-    f_seed = _sequence_infidelity(u_pair, seed)
+    f_seed = _sequence_infidelity(u_pair, seed.phase_pairs(), seed.alternate_ordering)
     if n == 1:
         return SolveResult(seed, True, f_seed, f_seed, 0)
 
     x0 = np.array(seed.pump_phases[1:] + seed.stokes_phases[1:])
 
     def unpack(x):
-        return CompositeSequence(n, (seed.pump_phases[0],) + tuple(x[:n - 1]),
-                                 (seed.stokes_phases[0],) + tuple(x[n - 1:]),
-                                 seed.alternate_ordering)
+        # (N, 2) phase pairs with the first pair pinned to the seed.
+        return np.column_stack([np.r_[seed.pump_phases[0], x[:n - 1]],
+                                np.r_[seed.stokes_phases[0], x[n - 1:]]])
 
     def objective(x):
-        return _sequence_infidelity(u_pair, unpack(x))
+        return _sequence_infidelity(u_pair, unpack(x), seed.alternate_ordering)
 
     # Imported here so that the package imports without scipy's cost.
     from scipy.optimize import minimize
@@ -143,6 +142,7 @@ def solve_phases(n: int, pair: PulsePair, sys: dynamics.SystemParams,
                    options=dict(initial_simplex=simplex, xatol=xatol, fatol=1e-14,
                                 maxiter=budget, maxfev=2 * budget))
     if res.fun <= f_seed:
-        return SolveResult(unpack(res.x), bool(res.success), float(res.fun),
-                           f_seed, int(res.nit))
+        pump, stokes = unpack(res.x).T
+        seq = CompositeSequence(n, tuple(pump), tuple(stokes), seed.alternate_ordering)
+        return SolveResult(seq, bool(res.success), float(res.fun), f_seed, int(res.nit))
     return SolveResult(seed, False, f_seed, f_seed, int(res.nit))

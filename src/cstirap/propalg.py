@@ -3,7 +3,8 @@
 The resonant three-state propagator is quadratic in the Cayley-Klein
 parameters (a, b) of the equivalent two-state problem; this module holds
 that lift, the backward-ordering reversal R U R, the phase imprint
-Phi U Phi*, and the N-fold sequence composition.
+Phi U Phi*, and the N-fold sequence composition, batched over stacks of
+phase sets.
 """
 
 from __future__ import annotations
@@ -14,10 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 NORM_TOL = 1e-10
-
-# Exchange of states 1 and 3; reversing a pair's pulse order conjugates
-# its propagator by this matrix.
-_R = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -89,32 +86,39 @@ def from_angles(angles: CKAngles) -> CayleyKlein:
 
 
 def reverse(u: np.ndarray) -> np.ndarray:
-    """Propagator of the same pair with pump and Stokes exchanged: R U R."""
-    return _R @ np.asarray(u, dtype=complex) @ _R
+    """Propagator of the same pair with pump and Stokes exchanged: R U R,
+    where R exchanges states 1 and 3, so both matrix indices flip."""
+    return np.asarray(u, dtype=complex)[..., ::-1, ::-1]
 
 
-def phase_imprint(u: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    """Phi U Phi* with Phi = diag(e^{i alpha}, 1, e^{-i beta})."""
-    phi = np.array([np.exp(1j * alpha), 1.0, np.exp(-1j * beta)])
-    return (phi[:, None] * np.asarray(u, dtype=complex)) * np.conj(phi)[None, :]
+def phase_imprint(u: np.ndarray, alpha, beta) -> np.ndarray:
+    """Phi U Phi* with Phi = diag(e^{i alpha}, 1, e^{-i beta}); array angles
+    broadcast against each other and against the leading axes of `u`."""
+    alpha, beta = np.broadcast_arrays(np.asarray(alpha, float), np.asarray(beta, float))
+    phi = np.exp(1j * np.stack([alpha, np.zeros_like(alpha), -beta], axis=-1))
+    return (phi[..., :, None] * np.asarray(u, dtype=complex)) * np.conj(phi)[..., None, :]
 
 
 def compose_sequence(propagators, phases, alternate: bool) -> np.ndarray:
     """U^(N) for a sequence of N phased pairs; rightmost factor = first pair.
 
+    `propagators` holds the N pair propagators and `phases` one
+    (alpha, beta) per pair, shape (..., N, 2): any leading axes stack phase
+    sets that share the propagators, and the result has shape (..., 3, 3).
     With alternate=True every even pair (second, fourth, ...) enters as its
     reversed propagator R U R, the resonant protocol; with alternate=False
     all pairs enter forward, the far-off-resonant protocol.
     """
-    props = [np.asarray(u, dtype=complex) for u in propagators]
+    props = np.asarray([reverse(u) if alternate and k % 2 else u
+                        for k, u in enumerate(propagators)], dtype=complex)
     n = len(props)
     if n < 1 or n % 2 == 0:
         raise ValueError("sequence length must be odd")
-    if len(phases) != n:
+    phases = np.asarray(phases, dtype=float)
+    if phases.shape[-2:] != (n, 2):
         raise ValueError("need one (alpha, beta) per pair")
-    total = np.eye(3, dtype=complex)
-    for k, (u, (alpha, beta)) in enumerate(zip(props, phases), start=1):
-        if alternate and k % 2 == 0:
-            u = reverse(u)
-        total = phase_imprint(u, alpha, beta) @ total
+    factors = phase_imprint(props, phases[..., 0], phases[..., 1])
+    total = factors[..., 0, :, :]
+    for k in range(1, n):
+        total = factors[..., k, :, :] @ total
     return total

@@ -4,9 +4,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cstirap.cli import (ConfigError, config_hash, emit_table, main,
-                         parse_config, print_phases)
+from cstirap.cli import (EXPERIMENTS, ConfigError, RunConfig, _ALLOWED_KEYS,
+                         config_hash, emit_table, main, parse_config,
+                         print_phases)
 from cstirap.experiments import FidelityResult
 
 
@@ -304,3 +307,84 @@ def test_cli_import_leaves_scipy_unloaded():
             "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+# An integer too large for a float: math.isfinite raises OverflowError on it.
+_HUGE = 10 ** 400
+
+
+@pytest.mark.parametrize("path,edit", [
+    ("pulse.omega0", lambda c: c["pulse"].update(omega0=_HUGE)),
+    ("gap", lambda c: c.update(gap=_HUGE)),
+    ("grid[0]", lambda c: c["grid"][0].update(max=_HUGE)),
+    ("sequence.pump_phases", lambda c: c.update(sequence={
+        "source": "explicit", "n": 3, "pump_phases": [0, _HUGE, 0],
+        "stokes_phases": [0, 0, 0], "alternate": True})),
+])
+def test_huge_integer_is_not_a_number(tmp_path, capsys, path, edit):
+    cfg = _scan_config()
+    edit(cfg)
+    assert main(["scan", "--config", _write(tmp_path, "huge.json", cfg)]) == 1
+    assert f"config error: {path}" in capsys.readouterr().err
+
+
+def _valid_config(kind):
+    """A config that parses for `kind`, with every key it allows."""
+    seq = ({"source": "resonant", "n": 3} if kind == "phases" else
+           {"source": "explicit", "n": 3, "pump_phases": [0.0, 1.0, 2.0],
+            "stokes_phases": [2.0, 1.0, 0.0], "alternate": True})
+    axis = {"name": "gamma", "min": 0.0, "max": 1.0, "points": 3, "spacing": "linear"}
+    grid = {"simulate": [], "scan": [axis], "montecarlo": [axis], "decay": [axis],
+            "contour": [axis, dict(axis, name="omega0", min=1.0)]}.get(kind)
+    full = {"experiment": kind, "sequence": seq, "seed": 1, "out": "t.csv",
+            "pulse": {"shape": "sin2", "omega0": 30.0, "width": 1.0, "delay": None},
+            "system": {"delta": 0.0, "gamma": 0.0},
+            "tolerance": {"rtol": 1e-8, "atol": 1e-10}, "gap": 0.0, "grid": grid,
+            "noise": {"sigma": 0.01, "samples": 10},
+            "solver": {"budget": 10, "xatol": 1e-6, "simplex_step": 0.01}}
+    return {k: v for k, v in full.items() if k in _ALLOWED_KEYS[kind]}
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    items = (node.items() if isinstance(node, dict) else
+             enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+def _replace(node, path, value):
+    if not path:
+        return value
+    node[path[0]] = _replace(node[path[0]], path[1:], value)
+    return node
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=6)
+    | st.integers() | st.sampled_from([_HUGE, -_HUGE, 2 ** 64, 3, 0.0]),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=8)
+
+
+@st.composite
+def _configs(draw):
+    kind = draw(st.sampled_from(EXPERIMENTS))
+    cfg = _valid_config(kind)
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.sampled_from(list(_paths(cfg))))
+        cfg = _replace(cfg, path, draw(_json))
+    return kind, cfg
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_configs())
+def test_parse_config_returns_config_or_config_error(case):
+    kind, cfg = case
+    try:
+        parsed = parse_config(cfg, kind)
+    except ConfigError as exc:
+        assert exc.problems and all(isinstance(p, str) for p in exc.problems)
+    else:
+        assert isinstance(parsed, RunConfig) and parsed.experiment == kind

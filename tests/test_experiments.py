@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cstirap import experiments
 from cstirap.dynamics import SystemParams, propagate
 from cstirap.experiments import (ScanSpec, SequenceSpec, SweepAxis,
                                  decay_compensation_check, decay_scan,
@@ -86,11 +87,6 @@ def test_run_scan_matches_direct_integration():
         assert row.error is None
 
 
-def test_run_scan_threads_equivalent():
-    spec = _spec(axes=(SweepAxis("omega0", 10.0, 30.0, 4),))
-    assert run_scan(spec, threads=3) == run_scan(spec, threads=1)
-
-
 def test_run_scan_records_point_failures():
     spec = _spec(axes=(SweepAxis("delay", -0.2, 0.4, 2),))
     rows = run_scan(spec)
@@ -136,7 +132,7 @@ def test_monte_carlo_zero_noise_reduces_to_scan():
 def test_monte_carlo_deterministic_and_seeded():
     spec = _spec(sequence=SequenceSpec("resonant", 3))
     a = monte_carlo_phase_noise(spec, 0.01, 25, seed=42)
-    b = monte_carlo_phase_noise(spec, 0.01, 25, seed=42, threads=4)
+    b = monte_carlo_phase_noise(spec, 0.01, 25, seed=42)
     c = monte_carlo_phase_noise(spec, 0.01, 25, seed=43)
     assert a == b
     assert a[0].p3 != c[0].p3
@@ -144,6 +140,27 @@ def test_monte_carlo_deterministic_and_seeded():
         monte_carlo_phase_noise(spec, -0.1, 10, seed=0)
     with pytest.raises(ValueError):
         monte_carlo_phase_noise(spec, 0.1, 0, seed=0)
+
+
+def test_monte_carlo_blocks_match_per_sample_loop():
+    # One sample more than a block, so the last block holds one sample:
+    # the block-wise draws and sums must equal one compose_sequence call
+    # per sample, drawing the pump then the Stokes noise.
+    samples = experiments._MC_BLOCK + 1
+    sys = SystemParams(delta=0.4)
+    spec = _spec(omega0=21.0, system=sys, sequence=SequenceSpec("resonant", 5))
+    row = monte_carlo_phase_noise(spec, 0.05, samples, seed=9)[0]
+    seq = resonant_phases(5)
+    u = propagate(make_pair(ShapeKind.SINE_SQUARED, 21.0), sys, rtol=1e-8, atol=1e-10)
+    acc = np.zeros(3)
+    for s in range(samples):
+        rng = experiments._noise_rng(9, s, 0)
+        pump = np.array(seq.pump_phases) + rng.normal(0.0, 0.05, 5)
+        stokes = np.array(seq.stokes_phases) + rng.normal(0.0, 0.05, 5)
+        m = compose_sequence([u] * 5, list(zip(pump, stokes)), seq.alternate_ordering)
+        acc += np.abs(m[:, 0]) ** 2
+    np.testing.assert_allclose([row.p1, row.p2, row.p3], acc / samples,
+                               rtol=0, atol=1e-14)
 
 
 def test_monte_carlo_noise_degrades_transfer():

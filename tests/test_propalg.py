@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cstirap.dynamics import SystemParams, propagate
 from cstirap.propalg import (CayleyKlein, CKAngles, compose_sequence, extract_ck,
@@ -145,3 +147,76 @@ def test_reversal_equals_integrating_swapped_pair():
     bwd = make_pair(ShapeKind.SINE_SQUARED, 12.0, reversed=True)
     np.testing.assert_allclose(reverse(propagate(fwd, sys)), propagate(bwd, sys),
                                atol=1e-8)
+
+
+# Property tests of the algebra on random unitary matrices, with any
+# number of leading batch axes.
+
+seeds = st.integers(0, 2 ** 32 - 1)
+batch_shapes = st.lists(st.integers(1, 3), max_size=2).map(tuple)
+angles = st.floats(-10.0, 10.0)
+
+
+def _unitaries(seed, shape=()):
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=shape + (3, 3)) + 1j * rng.normal(size=shape + (3, 3))
+    return np.linalg.qr(z)[0]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seeds, batch_shapes)
+def test_reverse_is_an_involution_and_exchange_conjugation(seed, shape):
+    u = _unitaries(seed, shape)
+    assert np.array_equal(reverse(reverse(u)), u)
+    np.testing.assert_allclose(reverse(u), _R3 @ u @ _R3, rtol=0, atol=1e-15)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seeds, angles, angles, angles, angles)
+def test_phase_imprints_compose_additively(seed, a1, b1, a2, b2):
+    u = _unitaries(seed)
+    twice = phase_imprint(phase_imprint(u, a1, b1), a2, b2)
+    np.testing.assert_allclose(twice, phase_imprint(u, a1 + a2, b1 + b2),
+                               rtol=0, atol=1e-13)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seeds, batch_shapes)
+def test_phase_imprint_broadcasts_over_angle_arrays(seed, shape):
+    rng = np.random.default_rng(seed)
+    u = _unitaries(seed, shape)
+    alpha, beta = rng.uniform(-4, 4, shape), rng.uniform(-4, 4, shape)
+    got = phase_imprint(u, alpha, beta)
+    assert got.shape == shape + (3, 3)
+    for idx in np.ndindex(shape):
+        np.testing.assert_array_equal(got[idx], phase_imprint(u[idx], alpha[idx], beta[idx]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seeds, st.sampled_from([1, 3, 5, 9]), st.integers(1, 6), st.booleans(),
+       st.booleans())
+def test_batched_compose_equals_per_row_calls(seed, n, samples, alternate, gap_folded):
+    rng = np.random.default_rng(seed)
+    u = _unitaries(seed)
+    props = [u] * n
+    if gap_folded:
+        # Free evolution between pairs folded into all but the last factor.
+        g = np.diag([1.0, np.exp(-1j * rng.uniform(0, 3)) * rng.uniform(0.5, 1), 1.0])
+        props = [g @ u] * (n - 1) + [u]
+    phase_sets = rng.uniform(-np.pi, np.pi, (samples, n, 2))
+    got = compose_sequence(props, phase_sets, alternate)
+    assert got.shape == (samples, 3, 3)
+    for row, phases in zip(got, phase_sets):
+        want = compose_sequence(props, [tuple(p) for p in phases], alternate)
+        np.testing.assert_allclose(row, want, rtol=0, atol=1e-15)
+    stacked = compose_sequence(props, phase_sets.reshape(1, samples, n, 2), alternate)
+    np.testing.assert_array_equal(stacked[0], got)
+
+
+@pytest.mark.parametrize("phases", [
+    np.zeros(3), np.zeros((3, 3)), np.zeros((5, 2)), np.zeros((2, 3)),
+    np.zeros(()), np.zeros((4, 3, 3)), [(0.0, 0.0), (0.0,), (0.0, 0.0)],
+])
+def test_compose_rejects_wrong_phase_shape(phases):
+    with pytest.raises(ValueError):
+        compose_sequence([np.eye(3)] * 3, phases, alternate=True)
