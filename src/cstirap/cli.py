@@ -45,6 +45,11 @@ _GRID_ARITY = {"simulate": (0,), "scan": (1,), "contour": (2,),
 # NaN rows, an `# error` line each, and exit code 2.
 _NONNEGATIVE_AXES = ("omega0", "gamma")
 
+# Rows per table. The shipped configs use at most 240 points per axis and
+# 1,600 rows; a million rows at 5-25 ms per point is hours of integration,
+# and far larger grids cannot even be laid out in memory.
+_MAX_GRID_ROWS = 1_000_000
+
 
 class ConfigError(ValueError):
     """Carries the full list of config violations, not just the first."""
@@ -83,50 +88,71 @@ def _reject_unknown(section: dict, allowed, path: str, problems: list):
             problems.append(f"{path}.{key}: unknown key")
 
 
-def _parse_pulse(data, problems):
-    p = data.get("pulse")
-    if p is None:
-        problems.append("pulse: required for this experiment")
-        return None
-    if not isinstance(p, dict):
-        problems.append("pulse: must be an object")
-        return None
-    before = len(problems)
-    _reject_unknown(p, {"shape", "omega0", "width", "delay"}, "pulse", problems)
-    shape = p.get("shape")
-    if not isinstance(shape, str) or shape not in _SHAPES:
-        problems.append("pulse.shape: must be 'sin2' or 'gaussian'")
-    omega0 = p.get("omega0")
-    if not _is_number(omega0) or omega0 <= 0:
-        problems.append("pulse.omega0: must be a positive number")
-    width = p.get("width", 1.0)
-    if not _is_number(width) or width <= 0:
-        problems.append("pulse.width: must be a positive number")
-    delay = p.get("delay")
-    if delay is not None and (not _is_number(delay) or delay <= 0):
-        problems.append("pulse.delay: must be null or a positive number")
-    if len(problems) > before:
-        return None
-    return (shape, float(omega0), float(width),
-            None if delay is None else float(delay))
+def _positive(x) -> bool:
+    return _is_number(x) and x > 0
 
 
-def _parse_system(data, problems):
-    s = data.get("system", {})
-    if not isinstance(s, dict):
-        problems.append("system: must be an object")
+def _nonnegative(x) -> bool:
+    return _is_number(x) and x >= 0
+
+
+def _count(x) -> bool:
+    return _is_int(x) and x >= 1
+
+
+# section -> (problem when the section is absent, or None if {} stands in;
+#             key -> (default, check, conversion of a non-null value, problem)).
+# The resolved section (keys in this order) is what the config hash covers.
+_SECTIONS = {
+    "pulse": ("required for this experiment", {
+        "shape": (None, lambda x: isinstance(x, str) and x in _SHAPES, str,
+                  "must be 'sin2' or 'gaussian'"),
+        "omega0": (None, _positive, float, "must be a positive number"),
+        "width": (1.0, _positive, float, "must be a positive number"),
+        "delay": (None, lambda x: x is None or _positive(x), float,
+                  "must be null or a positive number"),
+    }),
+    "system": (None, {
+        "delta": (0.0, _is_number, float, "must be a finite number"),
+        "gamma": (0.0, _nonnegative, float, "must be a number >= 0"),
+    }),
+    "tolerance": (None, {
+        "rtol": (dynamics.DEFAULT_RTOL, _positive, float, "must be > 0"),
+        "atol": (dynamics.DEFAULT_ATOL, _positive, float, "must be > 0"),
+    }),
+    "noise": ("required for montecarlo", {
+        "sigma": (None, _nonnegative, float, "must be a number >= 0"),
+        "samples": (1000, _count, int, "must be an integer >= 1"),
+    }),
+    "solver": (None, {
+        "budget": (2000, _count, int, "must be an integer >= 1"),
+        "xatol": (1e-6, _positive, float, "must be > 0"),
+        "simplex_step": (0.01, _positive, float, "must be > 0"),
+    }),
+}
+
+
+def _parse_section(data, name, problems):
+    """The section's resolved dict (defaults filled), or None after adding
+    its problems."""
+    absent, keys = _SECTIONS[name]
+    section = data.get(name, None if absent else {})
+    if section is None and absent:
+        problems.append(f"{name}: {absent}")
+        return None
+    if not isinstance(section, dict):
+        problems.append(f"{name}: must be an object")
         return None
     before = len(problems)
-    _reject_unknown(s, {"delta", "gamma"}, "system", problems)
-    delta = s.get("delta", 0.0)
-    gamma = s.get("gamma", 0.0)
-    if not _is_number(delta):
-        problems.append("system.delta: must be a finite number")
-    if not _is_number(gamma) or gamma < 0:
-        problems.append("system.gamma: must be a number >= 0")
-    if len(problems) > before:
-        return None
-    return dynamics.SystemParams(float(delta), float(gamma))
+    _reject_unknown(section, keys, name, problems)
+    resolved = {}
+    for key, (default, check, convert, problem) in keys.items():
+        value = section.get(key, default)
+        if check(value):
+            resolved[key] = None if value is None else convert(value)
+        else:
+            problems.append(f"{name}.{key}: {problem}")
+    return None if len(problems) > before else resolved
 
 
 def _parse_sequence(data, experiment, problems):
@@ -160,15 +186,15 @@ def _parse_sequence(data, experiment, problems):
             problems.append("sequence.alternate: must be true or false")
         if len(problems) > before:
             return None
-        return experiments.SequenceSpec("explicit", n,
-                                        tuple(float(v) for v in pump),
-                                        tuple(float(v) for v in stokes), alternate)
+        return {"source": source, "n": n,
+                "pump_phases": tuple(float(v) for v in pump),
+                "stokes_phases": tuple(float(v) for v in stokes), "alternate": alternate}
     for key in ("pump_phases", "stokes_phases", "alternate"):
         if key in s:
             problems.append(f"sequence.{key}: only meaningful with source 'explicit'")
     if source == "single" and n != 1:
         problems.append("sequence.n: a single pair means n = 1")
-    return experiments.SequenceSpec(source, n)
+    return {"source": source, "n": n}
 
 
 def _parse_grid(data, experiment, problems):
@@ -178,6 +204,7 @@ def _parse_grid(data, experiment, problems):
         return None
     axes = []
     broken = False
+    rows = 1
     for i, entry in enumerate(g):
         path = f"grid[{i}]"
         if not isinstance(entry, dict):
@@ -206,6 +233,10 @@ def _parse_grid(data, experiment, problems):
         if name in _NONNEGATIVE_AXES and lo < 0:
             problems.append(f"{path}: {name} axis must stay >= 0 (min is {lo:g})")
             broken = True
+        if rows <= _MAX_GRID_ROWS < rows * points:
+            problems.append(f"{path}: the grid may have at most {_MAX_GRID_ROWS} rows")
+            broken = True
+        rows *= points
     if broken:
         return None
     arity = _GRID_ARITY.get(experiment)
@@ -222,65 +253,6 @@ def _parse_grid(data, experiment, problems):
     return tuple(axes)
 
 
-def _parse_noise(data, problems):
-    nz = data.get("noise")
-    if nz is None:
-        problems.append("noise: required for montecarlo")
-        return None
-    if not isinstance(nz, dict):
-        problems.append("noise: must be an object")
-        return None
-    before = len(problems)
-    _reject_unknown(nz, {"sigma", "samples"}, "noise", problems)
-    sigma = nz.get("sigma")
-    samples = nz.get("samples", 1000)
-    if not _is_number(sigma) or sigma < 0:
-        problems.append("noise.sigma: must be a number >= 0")
-    if not _is_int(samples) or samples < 1:
-        problems.append("noise.samples: must be an integer >= 1")
-    if len(problems) > before:
-        return None
-    return (float(sigma), samples)
-
-
-def _parse_solver(data, problems):
-    sv = data.get("solver", {})
-    if not isinstance(sv, dict):
-        problems.append("solver: must be an object")
-        return None
-    before = len(problems)
-    _reject_unknown(sv, {"budget", "xatol", "simplex_step"}, "solver", problems)
-    budget = sv.get("budget", 2000)
-    xatol = sv.get("xatol", 1e-6)
-    step = sv.get("simplex_step", 0.01)
-    if not _is_int(budget) or budget < 1:
-        problems.append("solver.budget: must be an integer >= 1")
-    if not _is_number(xatol) or xatol <= 0:
-        problems.append("solver.xatol: must be > 0")
-    if not _is_number(step) or step <= 0:
-        problems.append("solver.simplex_step: must be > 0")
-    if len(problems) > before:
-        return None
-    return (budget, float(xatol), float(step))
-
-
-def _parse_tolerance(data, problems):
-    tol = data.get("tolerance", {})
-    if not isinstance(tol, dict):
-        problems.append("tolerance: must be an object")
-        return None
-    before = len(problems)
-    _reject_unknown(tol, {"rtol", "atol"}, "tolerance", problems)
-    rtol = tol.get("rtol", dynamics.DEFAULT_RTOL)
-    atol = tol.get("atol", dynamics.DEFAULT_ATOL)
-    for name, val in (("rtol", rtol), ("atol", atol)):
-        if not _is_number(val) or val <= 0:
-            problems.append(f"tolerance.{name}: must be > 0")
-    if len(problems) > before:
-        return None
-    return (float(rtol), float(atol))
-
-
 def parse_config(data, experiment: str, seed: int | None = None) -> RunConfig:
     """Validate a config mapping for `experiment` and resolve all defaults.
 
@@ -293,92 +265,70 @@ def parse_config(data, experiment: str, seed: int | None = None) -> RunConfig:
     if experiment not in EXPERIMENTS:
         raise ConfigError((f"experiment: unknown kind {experiment!r}",))
     problems: list[str] = []
+    allowed = _ALLOWED_KEYS[experiment]
 
     declared = data.get("experiment")
     if declared is not None and declared != experiment:
         problems.append(f"experiment: config says {declared!r} but the "
                         f"{experiment!r} subcommand was invoked")
     for key in data:
-        if key not in _ALLOWED_KEYS[experiment]:
+        if key not in allowed:
             problems.append(f"{key}: not a valid key for {experiment!r}")
 
-    seq = _parse_sequence(data, experiment, problems)
-
-    pulse = sysp = tolerance = None
-    gap = 0.0
+    # The resolved config: exactly what the hash covers.
+    resolved = {"experiment": experiment,
+                "sequence": _parse_sequence(data, experiment, problems)}
     if experiment != "phases":
-        pulse = _parse_pulse(data, problems)
-        sysp = _parse_system(data, problems)
-        tolerance = _parse_tolerance(data, problems)
+        for name in ("pulse", "system", "tolerance"):
+            resolved[name] = _parse_section(data, name, problems)
         gap = data.get("gap", 0.0)
         if not _is_number(gap) or gap < 0:
             problems.append("gap: must be a number >= 0")
             gap = 0.0
-        if experiment == "solve-phases" and sysp is not None and sysp.gamma != 0:
+        resolved["gap"] = float(gap)
+        if experiment == "solve-phases" and resolved["system"] and resolved["system"]["gamma"]:
             problems.append("system.gamma: phase optimization assumes gamma = 0")
 
     axes = ()
-    if "grid" in _ALLOWED_KEYS[experiment]:
+    if "grid" in allowed:
         axes = _parse_grid(data, experiment, problems)
+        if axes is not None:
+            resolved["grid"] = [{"name": ax.name, "min": ax.start, "max": ax.stop,
+                                 "points": ax.points, "spacing": ax.spacing}
+                                for ax in axes]
 
-    noise = _parse_noise(data, problems) if experiment == "montecarlo" else None
-    solver = _parse_solver(data, problems) if experiment == "solve-phases" else None
-    if solver is None:
-        solver = (2000, 1e-6, 0.01)
+    for name in ("noise", "solver"):
+        if name in allowed:
+            resolved[name] = _parse_section(data, name, problems)
 
-    if seed is None:
-        seed = data.get("seed", 0)
+    seed = data.get("seed", 0) if seed is None else seed
     if not _is_int(seed) or not 0 <= seed < 2 ** 64:
         problems.append("seed: must be an unsigned 64-bit integer")
-        seed = 0
+    resolved["seed"] = seed
 
     out = data.get("out")
     if out is not None and not isinstance(out, str):
         problems.append("out: must be a path string")
-        out = None
 
     if problems:
         raise ConfigError(problems)
 
+    seq = resolved["sequence"]
+    sequence = experiments.SequenceSpec(seq["source"], seq["n"], seq.get("pump_phases"),
+                                        seq.get("stokes_phases"), seq.get("alternate"))
     scan = None
-    resolved = {"experiment": experiment, "seed": seed,
-                "sequence": _sequence_resolved(seq)}
     if experiment != "phases":
-        shape_name, omega0, width, delay = pulse
-        try:
-            scan = experiments.ScanSpec(axes=tuple(axes), shape=_SHAPES[shape_name],
-                                        omega0=omega0, width=width, delay=delay,
-                                        system=sysp, sequence=seq,
-                                        rtol=tolerance[0], atol=tolerance[1],
-                                        gap=float(gap))
-        except ValueError as exc:
-            raise ConfigError((str(exc),)) from exc
-        resolved["pulse"] = {"shape": shape_name, "omega0": omega0,
-                             "width": width, "delay": delay}
-        resolved["system"] = {"delta": sysp.delta, "gamma": sysp.gamma}
-        resolved["tolerance"] = {"rtol": tolerance[0], "atol": tolerance[1]}
-        resolved["gap"] = float(gap)
-    if "grid" in _ALLOWED_KEYS[experiment]:
-        resolved["grid"] = [{"name": ax.name, "min": ax.start, "max": ax.stop,
-                             "points": ax.points, "spacing": ax.spacing}
-                            for ax in axes]
-    if experiment == "montecarlo":
-        resolved["noise"] = {"sigma": noise[0], "samples": noise[1]}
-    if experiment == "solve-phases":
-        resolved["solver"] = {"budget": solver[0], "xatol": solver[1],
-                              "simplex_step": solver[2]}
-
-    return RunConfig(experiment, scan, seq, noise, solver, seed, out,
-                     config_hash(resolved))
-
-
-def _sequence_resolved(seq: experiments.SequenceSpec) -> dict:
-    out = {"source": seq.source, "n": seq.n_pairs}
-    if seq.source == "explicit":
-        out["pump_phases"] = list(seq.pump_phases)
-        out["stokes_phases"] = list(seq.stokes_phases)
-        out["alternate"] = seq.alternate
-    return out
+        pulse = resolved["pulse"]
+        scan = experiments.ScanSpec(axes=axes, **dict(pulse, shape=_SHAPES[pulse["shape"]]),
+                                    system=dynamics.SystemParams(**resolved["system"]),
+                                    sequence=sequence, **resolved["tolerance"],
+                                    gap=resolved["gap"])
+    noise = resolved.get("noise")
+    # Experiments other than solve-phases carry the solver defaults.
+    solver = resolved.get("solver") or _parse_section({}, "solver", problems)
+    return RunConfig(experiment, scan, sequence,
+                     None if noise is None else tuple(noise.values()),
+                     tuple(solver.values()), seed, out, config_hash(resolved))
 
 
 def canonical_json(resolved: dict) -> str:

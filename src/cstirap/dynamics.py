@@ -188,15 +188,21 @@ def _integrate(generator, pulses, t_span, hermitian, rtol, atol) -> np.ndarray:
         raise ValueError("need t_i < t_f")
     breaks = _breakpoints(pulses, (float(t_i), float(t_f)))
     # Start from steps of at most half a pulse width, so that no envelope
-    # is stepped over unsampled.
-    steps = np.ceil(np.diff(breaks) / (0.5 * _min_width(pulses))).astype(np.int64)
+    # is stepped over unsampled. The count is checked as a float: cast
+    # first, a window of 1e19 widths would wrap around int64.
+    steps = np.ceil(np.diff(breaks) / (0.5 * _min_width(pulses)))
+    if not 2 * steps.sum() <= _MAX_STEPS:
+        raise IntegrationError(
+            f"Magnus stepping needs over {_MAX_STEPS} steps for a window of "
+            f"{t_f - t_i:g} with pulses {_min_width(pulses):g} wide", float(t_i))
+    steps = steps.astype(np.int64)
     tol = atol + rtol
     coarse = np.array(_chunk_products(generator, breaks, steps, hermitian))
     last = math.inf
     while True:
         fine = np.array(_chunk_products(generator, breaks, 2 * steps, hermitian))
         u = _ordered_product(fine)
-        err = np.max(np.abs(u - _ordered_product(coarse))) / 15.0
+        err = float(np.max(np.abs(u - _ordered_product(coarse)))) / 15.0
         if err <= tol:
             if hermitian:
                 # Each step is unitary to round-off, but the defects add
@@ -217,10 +223,13 @@ def _integrate(generator, pulses, t_span, hermitian, rtol, atol) -> np.ndarray:
             raise IntegrationError(
                 f"Magnus stepping missed rtol={rtol:g}, atol={atol:g} with "
                 f"{2 * int(steps.sum())} steps (error estimate {err:.3g})", float(where))
-        jump = math.ceil(math.log(err / tol, 16.0)) if err <= last / 8.0 else 1
+        # err / tol is inf when tol is subnormal; a jump past 64 doublings
+        # overshoots _MAX_STEPS anyway.
+        jump = math.ceil(min(math.log(err / tol, 16.0), 64.0)) if err <= last / 8.0 else 1
         last = err
         steps = 2 * steps
-        if jump > 1 and 2 ** jump * steps.sum() <= _MAX_STEPS:
+        # In Python ints: 2 ** jump times an int64 overflows for a tiny tol.
+        if jump > 1 and 2 ** jump * int(steps.sum()) <= _MAX_STEPS:
             steps = steps * 2 ** (jump - 1)
             coarse = np.array(_chunk_products(generator, breaks, steps, hermitian))
             last = math.inf

@@ -1,5 +1,8 @@
 import json
+import math
 import os
+import pathlib
+import struct
 import subprocess
 import sys
 
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cstirap import dynamics
 from cstirap.cli import (EXPERIMENTS, ConfigError, RunConfig, _ALLOWED_KEYS,
                          config_hash, emit_table, main, parse_config,
                          print_phases)
@@ -136,6 +140,32 @@ def test_emit_table_format():
     assert float(lines[1].split(",")[-1]) == 1.2345678901234567e-09
     assert lines[2] == "# sha256=" + "f" * 64
     assert text.endswith("\n")
+
+
+_SPECIAL_DOUBLES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                    2.2250738585072009e-308, sys.float_info.min, sys.float_info.max,
+                    -sys.float_info.max, 1.0 + sys.float_info.epsilon, 0.1]
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.lists(st.floats() | st.sampled_from(_SPECIAL_DOUBLES),
+                         min_size=6, max_size=6), max_size=4))
+def test_emit_table_round_trips_doubles(rows):
+    results = [FidelityResult((("delta", r[0]),), *r[1:]) for r in rows]
+    lines = emit_table(results, ["delta"], "0" * 64).splitlines()
+    assert len(lines) == len(rows) + 2
+    for row, line in zip(rows, lines[1:]):
+        back = [float(cell) for cell in line.split(",")]
+        assert len(back) == 6
+        for x, y in zip(row, back):
+            # A NaN's sign and payload have no text form; every other
+            # double, subnormals and signed zeros included, comes back
+            # bit for bit.
+            assert math.isnan(y) if math.isnan(x) else _bits(x) == _bits(y)
 
 
 def test_emit_table_empty():
@@ -302,6 +332,53 @@ def test_emit_table_error_lines():
     assert clean[-1] == "# sha256=" + "a" * 64 and len(clean) == 3
 
 
+@pytest.mark.parametrize("edit", [
+    lambda c: c["pulse"].update(delay=1e300),
+    lambda c: c["pulse"].update(width=1e-300, delay=1.0),
+    lambda c: c.update(tolerance={"rtol": 1e-300, "atol": 1e-300}),
+])
+def test_integrator_limits_fail_the_point(tmp_path, monkeypatch, edit):
+    # A lower step limit keeps the tolerance case short; the other two
+    # need far more than 2**20 steps from the start.
+    monkeypatch.setattr(dynamics, "_MAX_STEPS", 1 << 12)
+    cfg = {"experiment": "simulate", "pulse": {"shape": "sin2", "omega0": 30}}
+    edit(cfg)
+    out = tmp_path / "limit.csv"
+    assert main(["simulate", "--config", _write(tmp_path, "limit.json", cfg),
+                 "--out", str(out)]) == 2
+    lines = out.read_text().splitlines()
+    assert lines[1].startswith("nan,")
+    assert lines[2].startswith("# error row=0: Magnus stepping")
+    assert lines[3].startswith("# sha256=")
+
+
+# Digests of the shipped configs and of _scan_config() (the README
+# example): the `# sha256=` line of every table depends on them.
+_DIGESTS = {
+    "contour_far_detuned": "ea4fdb89952ffb4646beb8c72ef8d57597f86a400705d85945931cc95524ecde",
+    "contour_resonant": "c1e5fb04d2dea27369f36f6d6cabfcf562e58862d0aab3be5cd3ec41f5717273",
+    "decay_composite": "0d8858654906025907cc8230afd9df10b06097ffba75602497c2be31612f6531",
+    "decay_single": "6f1eced7fa44f56ca979d6970b2c96ebfa26aee1040ed0c540827972d7de2dde",
+    "montecarlo_phase_noise": "322cbe82132a28a12e1a52b4c878cd46a1ce58d25726c36b21e43c40ffb05dbe",
+    "phases_resonant_n5": "d64dd4bd99499d2466156c10a155700d8aa223b6f9525a7de90318224e27d9dc",
+    "scan_resonant_gaussian": "8a22d42eeae116777799ac2524a7192f01a04ed879ca35bcba3d9c45e43b9c5e",
+    "scan_resonant_sin2": "4bf41c07b0dd3c9bd9a2978258c37dd4e08092c67ea860f5ed5b9b80aa79046e",
+    "solve_phases_n3": "95e222429d0b206d03d7acc1e82bed5899142b4e11127a36777be0118c73ec69",
+}
+_CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("name", sorted(_DIGESTS))
+def test_shipped_config_digest_pinned(name):
+    data = json.loads((_CONFIGS / f"{name}.json").read_text())
+    assert parse_config(data, data["experiment"]).digest == _DIGESTS[name]
+
+
+def test_example_config_digest_pinned():
+    assert parse_config(_scan_config(), "scan").digest == (
+        "80b4cdd01bce6fd2658d99998c4e1f7e0dec668870d9481c14e26883d69fdb6a")
+
+
 def test_cli_import_leaves_scipy_unloaded():
     code = ("import sys, cstirap.cli; "
             "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
@@ -317,6 +394,10 @@ _HUGE = 10 ** 400
     ("pulse.omega0", lambda c: c["pulse"].update(omega0=_HUGE)),
     ("gap", lambda c: c.update(gap=_HUGE)),
     ("grid[0]", lambda c: c["grid"][0].update(max=_HUGE)),
+    pytest.param("grid[0]", lambda c: c["grid"][0].update(points=_HUGE),
+                 id="grid[0]-points-huge"),
+    pytest.param("grid[0]", lambda c: c["grid"][0].update(points=2 ** 63),
+                 id="grid[0]-points-2**63"),
     ("sequence.pump_phases", lambda c: c.update(sequence={
         "source": "explicit", "n": 3, "pump_phases": [0, _HUGE, 0],
         "stokes_phases": [0, 0, 0], "alternate": True})),

@@ -130,3 +130,19 @@ def test_non_convergence_raises_with_location(monkeypatch):
     t0, t1 = window(pair)
     assert t0 <= err.value.time < t1
     assert "steps" in str(err.value)
+
+
+@pytest.mark.parametrize("width,delay", [(1e-300, 1.0), (1e-7, 1.0), (1.0, 1e300)])
+def test_step_count_beyond_limit_raises_at_start(width, delay):
+    pair = make_pair(ShapeKind.SINE_SQUARED, 30.0, width=width, delay=delay)
+    with pytest.raises(IntegrationError) as err:
+        propagate(pair, SystemParams())
+    assert err.value.time == window(pair)[0]
+
+
+@pytest.mark.parametrize("tol", [1e-300, 5e-324])
+def test_unreachable_tolerance_raises(monkeypatch, tol):
+    monkeypatch.setattr(dynamics, "_MAX_STEPS", 1 << 12)
+    pair = make_pair(ShapeKind.SINE_SQUARED, 30.0)
+    with pytest.raises(IntegrationError, match="missed"):
+        propagate(pair, SystemParams(), rtol=tol, atol=tol)
