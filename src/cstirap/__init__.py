@@ -9,7 +9,7 @@ from .dynamics import (DEFAULT_ATOL, DEFAULT_RTOL, IntegrationError, SystemParam
                        effective_two_state, hamiltonian, propagate,
                        propagate_effective, propagate_state, propagate_two_state,
                        resonant_two_state_hamiltonian)
-from .experiments import (FidelityResult, ScanSpec, SequenceSpec, SweepAxis,
+from .experiments import (FidelityResult, ScanSpec, SweepAxis,
                           decay_compensation_check, decay_scan,
                           monte_carlo_phase_noise, run_scan)
 from .phases import (CompositeSequence, SolveResult, cap_numerators, cap_phases,
@@ -27,7 +27,7 @@ __all__ = [
     "DEFAULT_ATOL", "DEFAULT_RTOL", "GAUSSIAN_CUTOFF",
     "CayleyKlein", "CKAngles", "CompositeSequence", "FidelityResult",
     "IntegrationError", "PulsePair", "PulseShape", "PulseTrain", "ScanSpec",
-    "SequenceSpec", "ShapeKind", "SolveResult", "SweepAxis", "SystemParams",
+    "ShapeKind", "SolveResult", "SweepAxis", "SystemParams",
     "build_train", "cap_numerators", "cap_phases", "compose_sequence",
     "decay_compensation_check", "decay_scan", "default_delay",
     "effective_two_state", "envelope", "extract_ck", "from_angles",

@@ -49,6 +49,15 @@ _NONNEGATIVE_AXES = ("omega0", "gamma")
 # 1,600 rows; a million rows at 5-25 ms per point is hours of integration,
 # and far larger grids cannot even be laid out in memory.
 _MAX_GRID_ROWS = 1_000_000
+# Pulse pairs per sequence. The shipped configs use N <= 5 and the pinned
+# phase tables stop at N = 9. The phase formulas (evaluated at parse time),
+# the composition and the Monte Carlo draws all take time linear in N, so
+# without a bound an N of 10**30 hangs the parser.
+_MAX_PAIRS = 999
+# Monte Carlo samples per grid point. The shipped config uses 1,000; a
+# million already costs about 20 s per point, and its standard error is a
+# thousandth of the spread of one sample.
+_MAX_SAMPLES = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -63,7 +72,7 @@ class ConfigError(ValueError):
 class RunConfig:
     experiment: str
     scan: experiments.ScanSpec | None   # None for the phases experiment
-    sequence: experiments.SequenceSpec
+    sequence: phases.CompositeSequence
     noise: tuple[float, int] | None     # (sigma, samples)
     solver: tuple[int, float, float]    # (budget, xatol, simplex_step)
     seed: int
@@ -169,6 +178,9 @@ def _parse_sequence(data, experiment, problems):
     n = s.get("n", 1)
     if not _is_int(n) or n < 1 or n % 2 == 0:
         problems.append("sequence.n: must be a positive odd integer")
+        return None
+    if n > _MAX_PAIRS:
+        problems.append(f"sequence.n: may be at most {_MAX_PAIRS}")
         return None
     if experiment == "phases" and source not in ("resonant", "cap"):
         problems.append("sequence.source: the phases experiment prints the "
@@ -300,6 +312,8 @@ def parse_config(data, experiment: str, seed: int | None = None) -> RunConfig:
     for name in ("noise", "solver"):
         if name in allowed:
             resolved[name] = _parse_section(data, name, problems)
+    if resolved.get("noise") and resolved["noise"]["samples"] > _MAX_SAMPLES:
+        problems.append(f"noise.samples: may be at most {_MAX_SAMPLES}")
 
     seed = data.get("seed", 0) if seed is None else seed
     if not _is_int(seed) or not 0 <= seed < 2 ** 64:
@@ -314,8 +328,12 @@ def parse_config(data, experiment: str, seed: int | None = None) -> RunConfig:
         raise ConfigError(problems)
 
     seq = resolved["sequence"]
-    sequence = experiments.SequenceSpec(seq["source"], seq["n"], seq.get("pump_phases"),
-                                        seq.get("stokes_phases"), seq.get("alternate"))
+    if seq["source"] == "explicit":
+        sequence = phases.CompositeSequence(seq["n"], seq["pump_phases"],
+                                            seq["stokes_phases"], seq["alternate"])
+    else:   # a single pair is the resonant sequence with N = 1
+        sequence = (phases.cap_phases if seq["source"] == "cap"
+                    else phases.resonant_phases)(seq["n"])
     scan = None
     if experiment != "phases":
         pulse = resolved["pulse"]
@@ -391,10 +409,9 @@ def _run_table(cfg: RunConfig):
 
 def _run_solve(cfg: RunConfig):
     budget, xatol, step = cfg.solver
-    seed_seq = cfg.sequence.resolve()
     pair = make_pair(cfg.scan.shape, cfg.scan.omega0, cfg.scan.width, cfg.scan.delay)
     try:
-        res = phases.solve_phases(seed_seq.n_pairs, pair, cfg.scan.system, seed_seq,
+        res = phases.solve_phases(cfg.sequence.n_pairs, pair, cfg.scan.system, cfg.sequence,
                                   rtol=cfg.scan.rtol, atol=cfg.scan.atol,
                                   budget=budget, xatol=xatol, simplex_step=step)
     except dynamics.IntegrationError as exc:
@@ -412,7 +429,9 @@ def _run_solve(cfg: RunConfig):
 def run_experiment(cfg: RunConfig) -> tuple[str, bool]:
     """Returns (output text, numerical-failure flag)."""
     if cfg.experiment == "phases":
-        return print_phases(cfg.sequence.source, cfg.sequence.n_pairs) + "\n", False
+        # The parser admits only the resonant (alternating) and cap tables.
+        source = "resonant" if cfg.sequence.alternate_ordering else "cap"
+        return print_phases(source, cfg.sequence.n_pairs) + "\n", False
     if cfg.experiment == "solve-phases":
         return _run_solve(cfg)
     return _run_table(cfg)

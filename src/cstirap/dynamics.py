@@ -178,10 +178,10 @@ def _integrate(generator, pulses, t_span, hermitian, rtol, atol) -> np.ndarray:
     """U(t_f, t_i) of i dU/dt = H(t) U, where generator(t) stacks H(t) and
     t_span defaults to the support window of `pulses`.
 
-    Doubles every segment's step count until the Richardson estimate
-    max|U_2n - U_n| / 15 of the fourth-order error is within atol + rtol.
-    Once the estimate falls about 16-fold per doubling, as the order
-    predicts, the doublings it still needs are made in one jump.
+    Passes at n and 2n steps per segment give the Richardson estimate
+    max|U_2n - U_n| / 15 of the fourth-order error. Until it is within
+    atol + rtol, the step counts jump by the doublings that the 16-fold
+    drop per doubling predicts; a jump beyond _MAX_STEPS fails at once.
     """
     t_i, t_f = _span(pulses) if t_span is None else t_span
     if not t_i < t_f:
@@ -198,7 +198,6 @@ def _integrate(generator, pulses, t_span, hermitian, rtol, atol) -> np.ndarray:
     steps = steps.astype(np.int64)
     tol = atol + rtol
     coarse = np.array(_chunk_products(generator, breaks, steps, hermitian))
-    last = math.inf
     while True:
         fine = np.array(_chunk_products(generator, breaks, 2 * steps, hermitian))
         u = _ordered_product(fine)
@@ -212,7 +211,11 @@ def _integrate(generator, pulses, t_span, hermitian, rtol, atol) -> np.ndarray:
                 w, _, vh = np.linalg.svd(u)
                 u = w @ vh
             return u
-        if not np.isfinite(err) or 4 * steps.sum() > _MAX_STEPS:
+        # At most 64 doublings, which overshoot _MAX_STEPS anyway (err / tol
+        # is inf for a subnormal tol; err may be inf or NaN). The check is
+        # made in Python ints: 2 ** 64 times an int64 overflows.
+        jump = math.ceil(min(math.log(err / tol, 16.0), 64.0)) if np.isfinite(err) else 64
+        if 2 ** (jump + 1) * int(steps.sum()) > _MAX_STEPS:
             # Report the start of the block that disagrees most with the
             # product of its two halves.
             if len(fine) % 2:
@@ -223,18 +226,9 @@ def _integrate(generator, pulses, t_span, hermitian, rtol, atol) -> np.ndarray:
             raise IntegrationError(
                 f"Magnus stepping missed rtol={rtol:g}, atol={atol:g} with "
                 f"{2 * int(steps.sum())} steps (error estimate {err:.3g})", float(where))
-        # err / tol is inf when tol is subnormal; a jump past 64 doublings
-        # overshoots _MAX_STEPS anyway.
-        jump = math.ceil(min(math.log(err / tol, 16.0), 64.0)) if err <= last / 8.0 else 1
-        last = err
-        steps = 2 * steps
-        # In Python ints: 2 ** jump times an int64 overflows for a tiny tol.
-        if jump > 1 and 2 ** jump * int(steps.sum()) <= _MAX_STEPS:
-            steps = steps * 2 ** (jump - 1)
-            coarse = np.array(_chunk_products(generator, breaks, steps, hermitian))
-            last = math.inf
-        else:
-            coarse = fine
+        steps = steps * 2 ** jump
+        coarse = (fine if jump == 1 else
+                  np.array(_chunk_products(generator, breaks, steps, hermitian)))
 
 
 def propagate(pulses, sys: SystemParams, t_span=None,

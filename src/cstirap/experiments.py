@@ -1,8 +1,9 @@
 """Parameter scans, phase-noise Monte Carlo, and decay studies.
 
 Every grid point is an independent pure computation, evaluated in grid
-order, and the Monte Carlo draws come from a counter-based generator keyed
-on (seed, sample, grid index): results depend on the inputs alone.
+order, and the Monte Carlo draws of each grid point come from one stream
+of a counter-based generator keyed on (seed, grid index), taken in sample
+order: results depend on the inputs alone.
 """
 
 from __future__ import annotations
@@ -45,38 +46,6 @@ class SweepAxis:
 
 
 @dataclass(frozen=True)
-class SequenceSpec:
-    """Where the composite phases come from: a single pair, the resonant or
-    far-off-resonant analytic formulas, or explicit phase lists."""
-
-    source: str = "single"
-    n_pairs: int = 1
-    pump_phases: tuple[float, ...] | None = None
-    stokes_phases: tuple[float, ...] | None = None
-    alternate: bool | None = None
-
-    def __post_init__(self):
-        if self.source not in ("single", "resonant", "cap", "explicit"):
-            raise ValueError("sequence source must be single|resonant|cap|explicit")
-        if self.n_pairs < 1 or self.n_pairs % 2 == 0:
-            raise ValueError("N must be odd and positive")
-        if self.source == "explicit" and (self.pump_phases is None
-                                          or self.stokes_phases is None
-                                          or self.alternate is None):
-            raise ValueError("explicit sequences need phases and the ordering flag")
-
-    def resolve(self) -> phases.CompositeSequence:
-        if self.source == "single":
-            return phases.CompositeSequence(1, (0.0,), (0.0,), True)
-        if self.source == "resonant":
-            return phases.resonant_phases(self.n_pairs)
-        if self.source == "cap":
-            return phases.cap_phases(self.n_pairs)
-        return phases.CompositeSequence(self.n_pairs, tuple(self.pump_phases),
-                                        tuple(self.stokes_phases), self.alternate)
-
-
-@dataclass(frozen=True)
 class ScanSpec:
     axes: tuple[SweepAxis, ...]
     shape: ShapeKind
@@ -84,7 +53,7 @@ class ScanSpec:
     width: float = 1.0
     delay: float | None = None
     system: dynamics.SystemParams = field(default_factory=dynamics.SystemParams)
-    sequence: SequenceSpec = field(default_factory=SequenceSpec)
+    sequence: phases.CompositeSequence = phases.resonant_phases(1)   # a single pair
     rtol: float = dynamics.DEFAULT_RTOL
     atol: float = dynamics.DEFAULT_ATOL
     gap: float = 0.0
@@ -181,7 +150,7 @@ def run_scan(spec: ScanSpec) -> list[FidelityResult]:
     Integration failures are recorded on the affected point (error field,
     NaN populations) and the scan continues.
     """
-    request = _request(spec.sequence.resolve())
+    request = _request(spec.sequence)
     return [_evaluate(spec, c, [request])[0] for c in grid_coords(spec.axes)]
 
 
@@ -190,23 +159,20 @@ def run_scan(spec: ScanSpec) -> list[FidelityResult]:
 _MC_BLOCK = 256
 
 
-def _noise_rng(seed: int, sample: int, point: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed, counter=[sample, point, 0, 0]))
+def _noise_rng(seed: int, point: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=seed, counter=[0, point, 0, 0]))
 
 
 def _noisy_phase_blocks(seq: phases.CompositeSequence, sigma: float, samples: int,
                         seed: int, point: int):
     """The phase sets of `seq` with Gaussian noise, _MC_BLOCK samples at a
-    time; sample s adds the pump then the Stokes draws of its own
-    generator, _noise_rng(seed, s, point)."""
+    time, from the one stream _noise_rng(seed, point): sample s takes the
+    next 2N draws, the pump then the Stokes noise."""
     base = np.array(seq.phase_pairs(), dtype=float)
+    rng = _noise_rng(seed, point)
     for start in range(0, samples, _MC_BLOCK):
-        block = np.repeat(base[None], min(_MC_BLOCK, samples - start), axis=0)
-        if sigma > 0:
-            for j, phase_set in enumerate(block):
-                rng = _noise_rng(seed, start + j, point)
-                phase_set += rng.normal(0.0, sigma, (2, seq.n_pairs)).T
-        yield block
+        k = min(_MC_BLOCK, samples - start)
+        yield base + rng.normal(0.0, sigma, (k, 2, seq.n_pairs)).swapaxes(1, 2)
 
 
 def monte_carlo_phase_noise(spec: ScanSpec, sigma: float, samples: int,
@@ -216,7 +182,7 @@ def monte_carlo_phase_noise(spec: ScanSpec, sigma: float, samples: int,
         raise ValueError("sigma must be >= 0")
     if samples < 1:
         raise ValueError("need at least one sample")
-    seq = spec.sequence.resolve()
+    seq = spec.sequence
     return [_evaluate(spec, coords,
                       [(_noisy_phase_blocks(seq, sigma, samples, seed, i),
                         seq.alternate_ordering)])[0]
@@ -232,7 +198,7 @@ def decay_scan(spec: ScanSpec, gammas) -> dict[str, list[FidelityResult]]:
     gammas = gammas.values() if isinstance(gammas, SweepAxis) else np.asarray(gammas, float)
     if np.any(gammas < 0):
         raise ValueError("decay rates must be >= 0")
-    requests = [_request(SequenceSpec().resolve()), _request(spec.sequence.resolve())]
+    requests = [_request(phases.resonant_phases(1)), _request(spec.sequence)]
     rows = [_evaluate(spec, (("gamma", float(g)),), requests) for g in gammas]
     return {"single": [r[0] for r in rows], "composite": [r[1] for r in rows]}
 
@@ -254,7 +220,7 @@ def decay_compensation_check(spec: ScanSpec, gammas, threshold: float,
     if threshold <= 0:
         raise ValueError("threshold must be > 0")
     gammas = gammas.values() if isinstance(gammas, SweepAxis) else np.asarray(gammas, float)
-    seq = spec.sequence.resolve()
+    seq = spec.sequence
 
     def infid(omega0, g):
         u, sys = _pair_propagator(spec, (("omega0", omega0), ("gamma", float(g))))

@@ -14,7 +14,7 @@ import pytest
 
 from cstirap.cli import main
 from cstirap.dynamics import SystemParams, propagate, propagate_two_state
-from cstirap.experiments import (ScanSpec, SequenceSpec, SweepAxis,
+from cstirap.experiments import (ScanSpec, SweepAxis,
                                  decay_compensation_check, decay_scan,
                                  monte_carlo_phase_noise)
 from cstirap.phases import (cap_numerators, cap_phases, resonant_numerators,
@@ -170,7 +170,7 @@ def test_criterion_06_contour_areas():
 
 def test_criterion_07_phase_noise_monte_carlo():
     spec = ScanSpec(axes=(), shape=ShapeKind.SINE_SQUARED, omega0=23.0,
-                    sequence=SequenceSpec("resonant", 3), rtol=1e-9, atol=1e-11)
+                    sequence=resonant_phases(3), rtol=1e-9, atol=1e-11)
     row = monte_carlo_phase_noise(spec, sigma=0.01, samples=1000, seed=123)[0]
     ok = row.infidelity < 1e-4
     assert _report(7, ok, "mean infidelity under 0.01 rad phase noise stays "
@@ -179,7 +179,7 @@ def test_criterion_07_phase_noise_monte_carlo():
 
 def test_criterion_08_decay_crossover():
     spec = ScanSpec(axes=(), shape=ShapeKind.SINE_SQUARED, omega0=30.0,
-                    sequence=SequenceSpec("resonant", 3), rtol=1e-8, atol=1e-10)
+                    sequence=resonant_phases(3), rtol=1e-8, atol=1e-10)
     gammas = np.round(np.linspace(0.1, 1.0, 10), 12)
     curves = decay_scan(spec, gammas)
     single = np.array([r.infidelity for r in curves["single"]])
@@ -204,7 +204,7 @@ def test_criterion_08_decay_crossover():
 
 def test_criterion_09_decay_compensation_scaling():
     spec = ScanSpec(axes=(), shape=ShapeKind.SINE_SQUARED, omega0=30.0,
-                    sequence=SequenceSpec("resonant", 3), rtol=1e-8, atol=1e-10)
+                    sequence=resonant_phases(3), rtol=1e-8, atol=1e-10)
     res = decay_compensation_check(spec, np.geomspace(0.1, 1.0, 6),
                                    threshold=1e-3)
     reachable = all(o is not None for _, o in res.rows)

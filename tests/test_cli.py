@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 
 from cstirap import dynamics
 from cstirap.cli import (EXPERIMENTS, ConfigError, RunConfig, _ALLOWED_KEYS,
-                         config_hash, emit_table, main, parse_config,
-                         print_phases)
+                         _MAX_PAIRS, _MAX_SAMPLES, config_hash, emit_table, main,
+                         parse_config, print_phases)
 from cstirap.experiments import FidelityResult
+from cstirap.phases import CompositeSequence, cap_phases, resonant_phases
 
 
 def _scan_config(**over):
@@ -44,6 +45,21 @@ def test_parse_config_fills_defaults():
     assert cfg.seed == 0
     assert cfg.sequence.n_pairs == 3
     assert len(cfg.digest) == 64
+
+
+def test_parse_config_builds_sequence():
+    explicit = {"source": "explicit", "n": 3, "pump_phases": [0, 1.0, 2.0],
+                "stokes_phases": [2.0, 1.0, 0.0], "alternate": False}
+    for sequence, expected in [
+            ({"source": "single"}, resonant_phases(1)),
+            ({"source": "resonant", "n": 5}, resonant_phases(5)),
+            ({"source": "cap", "n": 5}, cap_phases(5)),
+            (explicit, CompositeSequence(3, (0.0, 1.0, 2.0), (2.0, 1.0, 0.0), False))]:
+        cfg = parse_config(_scan_config(sequence=sequence), "scan")
+        assert cfg.sequence == expected
+        assert cfg.scan.sequence == cfg.sequence
+    # A single pair carries no phases and runs forward.
+    assert resonant_phases(1) == CompositeSequence(1, (0.0,), (0.0,), True)
 
 
 def test_hash_covers_seed_but_not_out():
@@ -407,6 +423,38 @@ def test_huge_integer_is_not_a_number(tmp_path, capsys, path, edit):
     edit(cfg)
     assert main(["scan", "--config", _write(tmp_path, "huge.json", cfg)]) == 1
     assert f"config error: {path}" in capsys.readouterr().err
+
+
+def _with(section, **values):
+    return lambda c: c[section].update(values)
+
+
+@pytest.mark.parametrize("kind,edit,problem", [
+    pytest.param("phases", _with("sequence", n=10 ** 30 + 1),
+                 f"sequence.n: may be at most {_MAX_PAIRS}", id="sequence.n-10**30+1"),
+    pytest.param("scan", _with("sequence", n=_MAX_PAIRS + 2),
+                 f"sequence.n: may be at most {_MAX_PAIRS}", id="sequence.n-limit+2"),
+    pytest.param("montecarlo", _with("noise", samples=10 ** 30),
+                 f"noise.samples: may be at most {_MAX_SAMPLES}", id="noise.samples-10**30"),
+    pytest.param("montecarlo", _with("noise", samples=_MAX_SAMPLES + 1),
+                 f"noise.samples: may be at most {_MAX_SAMPLES}", id="noise.samples-limit+1"),
+    pytest.param("phases", _with("sequence", n=10 ** 30),
+                 "sequence.n: must be a positive odd integer", id="sequence.n-10**30"),
+])
+def test_size_limits(tmp_path, capsys, kind, edit, problem):
+    cfg = _valid_config(kind)
+    edit(cfg)
+    assert main([kind, "--config", _write(tmp_path, "big.json", cfg)]) == 1
+    assert capsys.readouterr().err == f"config error: {problem}\n"
+
+
+def test_size_limits_admit_the_limit():
+    cfg = _valid_config("montecarlo")
+    cfg["noise"]["samples"] = _MAX_SAMPLES
+    assert parse_config(cfg, "montecarlo").noise[1] == _MAX_SAMPLES
+    cfg = _valid_config("phases")
+    cfg["sequence"]["n"] = _MAX_PAIRS
+    assert parse_config(cfg, "phases").sequence.n_pairs == _MAX_PAIRS
 
 
 def _valid_config(kind):

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cstirap import experiments
 from cstirap.dynamics import SystemParams, propagate
-from cstirap.experiments import (ScanSpec, SequenceSpec, SweepAxis,
+from cstirap.experiments import (ScanSpec, SweepAxis,
                                  decay_compensation_check, decay_scan,
                                  grid_coords, monte_carlo_phase_noise, run_scan)
-from cstirap.phases import resonant_phases
+from cstirap.phases import CompositeSequence, resonant_phases
 from cstirap.propalg import compose_sequence
 from cstirap.pulses import ShapeKind, build_train, make_pair
 
@@ -38,21 +40,6 @@ def test_sweep_axis_validation():
         SweepAxis("gamma", 0.1, 1.0, 5, "cubic")
 
 
-def test_sequence_spec_resolution():
-    assert SequenceSpec().resolve().n_pairs == 1
-    assert SequenceSpec("resonant", 5).resolve() == resonant_phases(5)
-    exp = SequenceSpec("explicit", 3, (0.0, 1.0, 2.0), (2.0, 1.0, 0.0), False)
-    seq = exp.resolve()
-    assert seq.pump_phases == (0.0, 1.0, 2.0)
-    assert seq.alternate_ordering is False
-    with pytest.raises(ValueError):
-        SequenceSpec("explicit", 3)
-    with pytest.raises(ValueError):
-        SequenceSpec("resonant", 4)
-    with pytest.raises(ValueError):
-        SequenceSpec("fancy", 3)
-
-
 def test_scan_spec_validation():
     with pytest.raises(ValueError):
         _spec(axes=(SweepAxis("omega0", 1, 2, 2), SweepAxis("omega0", 3, 4, 2)))
@@ -74,7 +61,7 @@ def test_grid_coords_row_major():
 
 def test_run_scan_matches_direct_integration():
     spec = _spec(axes=(SweepAxis("omega0", 10.0, 30.0, 3),),
-                 sequence=SequenceSpec("resonant", 3))
+                 sequence=resonant_phases(3))
     rows = run_scan(spec)
     seq = resonant_phases(3)
     for row in rows:
@@ -110,7 +97,7 @@ def test_gap_folding_matches_train_integration():
     gap = 0.35
     base = make_pair(ShapeKind.SINE_SQUARED, 30.0)
     seq = resonant_phases(3)
-    spec = _spec(axes=(), system=sys, sequence=SequenceSpec("resonant", 3),
+    spec = _spec(axes=(), system=sys, sequence=resonant_phases(3),
                  gap=gap, rtol=1e-10, atol=1e-12)
     row = run_scan(spec)[0]
     train = build_train(base, seq.pump_phases, seq.stokes_phases,
@@ -119,9 +106,37 @@ def test_gap_folding_matches_train_integration():
     assert row.p3 == pytest.approx(abs(u[2, 0]) ** 2, abs=1e-7)
 
 
+_angles = st.floats(0.0, 2 * np.pi)
+
+
+@st.composite
+def _trains(draw):
+    n = draw(st.sampled_from([1, 3, 5]))
+    return (draw(st.sampled_from(list(ShapeKind))),
+            draw(st.lists(st.tuples(_angles, _angles), min_size=n, max_size=n)),
+            draw(st.booleans()), draw(st.floats(-5.0, 5.0)),
+            draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 0.5)))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(_trains())
+def test_composition_matches_train_integration(case):
+    # One pair propagator composed with phases, reversals and folded gaps
+    # against integrating the whole train of N phased pairs.
+    kind, phase_pairs, alternate, delta, gamma, gap = case
+    sys = SystemParams(delta, gamma)
+    base = make_pair(kind, 15.0)
+    u = propagate(base, sys, rtol=1e-9, atol=1e-11)
+    composed = experiments._compose(u, sys, gap, np.array(phase_pairs), alternate)
+    pump, stokes = zip(*phase_pairs)
+    train = build_train(base, pump, stokes, alternate, gap=gap)
+    direct = propagate(train, sys, rtol=1e-9, atol=1e-11)
+    assert np.max(np.abs(composed - direct)) < 1e-7
+
+
 def test_monte_carlo_zero_noise_reduces_to_scan():
     spec = _spec(axes=(SweepAxis("omega0", 20.0, 24.0, 2),),
-                 sequence=SequenceSpec("resonant", 3))
+                 sequence=resonant_phases(3))
     mc = monte_carlo_phase_noise(spec, sigma=0.0, samples=4, seed=1)
     plain = run_scan(spec)
     for a, b in zip(mc, plain):
@@ -130,7 +145,7 @@ def test_monte_carlo_zero_noise_reduces_to_scan():
 
 
 def test_monte_carlo_deterministic_and_seeded():
-    spec = _spec(sequence=SequenceSpec("resonant", 3))
+    spec = _spec(sequence=resonant_phases(3))
     a = monte_carlo_phase_noise(spec, 0.01, 25, seed=42)
     b = monte_carlo_phase_noise(spec, 0.01, 25, seed=42)
     c = monte_carlo_phase_noise(spec, 0.01, 25, seed=43)
@@ -148,13 +163,13 @@ def test_monte_carlo_blocks_match_per_sample_loop():
     # per sample, drawing the pump then the Stokes noise.
     samples = experiments._MC_BLOCK + 1
     sys = SystemParams(delta=0.4)
-    spec = _spec(omega0=21.0, system=sys, sequence=SequenceSpec("resonant", 5))
+    spec = _spec(omega0=21.0, system=sys, sequence=resonant_phases(5))
     row = monte_carlo_phase_noise(spec, 0.05, samples, seed=9)[0]
     seq = resonant_phases(5)
     u = propagate(make_pair(ShapeKind.SINE_SQUARED, 21.0), sys, rtol=1e-8, atol=1e-10)
     acc = np.zeros(3)
+    rng = experiments._noise_rng(9, 0)
     for s in range(samples):
-        rng = experiments._noise_rng(9, s, 0)
         pump = np.array(seq.pump_phases) + rng.normal(0.0, 0.05, 5)
         stokes = np.array(seq.stokes_phases) + rng.normal(0.0, 0.05, 5)
         m = compose_sequence([u] * 5, list(zip(pump, stokes)), seq.alternate_ordering)
@@ -163,8 +178,20 @@ def test_monte_carlo_blocks_match_per_sample_loop():
                                rtol=0, atol=1e-14)
 
 
+def test_monte_carlo_samples_share_no_draw():
+    # Zero phases, so the phase sets are the draws themselves. Every
+    # sample takes fresh draws from its point's stream, across the block
+    # boundary too: no draw may recur in the next sample.
+    zero = CompositeSequence(3, (0.0,) * 3, (0.0,) * 3, True)
+    blocks = experiments._noisy_phase_blocks(zero, 0.1, experiments._MC_BLOCK + 2,
+                                             seed=5, point=1)
+    draws = np.concatenate(list(blocks)).reshape(experiments._MC_BLOCK + 2, -1)
+    for sample, following in zip(draws, draws[1:]):
+        assert not set(sample) & set(following)
+
+
 def test_monte_carlo_noise_degrades_transfer():
-    spec = _spec(omega0=23.0, sequence=SequenceSpec("resonant", 3),
+    spec = _spec(omega0=23.0, sequence=resonant_phases(3),
                  rtol=1e-9, atol=1e-11)
     clean = monte_carlo_phase_noise(spec, 0.0, 1, seed=0)[0]
     noisy = monte_carlo_phase_noise(spec, 0.1, 200, seed=0)[0]
@@ -174,7 +201,7 @@ def test_monte_carlo_noise_degrades_transfer():
 def test_decay_scan_frozen_points():
     # Back-to-back pairs at 30/T: by gammaT = 0.5 the composite has lost
     # its advantage on this drive (single 4.07e-2, three pairs 3.63e-2).
-    spec = _spec(sequence=SequenceSpec("resonant", 3))
+    spec = _spec(sequence=resonant_phases(3))
     curves = decay_scan(spec, [0.5, 1.0])
     single, comp = curves["single"], curves["composite"]
     assert single[0].infidelity == pytest.approx(4.07e-2, rel=2e-2)
@@ -193,7 +220,7 @@ def test_decay_scan_accepts_axis_and_rejects_negative():
 
 
 def test_compensation_search_monotone():
-    spec = _spec(sequence=SequenceSpec("resonant", 3))
+    spec = _spec(sequence=resonant_phases(3))
     res = decay_compensation_check(spec, [0.2, 0.6], threshold=2e-2, iters=12)
     (g1, o1), (g2, o2) = res.rows
     assert o1 is not None and o2 is not None
@@ -202,7 +229,7 @@ def test_compensation_search_monotone():
 
 
 def test_compensation_unreachable_threshold():
-    spec = _spec(sequence=SequenceSpec("resonant", 3))
+    spec = _spec(sequence=resonant_phases(3))
     res = decay_compensation_check(spec, [0.5], threshold=1e-12, omega_max=20.0,
                                    iters=4)
     assert res.rows == ((0.5, None),)

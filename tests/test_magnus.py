@@ -146,3 +146,21 @@ def test_unreachable_tolerance_raises(monkeypatch, tol):
     pair = make_pair(ShapeKind.SINE_SQUARED, 30.0)
     with pytest.raises(IntegrationError, match="missed"):
         propagate(pair, SystemParams(), rtol=tol, atol=tol)
+
+
+def test_unmeetable_tolerance_fails_after_two_passes(monkeypatch):
+    # The passes at n and 2n steps already show that rtol = atol = 1e-300
+    # needs far more than _MAX_STEPS, so the point fails without a third.
+    passes = []
+    chunk_products = dynamics._chunk_products
+
+    def counted(*args):
+        passes.append(args)
+        assert len(passes) <= 2, "a third stepping pass"
+        return chunk_products(*args)
+
+    monkeypatch.setattr(dynamics, "_chunk_products", counted)
+    with pytest.raises(IntegrationError, match="missed"):
+        propagate(make_pair(ShapeKind.SINE_SQUARED, 30.0), SystemParams(),
+                  rtol=1e-300, atol=1e-300)
+    assert len(passes) == 2
