@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from dataclasses import dataclass, replace
 
@@ -467,6 +468,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _out_problem(out: str) -> str | None:
+    """Why no table can be written to `out`, checked before any point is
+    computed; whatever else the file system refuses shows at the write."""
+    if os.path.isdir(out):
+        return f"{out} is a directory"
+    folder = os.path.dirname(out)
+    if folder and not os.path.isdir(folder):
+        return f"{folder} is not an existing directory"
+    return None
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -476,12 +488,12 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
 
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:   # bad JSON, UTF-8 or nesting
         print(f"config error: {args.config} is not valid JSON ({exc})", file=sys.stderr)
         return 1
 
@@ -494,13 +506,21 @@ def main(argv=None) -> int:
 
     if args.out is not None:
         cfg = replace(cfg, out=args.out)
+    problem = cfg.out and _out_problem(cfg.out)
+    if problem:
+        print(f"config error: out: {problem}", file=sys.stderr)
+        return 1
 
     text, failed = run_experiment(cfg)
     if cfg.out is None:
         sys.stdout.write(text)
     else:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w") as fh:
+                fh.write(text)
+        except (OSError, ValueError) as exc:   # ValueError: a NUL in the path
+            print(f"config error: out: {exc}", file=sys.stderr)
+            return 1
     return 2 if failed else 0
 
 

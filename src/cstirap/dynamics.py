@@ -6,7 +6,9 @@ loses population at rate gamma through the non-Hermitian diagonal term.
 
 All propagators share one integrator: a fourth-order Magnus method on two
 Gauss nodes per step (Blanes, Casas, Oteo and Ros, Phys. Rep. 470, 151
-(2009)), evaluated for many time steps at once with numpy.
+(2009)) on blocks of steps held component-major, as (d, d, steps) arrays.
+Every step exponential is one scaled Taylor series; at gamma = 0 the
+propagator is then projected onto the nearest unitary matrix.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ Propagator3 = np.ndarray    # shape (3, 3), unitary when gamma = 0
 _CHUNK = 512
 # Step doubling gives up beyond this many steps per propagator.
 _MAX_STEPS = 1 << 20
-# Gauss-Legendre nodes on [0, 1] and the commutator weight of the
+# Gauss-Legendre nodes on [0, 1] and the commutator coefficient of the
 # fourth-order Magnus expansion.
 _NODES = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
 _COMMUTATOR = math.sqrt(3.0) / 12.0
@@ -121,31 +123,36 @@ def _breakpoints(pulses, t_span) -> np.ndarray:
     return np.array(sorted(points))
 
 
-def _expm(k: np.ndarray, hermitian: bool) -> np.ndarray:
-    """exp(-i K) for a stack of matrices K."""
-    if hermitian:
-        w, v = np.linalg.eigh(k)
-        return (v * np.exp(-1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    a = -1j * k
-    norm = float(np.max(np.sum(np.abs(a), axis=-2)))
-    squarings = max(0, math.ceil(math.log2(max(norm, _THETA) / _THETA)))
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The products a[..., i] @ b[..., i] of component-major stacks."""
+    return (a[:, :, None] * b[None]).sum(axis=1)
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(A) for a component-major stack A, by a scaled Taylor series."""
+    norm = float(np.max(np.sum(np.abs(a), axis=0)))
+    # NaN or inf in A: no squarings; the NaN result fails the error estimate.
+    squarings = math.ceil(math.log2(norm / _THETA)) if _THETA < norm < math.inf else 0
     a = a / 2.0 ** squarings
-    eye = np.eye(k.shape[-1])
+    eye = np.eye(a.shape[0])[:, :, None]
     u = eye + a / _TAYLOR_DEGREE
     for j in range(_TAYLOR_DEGREE - 1, 0, -1):
-        u = eye + (a @ u) / j
+        u = eye + _mul(a, u) / j
     for _ in range(squarings):
-        u = u @ u
+        u = _mul(u, u)
     return u
 
 
+def _pairwise(u: np.ndarray) -> np.ndarray:
+    """u[..., 2j+1] @ u[..., 2j]; an odd last matrix is carried over as is."""
+    if u.shape[-1] % 2:
+        u = np.concatenate([u, np.eye(u.shape[0])[:, :, None]], axis=-1)
+    return _mul(u[..., 1::2], u[..., 0::2])
+
+
 def _ordered_product(u: np.ndarray) -> np.ndarray:
-    """u[-1] @ ... @ u[1] @ u[0], multiplied pairwise in a fixed tree."""
-    while len(u) > 1:
-        if len(u) % 2:
-            u = np.concatenate([u, np.eye(u.shape[-1])[None]])
-        u = u[1::2] @ u[0::2]
-    return u[0]
+    """u[..., -1] @ ... @ u[..., 0], multiplied pairwise in a fixed tree."""
+    return u[..., 0] if u.shape[-1] == 1 else _ordered_product(_pairwise(u))
 
 
 def _steps(breaks, steps, k):
@@ -157,21 +164,19 @@ def _steps(breaks, steps, k):
     return breaks[seg] + (k - ends[seg] + steps[seg]) * h, h
 
 
-def _chunk_products(generator, breaks, steps, hermitian) -> list[np.ndarray]:
-    """Products over consecutive blocks of _CHUNK Magnus steps. With every
-    step count doubled, block j covers the time of blocks 2j and 2j+1."""
+def _chunk_products(generator, breaks, steps) -> np.ndarray:
+    """Products over consecutive blocks of _CHUNK Magnus steps, stacked as
+    (d, d, blocks); with step counts doubled, block j spans blocks 2j, 2j+1."""
     total = int(steps.sum())
     out = []
     for first in range(0, total, _CHUNK):
         start, h = _steps(breaks, steps, np.arange(first, min(first + _CHUNK, total)))
-        mats = generator(start[:, None] + _NODES * h[:, None])   # (m, 2, d, d)
-        h1, h2 = mats[:, 0], mats[:, 1]
-        # Omega = -i K with K = h/2 (H1 + H2) - i (sqrt3/12) h^2 [H2, H1];
-        # K is Hermitian whenever H is.
-        h = h[:, None, None]
-        k = 0.5 * h * (h1 + h2) - 1j * _COMMUTATOR * h * h * (h2 @ h1 - h1 @ h2)
-        out.append(_ordered_product(_expm(k, hermitian)))
-    return out
+        # H at both nodes as contiguous component-major (d, d, m) stacks.
+        h1, h2 = np.moveaxis(generator(start + _NODES[:, None] * h), 1, -1).copy()
+        # Omega = -i h/2 (H1 + H2) - (sqrt3/12) h^2 [H2, H1]
+        omega = -0.5j * h * (h1 + h2) - _COMMUTATOR * h * h * (_mul(h2, h1) - _mul(h1, h2))
+        out.append(_ordered_product(_expm(omega)))
+    return np.stack(out, axis=-1)
 
 
 def _integrate(generator, pulses, t_span, hermitian, rtol, atol) -> np.ndarray:
@@ -181,7 +186,10 @@ def _integrate(generator, pulses, t_span, hermitian, rtol, atol) -> np.ndarray:
     Passes at n and 2n steps per segment give the Richardson estimate
     max|U_2n - U_n| / 15 of the fourth-order error. Until it is within
     atol + rtol, the step counts jump by the doublings that the 16-fold
-    drop per doubling predicts; a jump beyond _MAX_STEPS fails at once.
+    drop per doubling predicts. The point fails at once when a jump would
+    pass _MAX_STEPS, or when an estimate at round-off level is not at
+    least 4x below the one before it: stalled there, the estimate would
+    otherwise creep up the ladder one doubling at a time.
     """
     t_i, t_f = _span(pulses) if t_span is None else t_span
     if not t_i < t_f:
@@ -197,17 +205,17 @@ def _integrate(generator, pulses, t_span, hermitian, rtol, atol) -> np.ndarray:
             f"{t_f - t_i:g} with pulses {_min_width(pulses):g} wide", float(t_i))
     steps = steps.astype(np.int64)
     tol = atol + rtol
-    coarse = np.array(_chunk_products(generator, breaks, steps, hermitian))
+    last = math.inf
+    coarse = _chunk_products(generator, breaks, steps)
     while True:
-        fine = np.array(_chunk_products(generator, breaks, 2 * steps, hermitian))
+        fine = _chunk_products(generator, breaks, 2 * steps)
         u = _ordered_product(fine)
         err = float(np.max(np.abs(u - _ordered_product(coarse)))) / 15.0
         if err <= tol:
             if hermitian:
                 # Each step is unitary to round-off, but the defects add
-                # up over thousands of steps. The nearest unitary matrix
-                # (the polar factor) moves u by about that defect, far
-                # less than the tolerance.
+                # up over thousands of steps. The polar factor removes
+                # them and moves u far less than the tolerance.
                 w, _, vh = np.linalg.svd(u)
                 u = w @ vh
             return u
@@ -215,20 +223,21 @@ def _integrate(generator, pulses, t_span, hermitian, rtol, atol) -> np.ndarray:
         # is inf for a subnormal tol; err may be inf or NaN). The check is
         # made in Python ints: 2 ** 64 times an int64 overflows.
         jump = math.ceil(min(math.log(err / tol, 16.0), 64.0)) if np.isfinite(err) else 64
-        if 2 ** (jump + 1) * int(steps.sum()) > _MAX_STEPS:
-            # Report the start of the block that disagrees most with the
-            # product of its two halves.
-            if len(fine) % 2:
-                fine = np.concatenate([fine, np.eye(u.shape[-1])[None]])
-            local = np.abs(fine[1::2] @ fine[0::2] - coarse).max(axis=(1, 2))
+        # Only a stall at round-off, which grows with the step count, ends
+        # the point: above it the drop can be slow before the 16x rate sets in.
+        stalled = last / 4.0 < err < np.finfo(float).eps * 2 * int(steps.sum())
+        if stalled or 2 ** (jump + 1) * int(steps.sum()) > _MAX_STEPS:
+            # Report the start of the block that disagrees most with its halves.
+            local = np.abs(_pairwise(fine) - coarse).max(axis=(0, 1))
             block = int(np.argmax(np.nan_to_num(local, nan=np.inf)))
             where = _steps(breaks, steps, block * _CHUNK)[0]
             raise IntegrationError(
                 f"Magnus stepping missed rtol={rtol:g}, atol={atol:g} with "
-                f"{2 * int(steps.sum())} steps (error estimate {err:.3g})", float(where))
+                f"{2 * int(steps.sum())} steps (error estimate {err:.3g}"
+                + (f", stalled after {last:.3g})" if stalled else ")"), float(where))
+        last = err
         steps = steps * 2 ** jump
-        coarse = (fine if jump == 1 else
-                  np.array(_chunk_products(generator, breaks, steps, hermitian)))
+        coarse = fine if jump == 1 else _chunk_products(generator, breaks, steps)
 
 
 def propagate(pulses, sys: SystemParams, t_span=None,

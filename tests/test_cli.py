@@ -7,10 +7,10 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cstirap import dynamics
+from cstirap import cli, dynamics
 from cstirap.cli import (EXPERIMENTS, ConfigError, RunConfig, _ALLOWED_KEYS,
                          _MAX_PAIRS, _MAX_SAMPLES, config_hash, emit_table, main,
                          parse_config, print_phases)
@@ -517,3 +517,73 @@ def test_parse_config_returns_config_or_config_error(case):
         assert exc.problems and all(isinstance(p, str) for p in exc.problems)
     else:
         assert isinstance(parsed, RunConfig) and parsed.experiment == kind
+
+
+def _refuse_to_compute(cfg):
+    raise AssertionError("a point was computed")
+
+
+@pytest.mark.parametrize("where", ["flag", "key"])
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_out_destination_checked_before_computing(tmp_path, capsys, monkeypatch,
+                                                  where, target):
+    monkeypatch.setattr(cli, "run_experiment", _refuse_to_compute)
+    out = str(tmp_path / "missing" / "t.csv" if target == "missing" else tmp_path)
+    cfg = _scan_config(out=out) if where == "key" else _scan_config()
+    argv = ["scan", "--config", _write(tmp_path, "scan.json", cfg)]
+    assert main(argv + (["--out", out] if where == "flag" else [])) == 1
+    assert capsys.readouterr().err.startswith("config error: out: ")
+
+
+@pytest.mark.parametrize("out", ["gone/t.csv", "t\0.csv"])
+def test_failed_final_write_exits_1(tmp_path, capsys, monkeypatch, out):
+    # The destination passes the early check, then the write itself fails:
+    # its folder vanished during the run, or the path holds a NUL.
+    (tmp_path / "gone").mkdir()
+
+    def run_then_remove_folder(cfg):
+        (tmp_path / "gone").rmdir()
+        return "table\n", False
+
+    monkeypatch.setattr(cli, "run_experiment", run_then_remove_folder)
+    path = _write(tmp_path, "scan.json", _scan_config())
+    assert main(["scan", "--config", path, "--out", str(tmp_path / out)]) == 1
+    assert capsys.readouterr().err.startswith("config error: out: ")
+
+
+@pytest.mark.parametrize("content", [b'{"experiment": "scan\xff"}', b"[" * 200_000],
+                         ids=["non-utf-8", "deep-nesting"])
+def test_unreadable_config_is_a_config_error(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["scan", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {path} ")
+
+
+# A valid simulate config: no other subcommand accepts it (experiment key,
+# empty grid), and one point at a small Omega0 takes milliseconds.
+_SMALL = json.dumps({"experiment": "simulate", "grid": [],
+                     "pulse": {"shape": "sin2", "omega0": 3.0},
+                     "tolerance": {"rtol": 1e-6, "atol": 1e-8}}).encode()
+
+
+@st.composite
+def _config_bytes(draw):
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=80))
+    i = draw(st.integers(0, len(_SMALL)))
+    j = draw(st.integers(i, min(i + 8, len(_SMALL))))
+    return _SMALL[:i] + draw(st.binary(max_size=8)) + _SMALL[j:]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_config_bytes())
+def test_main_never_raises_on_arbitrary_config_bytes(tmp_path, capsys, content):
+    path = tmp_path / "any.json"
+    path.write_bytes(content)
+    outs = ([], ["--out", str(tmp_path / "missing" / "t.csv")], ["--out", str(tmp_path)])
+    for kind in EXPERIMENTS:
+        for out in outs:
+            assert main([kind, "--config", str(path)] + out) in (0, 1, 2)
+    capsys.readouterr()

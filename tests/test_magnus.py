@@ -7,6 +7,7 @@ are drawn deterministically, so every run checks the same points.
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -107,7 +108,7 @@ def test_fourth_order_convergence(gamma):
     errs = []
     for n in (8, 16, 32):
         blocks = dynamics._chunk_products(lambda t: hamiltonian(pair, sys, t), breaks,
-                                          np.full(len(breaks) - 1, n), gamma == 0)
+                                          np.full(len(breaks) - 1, n))
         errs.append(_dev(dynamics._ordered_product(np.array(blocks)), ref))
     assert errs[0] / errs[1] > 12 and errs[1] / errs[2] > 12
 
@@ -164,3 +165,70 @@ def test_unmeetable_tolerance_fails_after_two_passes(monkeypatch):
         propagate(make_pair(ShapeKind.SINE_SQUARED, 30.0), SystemParams(),
                   rtol=1e-300, atol=1e-300)
     assert len(passes) == 2
+
+
+@pytest.mark.parametrize("tol", [1e-16, 3e-16])
+def test_stalled_estimate_fails_within_three_estimates(monkeypatch, tol):
+    # At round-off the Richardson estimate stops falling; the point must
+    # fail at the first such estimate that is not 4x below the one before,
+    # instead of doubling on towards _MAX_STEPS. Three estimates take at
+    # most two stepping passes each.
+    passes = []
+    chunk_products = dynamics._chunk_products
+
+    def counted(*args):
+        passes.append(int(args[2].sum()))
+        return chunk_products(*args)
+
+    monkeypatch.setattr(dynamics, "_chunk_products", counted)
+    with pytest.raises(IntegrationError, match=r"error estimate \S+, stalled after \S+\)"):
+        propagate(make_pair(ShapeKind.SINE_SQUARED, 30.0), SystemParams(), rtol=tol, atol=tol)
+    assert len(passes) <= 6, passes
+
+
+def test_slow_drop_above_round_off_is_no_stall():
+    # At Delta = 1e4 the estimate falls only 2.3x from 512 to 4,096 steps
+    # (7.1e-6 to 3.1e-6) before the fourth-order rate sets in; the point
+    # converges at 32,768 steps.
+    u = propagate(make_pair(ShapeKind.SINE_SQUARED, 30.0), SystemParams(1e4), **MAGNUS)
+    assert _unitarity(u) < 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+def test_overflowing_generator_fails_the_point(gamma):
+    # A detuning near the float limit overflows the step generator; the
+    # NaN propagator must end in IntegrationError, not a linear-algebra or
+    # conversion error.
+    with pytest.raises(IntegrationError, match="missed"):
+        propagate(make_pair(ShapeKind.SINE_SQUARED, 30.0), SystemParams(1e300, gamma))
+
+
+def _random_stack(rng, m, hermitian):
+    k = rng.normal(size=(m, 3, 3)) + 1j * rng.normal(size=(m, 3, 3))
+    return k + k.conj().swapaxes(-1, -2) if hermitian else k
+
+
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_expm_matches_scipy(hermitian):
+    # 1-norms from 1e-4 to 60 take 0 to 7 squarings (theta = 0.5).
+    rng = np.random.default_rng(11)
+    for norm in np.geomspace(1e-4, 60.0, 12):
+        a = -1j * _random_stack(rng, 16, hermitian)
+        a *= norm / np.abs(a).sum(axis=-2).max()
+        got = np.moveaxis(dynamics._expm(np.moveaxis(a, 0, -1)), -1, 0)
+        want = scipy.linalg.expm(a)
+        rel = np.abs(got - want).max(axis=(1, 2)) / np.abs(want).max(axis=(1, 2))
+        assert rel.max() < 1e-13, (norm, rel.max())
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 8, 13])
+def test_ordered_product_matches_loop(count):
+    rng = np.random.default_rng(count)
+    u = scipy.linalg.expm(-1j * _random_stack(rng, count, True))
+    want = u[0]
+    for factor in u[1:]:
+        want = factor @ want
+    got = dynamics._ordered_product(np.moveaxis(u, 0, -1))
+    assert _dev(got, want) < 1e-13
