@@ -7,8 +7,11 @@ loses population at rate gamma through the non-Hermitian diagonal term.
 All propagators share one integrator: a fourth-order Magnus method on two
 Gauss nodes per step (Blanes, Casas, Oteo and Ros, Phys. Rep. 470, 151
 (2009)) on blocks of steps held component-major, as (d, d, steps) arrays.
-Every step exponential is one scaled Taylor series; at gamma = 0 the
-propagator is then projected onto the nearest unitary matrix.
+Every step exponential is one Taylor polynomial in Paterson-Stockmeyer
+form, its degree picked by the block's 1-norm, with scaling and squaring;
+at gamma = 0 the propagator is then projected onto the nearest unitary
+matrix. On resonance, without decay, a single zero-phase pair takes the
+paper's route: the two-state propagator, lifted to three states.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .propalg import extract_ck, lift_to_three
 from .pulses import (PulsePair, PulseTrain, ShapeKind, pair_envelopes,
                      train_envelopes, train_window, window)
 
@@ -39,10 +43,25 @@ _MAX_STEPS = 1 << 20
 # fourth-order Magnus expansion.
 _NODES = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
 _COMMUTATOR = math.sqrt(3.0) / 12.0
-# Taylor exponential: scale until the 1-norm is at most _THETA; the
-# truncation error is then below _THETA**(d+1)/(d+1)! ~ 2e-17.
-_THETA = 0.5
-_TAYLOR_DEGREE = 14
+
+
+def _ps_coefficients(degree: int, powers: int) -> np.ndarray:
+    """c[j, i] = 1/(j*powers + i)!: block j of the Taylor series of degree
+    `degree` is sum_i c[j, i] A^i. Only the top block takes A^powers."""
+    top = (degree - 1) // powers
+    c = np.zeros((top + 1, powers + 1))
+    for k in range(degree + 1):
+        j = min(k // powers, top)
+        c[j, k - j * powers] = 1.0 / math.factorial(k)
+    return c
+
+
+# Taylor exponential in Paterson-Stockmeyer form, by (theta, degree,
+# powers): a block whose 1-norm is at most theta gets that degree, built
+# from A^0..A^powers, so 4 to 7 products; a larger norm is scaled into the
+# last row. The truncation error is below theta**(d+1)/(d+1)! <= 3e-17.
+_TAYLOR = tuple((theta, powers, _ps_coefficients(degree, powers))
+                for theta, degree, powers in ((0.05, 8, 3), (0.3, 12, 4), (1.0, 18, 5)))
 
 
 @dataclass(frozen=True)
@@ -60,11 +79,19 @@ class SystemParams:
 
 
 class IntegrationError(RuntimeError):
-    """Stepping failed to converge; `time` holds the offending instant."""
+    """Stepping failed to converge; `time` holds the offending instant.
 
-    def __init__(self, message: str, time: float):
+    `steps` is the fine step count of the last pass, or of the first pass
+    when that already passes the step limit (then a float, which may be
+    beyond any int); `estimate` is the last error estimate, or None when
+    no pass was made.
+    """
+
+    def __init__(self, message: str, time: float, steps=None, estimate=None):
         super().__init__(f"{message} (t = {time:g})")
         self.time = time
+        self.steps = steps
+        self.estimate = estimate
 
 
 def _pairs(pulses):
@@ -129,15 +156,26 @@ def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(A) for a component-major stack A, by a scaled Taylor series."""
+    """exp(A) for a component-major stack A: a Taylor polynomial of the
+    degree that the 1-norm picks, in Paterson-Stockmeyer form, with scaling
+    and squaring."""
     norm = float(np.max(np.sum(np.abs(a), axis=0)))
+    theta, powers, c = next((row for row in _TAYLOR if norm <= row[0]), _TAYLOR[-1])
     # NaN or inf in A: no squarings; the NaN result fails the error estimate.
-    squarings = math.ceil(math.log2(norm / _THETA)) if _THETA < norm < math.inf else 0
-    a = a / 2.0 ** squarings
-    eye = np.eye(a.shape[0])[:, :, None]
-    u = eye + a / _TAYLOR_DEGREE
-    for j in range(_TAYLOR_DEGREE - 1, 0, -1):
-        u = eye + _mul(a, u) / j
+    squarings = math.ceil(math.log2(norm / theta)) if theta < norm < math.inf else 0
+    p = np.empty((powers + 1,) + a.shape, dtype=np.result_type(a, 1j))
+    p[0] = np.eye(a.shape[0])[:, :, None]
+    p[1] = a * 2.0 ** -squarings
+    for i in range(2, powers + 1):
+        p[i] = _mul(p[1], p[i - 1])
+    # Horner in A^powers over the blocks sum_i c[j, i] A^i, top block first.
+    # c is real, so a real product with the powers acts on their real and
+    # imaginary parts alike; one block at a time keeps the memory small.
+    flat = p.reshape(powers + 1, -1).view(float)
+    u = None
+    for row in c[::-1]:
+        block = (row @ flat).view(p.dtype).reshape(a.shape)
+        u = block if u is None else _mul(u, p[powers]) + block
     for _ in range(squarings):
         u = _mul(u, u)
     return u
@@ -202,7 +240,8 @@ def _integrate(generator, pulses, t_span, hermitian, rtol, atol) -> np.ndarray:
     if not 2 * steps.sum() <= _MAX_STEPS:
         raise IntegrationError(
             f"Magnus stepping needs over {_MAX_STEPS} steps for a window of "
-            f"{t_f - t_i:g} with pulses {_min_width(pulses):g} wide", float(t_i))
+            f"{t_f - t_i:g} with pulses {_min_width(pulses):g} wide", float(t_i),
+            steps=float(2 * steps.sum()))
     steps = steps.astype(np.int64)
     tol = atol + rtol
     last = math.inf
@@ -220,9 +259,11 @@ def _integrate(generator, pulses, t_span, hermitian, rtol, atol) -> np.ndarray:
                 u = w @ vh
             return u
         # At most 64 doublings, which overshoot _MAX_STEPS anyway (err / tol
-        # is inf for a subnormal tol; err may be inf or NaN). The check is
-        # made in Python ints: 2 ** 64 times an int64 overflows.
-        jump = math.ceil(min(math.log(err / tol, 16.0), 64.0)) if np.isfinite(err) else 64
+        # is inf for a subnormal tol; err may be inf or NaN, and tol 0 when
+        # a subnormal one was halved). The check is made in Python ints:
+        # 2 ** 64 times an int64 overflows.
+        ratio = err / tol if tol > 0 else math.inf
+        jump = math.ceil(min(math.log(ratio, 16.0), 64.0)) if ratio < math.inf else 64
         # Only a stall at round-off, which grows with the step count, ends
         # the point: above it the drop can be slow before the 16x rate sets in.
         stalled = last / 4.0 < err < np.finfo(float).eps * 2 * int(steps.sum())
@@ -234,7 +275,8 @@ def _integrate(generator, pulses, t_span, hermitian, rtol, atol) -> np.ndarray:
             raise IntegrationError(
                 f"Magnus stepping missed rtol={rtol:g}, atol={atol:g} with "
                 f"{2 * int(steps.sum())} steps (error estimate {err:.3g}"
-                + (f", stalled after {last:.3g})" if stalled else ")"), float(where))
+                + (f", stalled after {last:.3g})" if stalled else ")"), float(where),
+                steps=2 * int(steps.sum()), estimate=err)
         last = err
         steps = steps * 2 ** jump
         coarse = fine if jump == 1 else _chunk_products(generator, breaks, steps)
@@ -246,7 +288,19 @@ def propagate(pulses, sys: SystemParams, t_span=None,
 
     t_span defaults to the pulse support window. Unitary to round-off when
     gamma = 0.
+
+    A single PulsePair with both phases zero, at Delta = 0 and gamma = 0
+    and over the default t_span, takes the paper's route: the two-state
+    propagator of propagate_two_state, lifted to three states by
+    propalg.lift_to_three. Its 2x2 products cost 8 multiplies instead of
+    27. The lift is quadratic in the Cayley-Klein parameters, so the
+    two-state problem is integrated to half of rtol and atol, and an
+    IntegrationError from it quotes those halves.
     """
+    if (isinstance(pulses, PulsePair) and sys.delta == 0 and sys.gamma == 0
+            and pulses.pump_phase == 0 and pulses.stokes_phase == 0 and t_span is None):
+        return lift_to_three(extract_ck(propagate_two_state(pulses, rtol=rtol / 2,
+                                                            atol=atol / 2)))
     return _integrate(lambda t: hamiltonian(pulses, sys, t), pulses, t_span,
                       sys.gamma == 0, rtol, atol)
 

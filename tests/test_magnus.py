@@ -205,8 +205,8 @@ def test_overflowing_generator_fails_the_point(gamma):
         propagate(make_pair(ShapeKind.SINE_SQUARED, 30.0), SystemParams(1e300, gamma))
 
 
-def _random_stack(rng, m, hermitian):
-    k = rng.normal(size=(m, 3, 3)) + 1j * rng.normal(size=(m, 3, 3))
+def _random_stack(rng, m, hermitian, dim=3):
+    k = rng.normal(size=(m, dim, dim)) + 1j * rng.normal(size=(m, dim, dim))
     return k + k.conj().swapaxes(-1, -2) if hermitian else k
 
 
@@ -221,6 +221,79 @@ def test_expm_matches_scipy(hermitian):
         want = scipy.linalg.expm(a)
         rel = np.abs(got - want).max(axis=(1, 2)) / np.abs(want).max(axis=(1, 2))
         assert rel.max() < 1e-13, (norm, rel.max())
+
+
+def _expm_branch_norms():
+    # Just below and just above every theta of the degree table, then past
+    # the last one with 1 to 7 squarings.
+    thetas = [row[0] for row in dynamics._TAYLOR]
+    near = [theta * f for theta in thetas for f in (1.0 - 1e-9, 1.0 + 1e-9)]
+    return near + [0.9 * thetas[-1] * 2.0 ** k for k in range(1, 8)]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_expm_branches_match_scipy(hermitian, dim):
+    rng = np.random.default_rng(17)
+    for norm in _expm_branch_norms():
+        a = -1j * _random_stack(rng, 16, hermitian, dim)
+        a *= norm / np.abs(a).sum(axis=-2).max()
+        got = np.moveaxis(dynamics._expm(np.moveaxis(a, 0, -1)), -1, 0)
+        want = scipy.linalg.expm(a)
+        rel = np.abs(got - want).max(axis=(1, 2)) / np.abs(want).max(axis=(1, 2))
+        assert rel.max() < 1e-13, (norm, rel.max())
+
+
+@pytest.mark.parametrize("kind", list(ShapeKind))
+@pytest.mark.parametrize("omega0", [2.0, 12.0, 30.0, 60.0])
+def test_three_state_kernel_matches_resonant_route(kind, omega0):
+    # propagate lifts the two-state propagator on these pairs, so criterion
+    # 4 no longer sees the 3x3 kernel at resonance; this test forces it.
+    pair = make_pair(kind, omega0)
+    sys = SystemParams()
+    direct = dynamics._integrate(lambda t: hamiltonian(pair, sys, t), pair, None, True,
+                                 dynamics.DEFAULT_RTOL, dynamics.DEFAULT_ATOL)
+    assert _dev(direct, propagate(pair, sys)) < 1e-9
+
+
+@pytest.mark.parametrize("case,routed", [
+    (dict(), True),
+    (dict(sys=SystemParams(delta=1e-3)), False),
+    (dict(sys=SystemParams(gamma=1e-3)), False),
+    (dict(pump_phase=0.1), False),
+    (dict(stokes_phase=0.1), False),
+    (dict(t_span=(0.0, 1.3)), False),
+    (dict(train=True), False),
+])
+def test_resonant_route_condition(monkeypatch, case, routed):
+    # Only a single zero-phase pair at Delta = gamma = 0 over its own window
+    # skips the three-state Hamiltonian.
+    calls = []
+    three_state = dynamics.hamiltonian
+    monkeypatch.setattr(dynamics, "hamiltonian", lambda *a: calls.append(1) or three_state(*a))
+    pair = make_pair(ShapeKind.SINE_SQUARED, 12.0, pump_phase=case.get("pump_phase", 0.0),
+                     stokes_phase=case.get("stokes_phase", 0.0))
+    pulses = build_train(pair, [0.0], [0.0], False) if case.get("train") else pair
+    propagate(pulses, case.get("sys", SystemParams()), t_span=case.get("t_span"))
+    assert (not calls) == routed
+
+
+@pytest.mark.parametrize("case", ["unmeetable", "stalled", "over_limit"])
+def test_integration_error_carries_steps_and_estimate(case):
+    # Pulses 1e-7 wide, 1.0 apart, need 2e7 steps from the start.
+    shape = dict(width=1e-7, delay=1.0) if case == "over_limit" else {}
+    pair = make_pair(ShapeKind.SINE_SQUARED, 30.0, **shape)
+    tol = {"unmeetable": 1e-300, "stalled": 1e-16, "over_limit": 1e-10}[case]
+    with pytest.raises(IntegrationError) as info:
+        propagate(pair, SystemParams(delta=1.0), rtol=tol, atol=tol)
+    err = info.value
+    if case == "over_limit":
+        assert err.estimate is None and err.steps > dynamics._MAX_STEPS
+        return
+    assert isinstance(err.steps, int) and err.steps <= dynamics._MAX_STEPS
+    assert err.estimate > 2 * tol
+    assert f"with {err.steps} steps (error estimate {err.estimate:.3g}" in str(err)
+    assert ("stalled" in str(err)) == (case == "stalled")
 
 
 @pytest.mark.parametrize("count", [1, 2, 3, 8, 13])
