@@ -217,17 +217,18 @@ def _chunk_products(generator, breaks, steps) -> np.ndarray:
     return np.stack(out, axis=-1)
 
 
-def _integrate(generator, pulses, t_span, hermitian, rtol, atol) -> np.ndarray:
+def _integrate(generator, pulses, t_span, hermitian, rtol, atol, margin=1.0) -> np.ndarray:
     """U(t_f, t_i) of i dU/dt = H(t) U, where generator(t) stacks H(t) and
     t_span defaults to the support window of `pulses`.
 
     Passes at n and 2n steps per segment give the Richardson estimate
     max|U_2n - U_n| / 15 of the fourth-order error. Until it is within
-    atol + rtol, the step counts jump by the doublings that the 16-fold
+    (atol + rtol) / margin, the step counts jump by the doublings that the 16-fold
     drop per doubling predicts. The point fails at once when a jump would
     pass _MAX_STEPS, or when an estimate at round-off level is not at
     least 4x below the one before it: stalled there, the estimate would
-    otherwise creep up the ladder one doubling at a time.
+    otherwise creep up the ladder one doubling at a time. An
+    IntegrationError quotes rtol and atol as given.
     """
     t_i, t_f = _span(pulses) if t_span is None else t_span
     if not t_i < t_f:
@@ -243,7 +244,7 @@ def _integrate(generator, pulses, t_span, hermitian, rtol, atol) -> np.ndarray:
             f"{t_f - t_i:g} with pulses {_min_width(pulses):g} wide", float(t_i),
             steps=float(2 * steps.sum()))
     steps = steps.astype(np.int64)
-    tol = atol + rtol
+    tol = (atol + rtol) / margin
     last = math.inf
     coarse = _chunk_products(generator, breaks, steps)
     while True:
@@ -260,7 +261,7 @@ def _integrate(generator, pulses, t_span, hermitian, rtol, atol) -> np.ndarray:
             return u
         # At most 64 doublings, which overshoot _MAX_STEPS anyway (err / tol
         # is inf for a subnormal tol; err may be inf or NaN, and tol 0 when
-        # a subnormal one was halved). The check is made in Python ints:
+        # the margin takes a subnormal one below the smallest float). The check is made in Python ints:
         # 2 ** 64 times an int64 overflows.
         ratio = err / tol if tol > 0 else math.inf
         jump = math.ceil(min(math.log(ratio, 16.0), 64.0)) if ratio < math.inf else 64
@@ -293,14 +294,17 @@ def propagate(pulses, sys: SystemParams, t_span=None,
     and over the default t_span, takes the paper's route: the two-state
     propagator of propagate_two_state, lifted to three states by
     propalg.lift_to_three. Its 2x2 products cost 8 multiplies instead of
-    27. The lift is quadratic in the Cayley-Klein parameters, so the
-    two-state problem is integrated to half of rtol and atol, and an
-    IntegrationError from it quotes those halves.
+    27. The lift is quadratic in the Cayley-Klein parameters (a, b), so
+    the two-state problem is integrated to half of rtol + atol. The half
+    is a heuristic, not a bound: with |a|^2 + |b|^2 = 1, an error d in
+    both moves an entry of the lift by up to 2 sqrt(2) d, about 1.4 times
+    the tolerance in the worst case. An IntegrationError from the route
+    quotes rtol and atol as given.
     """
     if (isinstance(pulses, PulsePair) and sys.delta == 0 and sys.gamma == 0
             and pulses.pump_phase == 0 and pulses.stokes_phase == 0 and t_span is None):
-        return lift_to_three(extract_ck(propagate_two_state(pulses, rtol=rtol / 2,
-                                                            atol=atol / 2)))
+        return lift_to_three(extract_ck(_integrate(_two_state_generator(pulses), pulses, None,
+                                                   True, rtol, atol, margin=2.0)))
     return _integrate(lambda t: hamiltonian(pulses, sys, t), pulses, t_span,
                       sys.gamma == 0, rtol, atol)
 
@@ -340,8 +344,11 @@ def propagate_two_state(pair: PulsePair, t_span=None,
     in the Cayley-Klein parameters, which restores the full rotation angle.
     """
     _require_real_envelopes(pair)
-    return _integrate(lambda t: 0.5 * resonant_two_state_hamiltonian(pair, t), pair,
-                      t_span, True, rtol, atol)
+    return _integrate(_two_state_generator(pair), pair, t_span, True, rtol, atol)
+
+
+def _two_state_generator(pair: PulsePair):
+    return lambda t: 0.5 * resonant_two_state_hamiltonian(pair, t)
 
 
 def effective_two_state(pair: PulsePair, delta: float):

@@ -278,21 +278,35 @@ def test_resonant_route_condition(monkeypatch, case, routed):
     assert (not calls) == routed
 
 
+@pytest.mark.parametrize("route", ["two_state", "three_state", "detuned"])
 @pytest.mark.parametrize("case", ["unmeetable", "stalled", "over_limit"])
-def test_integration_error_carries_steps_and_estimate(case):
-    # Pulses 1e-7 wide, 1.0 apart, need 2e7 steps from the start.
+def test_integration_error_carries_steps_and_estimate(monkeypatch, case, route):
+    # Each failure on the resonant route, on the 3x3 kernel at resonance
+    # (an explicit t_span keeps the pair off the route) and off resonance,
+    # with the stepping passes it may take: none before the step limit,
+    # two for an unmeetable tolerance and at most six for a stall. Pulses
+    # 1e-7 wide, 1.0 apart, need 2e7 steps from the start.
+    passes = []
+    chunk_products = dynamics._chunk_products
+    monkeypatch.setattr(dynamics, "_chunk_products",
+                        lambda *args: passes.append(1) or chunk_products(*args))
     shape = dict(width=1e-7, delay=1.0) if case == "over_limit" else {}
     pair = make_pair(ShapeKind.SINE_SQUARED, 30.0, **shape)
+    sys = SystemParams(delta=1.0 if route == "detuned" else 0.0)
+    t_span = window(pair) if route == "three_state" else None
     tol = {"unmeetable": 1e-300, "stalled": 1e-16, "over_limit": 1e-10}[case]
     with pytest.raises(IntegrationError) as info:
-        propagate(pair, SystemParams(delta=1.0), rtol=tol, atol=tol)
+        propagate(pair, sys, t_span, rtol=tol, atol=tol)
     err = info.value
     if case == "over_limit":
-        assert err.estimate is None and err.steps > dynamics._MAX_STEPS
+        assert err.estimate is None and err.steps > dynamics._MAX_STEPS and not passes
         return
+    assert len(passes) == 2 if case == "unmeetable" else len(passes) <= 6, passes
     assert isinstance(err.steps, int) and err.steps <= dynamics._MAX_STEPS
-    assert err.estimate > 2 * tol
-    assert f"with {err.steps} steps (error estimate {err.estimate:.3g}" in str(err)
+    # The resonant route integrates to half of rtol + atol.
+    assert err.estimate > 2 * tol / (2.0 if route == "two_state" else 1.0)
+    assert f"missed rtol={tol:g}, atol={tol:g} with {err.steps} steps " \
+           f"(error estimate {err.estimate:.3g}" in str(err)
     assert ("stalled" in str(err)) == (case == "stalled")
 
 

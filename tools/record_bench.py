@@ -1,14 +1,16 @@
 """Record one point of the benchmark trajectory as BENCH_<n>.json.
 
-    python3 tools/record_bench.py <n> [--seed N] [--seconds S]
+    python3 tools/record_bench.py <n>
 
-Runs the unmodified perfbench/run.py on each workload, once with
---trace 0 (end-to-end metrics) and once with --trace 1 (per-layer
-metrics), then the tier-1 suite with --durations=10, and writes
+Runs the unmodified perfbench/run.py on each workload at the fixed SEED
+and SECONDS, once with --trace 0 (end-to-end metrics) and once with
+--trace 1 (per-layer metrics), then the tier-1 suite with --durations=10, and writes
 BENCH_<n>.json at the root of the checkout with the git SHA, nproc, the
 numpy and scipy versions and every metric key that BENCHMARK.json
 declares. A key that a run does not report is written as null. Run it
 on a committed tree: the file records HEAD and whether the tree was dirty.
+SEED and SECONDS are constants, not options, so that every BENCH file
+is comparable with the one before it.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ import scipy
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+SEED = 0
+SECONDS = 10.0
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider", "--durations=10"]
 
@@ -36,7 +40,7 @@ def _git(*args) -> str:
                           check=True).stdout.strip()
 
 
-def _perfbench(trace: int, seed: int, seconds: float) -> dict:
+def _perfbench(trace: int) -> dict:
     """{workload: result}, one run.py process per workload.
 
     One `--workload all` process would skew peak_rss_mb: a child's
@@ -46,7 +50,7 @@ def _perfbench(trace: int, seed: int, seconds: float) -> dict:
     results = {}
     for w in SPEC["workloads"]:
         proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", w["name"],
-                               "--seed", str(seed), "--seconds", str(seconds),
+                               "--seed", str(SEED), "--seconds", str(SECONDS),
                                "--trace", str(trace)],
                               cwd=ROOT, capture_output=True, text=True)
         if proc.returncode:
@@ -79,12 +83,10 @@ def _values(result: dict | None, section: str) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("n", type=int, help="the number in BENCH_<n>.json")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=10.0)
     args = parser.parse_args()
 
-    plain = _perfbench(0, args.seed, args.seconds)
-    traced = _perfbench(1, args.seed, args.seconds)
+    plain = _perfbench(0)
+    traced = _perfbench(1)
     workloads = {}
     for w in SPEC["workloads"]:
         name = w["name"]
@@ -104,7 +106,7 @@ def main() -> int:
         "python": sys.version.split()[0],
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
-        "perfbench": {"seed": args.seed, "seconds": args.seconds},
+        "perfbench": {"seed": SEED, "seconds": SECONDS},
         "workloads": workloads,
         "tier1": _tier1(),
     }
