@@ -223,8 +223,8 @@ def _integrate(generator, pulses, t_span, hermitian, rtol, atol, margin=1.0) -> 
 
     Passes at n and 2n steps per segment give the Richardson estimate
     max|U_2n - U_n| / 15 of the fourth-order error. Until it is within
-    (atol + rtol) / margin, the step counts jump by the doublings that the 16-fold
-    drop per doubling predicts. The point fails at once when a jump would
+    (atol + rtol) / margin, the step counts jump by the doublings that the
+    16-fold drop per doubling predicts. The point fails at once when a jump would
     pass _MAX_STEPS, or when an estimate at round-off level is not at
     least 4x below the one before it: stalled there, the estimate would
     otherwise creep up the ladder one doubling at a time. An
@@ -261,8 +261,8 @@ def _integrate(generator, pulses, t_span, hermitian, rtol, atol, margin=1.0) -> 
             return u
         # At most 64 doublings, which overshoot _MAX_STEPS anyway (err / tol
         # is inf for a subnormal tol; err may be inf or NaN, and tol 0 when
-        # the margin takes a subnormal one below the smallest float). The check is made in Python ints:
-        # 2 ** 64 times an int64 overflows.
+        # the margin takes a subnormal one below the smallest float). The
+        # check is made in Python ints: 2 ** 64 times an int64 overflows.
         ratio = err / tol if tol > 0 else math.inf
         jump = math.ceil(min(math.log(ratio, 16.0), 64.0)) if ratio < math.inf else 64
         # Only a stall at round-off, which grows with the step count, ends
