@@ -9,11 +9,11 @@ from .dynamics import (DEFAULT_ATOL, DEFAULT_RTOL, IntegrationError, SystemParam
                        effective_two_state, hamiltonian, propagate,
                        propagate_effective, propagate_state, propagate_two_state,
                        resonant_two_state_hamiltonian)
-from .experiments import (FidelityResult, ScanSpec, SweepAxis,
+from .experiments import (FidelityResult, ScanSpec, SolveResult, SweepAxis,
                           decay_compensation_check, decay_scan,
-                          monte_carlo_phase_noise, run_scan)
-from .phases import (CompositeSequence, SolveResult, cap_numerators, cap_phases,
-                     resonant_numerators, resonant_phases, solve_phases)
+                          monte_carlo_phase_noise, run_scan, solve_phases)
+from .phases import (CompositeSequence, cap_numerators, cap_phases,
+                     resonant_numerators, resonant_phases)
 from .propalg import (CayleyKlein, CKAngles, compose_sequence, extract_ck,
                       from_angles, lift_to_three, phase_imprint, reverse,
                       to_angles)

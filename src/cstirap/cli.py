@@ -19,6 +19,8 @@ import sys
 from dataclasses import dataclass, replace
 
 from . import dynamics, experiments, phases
+# make_pair is not called here, but the traced benchmark run
+# (perfbench/tracing.py) wraps cstirap.cli.make_pair, so the name stays bound.
 from .pulses import ShapeKind, make_pair
 
 EXPERIMENTS = ("simulate", "scan", "contour", "montecarlo", "decay",
@@ -75,7 +77,7 @@ class RunConfig:
     scan: experiments.ScanSpec | None   # None for the phases experiment
     sequence: phases.CompositeSequence
     noise: tuple[float, int] | None     # (sigma, samples)
-    solver: tuple[int, float, float]    # (budget, xatol, simplex_step)
+    solver: tuple[int, float, float] | None   # (budget, xatol, simplex_step)
     seed: int
     out: str | None
     digest: str
@@ -342,12 +344,10 @@ def parse_config(data, experiment: str, seed: int | None = None) -> RunConfig:
                                     system=dynamics.SystemParams(**resolved["system"]),
                                     sequence=sequence, **resolved["tolerance"],
                                     gap=resolved["gap"])
-    noise = resolved.get("noise")
-    # Experiments other than solve-phases carry the solver defaults.
-    solver = resolved.get("solver") or _parse_section({}, "solver", problems)
-    return RunConfig(experiment, scan, sequence,
-                     None if noise is None else tuple(noise.values()),
-                     tuple(solver.values()), seed, out, config_hash(resolved))
+    noise, solver = (None if resolved.get(k) is None else tuple(resolved[k].values())
+                     for k in ("noise", "solver"))
+    return RunConfig(experiment, scan, sequence, noise, solver, seed, out,
+                     config_hash(resolved))
 
 
 def canonical_json(resolved: dict) -> str:
@@ -409,13 +409,9 @@ def _run_table(cfg: RunConfig):
 
 
 def _run_solve(cfg: RunConfig):
-    budget, xatol, step = cfg.solver
-    pair = make_pair(cfg.scan.shape, cfg.scan.omega0, cfg.scan.width, cfg.scan.delay)
     try:
-        res = phases.solve_phases(cfg.sequence.n_pairs, pair, cfg.scan.system, cfg.sequence,
-                                  rtol=cfg.scan.rtol, atol=cfg.scan.atol,
-                                  budget=budget, xatol=xatol, simplex_step=step)
-    except dynamics.IntegrationError as exc:
+        res = experiments.solve_phases(cfg.scan, *cfg.solver)
+    except (dynamics.IntegrationError, ValueError) as exc:
         lines = ["k,alpha,beta", f"# error={exc}", f"# sha256={cfg.digest}"]
         return "\n".join(lines) + "\n", True
     lines = ["k,alpha,beta"]

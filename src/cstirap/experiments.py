@@ -1,9 +1,11 @@
-"""Parameter scans, phase-noise Monte Carlo, and decay studies.
+"""Parameter scans, phase-noise Monte Carlo, decay studies, phase solving.
 
-Every grid point is an independent pure computation, evaluated in grid
-order, and the Monte Carlo draws of each grid point come from one stream
-of a counter-based generator keyed on (seed, grid index), taken in sample
-order: results depend on the inputs alone.
+Each takes one pair propagator per point (_pair_propagator) and composes
+its sequences from it (_compose). Every grid point is an independent pure
+computation, evaluated in grid order, and the Monte Carlo draws of each
+grid point come from one stream of a counter-based generator keyed on
+(seed, grid index), taken in sample order: results depend on the inputs
+alone.
 """
 
 from __future__ import annotations
@@ -107,12 +109,16 @@ def _pair_propagator(spec: ScanSpec, coords) -> tuple[np.ndarray, dynamics.Syste
     return dynamics.propagate(pair, sys, rtol=spec.rtol, atol=spec.atol), sys
 
 
+_NOT_FINITE = "composed populations are not finite (the gap or the phase noise overflows)"
+
+
 def _evaluate(spec: ScanSpec, coords, requests) -> list[FidelityResult]:
     """One FidelityResult per request (blocks, alternate) at one grid point,
     all from one pair propagation. `blocks` iterates over phase-set stacks
     of shape (k, N, 2); the populations are averaged over all their phase
     sets, summed block by block in order. A failed propagation gives every
-    request a NaN row that carries the reason."""
+    request a NaN row that carries the reason, and so does a request whose
+    populations are not finite."""
     try:
         u, sys = _pair_propagator(spec, coords)
     except (dynamics.IntegrationError, ValueError) as exc:
@@ -125,8 +131,9 @@ def _evaluate(spec: ScanSpec, coords, requests) -> list[FidelityResult]:
             m = _compose(u, sys, spec.gap, phase_sets, alternate)
             acc += np.sum(np.abs(m[:, :, 0]) ** 2, axis=0)
             count += len(phase_sets)
-        p1, p2, p3 = acc / count
-        rows.append(FidelityResult(coords, p1, p2, p3, 1.0 - p3, 1.0 - (p1 + p2 + p3)))
+        error = None if np.isfinite(acc).all() else _NOT_FINITE
+        p1, p2, p3 = acc / count if error is None else (float("nan"),) * 3
+        rows.append(FidelityResult(coords, p1, p2, p3, 1.0 - p3, 1.0 - (p1 + p2 + p3), error))
     return rows
 
 
@@ -255,3 +262,60 @@ def decay_compensation_check(spec: ScanSpec, gammas, threshold: float,
         lo_ = np.log([o for _, o in fitted])
         exponent = float(np.polyfit(lg, lo_, 1)[0])
     return CompensationResult(tuple(rows), exponent)
+
+
+@dataclass(frozen=True)
+class SolveResult:
+    sequence: phases.CompositeSequence
+    converged: bool
+    infidelity: float
+    seed_infidelity: float
+    iterations: int
+
+
+def solve_phases(spec: ScanSpec, budget: int = 2000, xatol: float = 1e-6,
+                 simplex_step: float = 0.01) -> SolveResult:
+    """Minimize the composed infidelity 1 - |U^(N)_31|^2 over the phases,
+    at the pair, system, gap and tolerances of `spec` (its axes are unused).
+
+    Derivative-free simplex search started from spec.sequence; alpha_1 and
+    beta_1 stay pinned to the seed values, removing the two exact flat
+    directions (common pump shift, common Stokes shift). The returned
+    sequence never has higher infidelity than the seed. A seed whose
+    infidelity is not finite raises ValueError.
+    """
+    if spec.system.gamma != 0:
+        raise ValueError("phase optimization assumes gamma = 0")
+    seed = spec.sequence
+    n = seed.n_pairs
+    u, sys = _pair_propagator(spec, ())
+
+    def infidelity(phase_sets):
+        m = _compose(u, sys, spec.gap, phase_sets, seed.alternate_ordering)
+        return 1.0 - abs(m[2, 0]) ** 2
+
+    f_seed = infidelity(seed.phase_pairs())
+    if not np.isfinite(f_seed):
+        raise ValueError(_NOT_FINITE)
+    if n == 1:
+        return SolveResult(seed, True, f_seed, f_seed, 0)
+
+    x0 = np.array(seed.pump_phases[1:] + seed.stokes_phases[1:])
+
+    def unpack(x):
+        # (N, 2) phase pairs with the first pair pinned to the seed.
+        return np.column_stack([np.r_[seed.pump_phases[0], x[:n - 1]],
+                                np.r_[seed.stokes_phases[0], x[n - 1:]]])
+
+    # Imported here so that the package imports without scipy's cost.
+    from scipy.optimize import minimize
+
+    simplex = np.vstack([x0, x0 + simplex_step * np.eye(x0.size)])
+    res = minimize(lambda x: infidelity(unpack(x)), x0, method="Nelder-Mead",
+                   options=dict(initial_simplex=simplex, xatol=xatol, fatol=1e-14,
+                                maxiter=budget, maxfev=2 * budget))
+    if res.fun <= f_seed:
+        pump, stokes = unpack(res.x).T
+        seq = phases.CompositeSequence(n, tuple(pump), tuple(stokes), seed.alternate_ordering)
+        return SolveResult(seq, bool(res.success), float(res.fun), f_seed, int(res.nit))
+    return SolveResult(seed, False, f_seed, f_seed, int(res.nit))

@@ -138,6 +138,7 @@ def test_solve_phases_config_rules():
     del cfg["system"]
     parsed = parse_config(cfg, "solve-phases")
     assert parsed.solver == (2000, 1e-6, 0.01)
+    assert parse_config(_scan_config(), "scan").solver is None
 
 
 def test_canonical_hash_key_order_invariant():
@@ -302,6 +303,59 @@ def test_main_solve_phases_output(tmp_path):
     assert any(l.startswith("# infidelity=") for l in lines)
     assert any(l.startswith("# converged=") for l in lines)
     assert lines[-1].startswith("# sha256=")
+
+
+def _solve_config(**over):
+    cfg = {"experiment": "solve-phases",
+           "pulse": {"shape": "sin2", "omega0": 20.0},
+           "system": {"delta": 3.0},
+           "sequence": {"source": "resonant", "n": 3},
+           "solver": {"budget": 100},
+           "tolerance": {"rtol": 1e-8, "atol": 1e-10}}
+    cfg.update(over)
+    return cfg
+
+
+def test_main_solve_phases_applies_gap(tmp_path):
+    found = []
+    for gap in (0.0, 0.7):
+        out = tmp_path / f"gap{gap}.csv"
+        path = _write(tmp_path, f"gap{gap}.json", _solve_config(gap=gap))
+        assert main(["solve-phases", "--config", path, "--out", str(out)]) == 0
+        found.append([l for l in out.read_text().splitlines()
+                      if l.startswith("# infidelity=")])
+    assert len(found[0]) == len(found[1]) == 1
+    assert found[0] != found[1]
+
+
+_NOT_FINITE = ("composed populations are not finite "
+               "(the gap or the phase noise overflows)")
+
+
+@pytest.mark.parametrize("experiment,over", [
+    ("simulate", {"system": {"delta": 3.0}, "gap": 1e308}),
+    ("montecarlo", {"noise": {"sigma": 1e308}}),
+], ids=["gap", "noise"])
+def test_overflowing_composition_fails_the_point(tmp_path, experiment, over):
+    cfg = {"experiment": experiment, "pulse": {"shape": "sin2", "omega0": 20.0},
+           "sequence": {"source": "resonant", "n": 3}}
+    cfg.update(over)
+    out = tmp_path / "overflow.csv"
+    assert main([experiment, "--config", _write(tmp_path, "overflow.json", cfg),
+                 "--out", str(out)]) == 2
+    lines = out.read_text().splitlines()
+    assert lines[1] == "nan,nan,nan,nan,nan"
+    assert lines[2] == f"# error row=0: {_NOT_FINITE}"
+    assert lines[3].startswith("# sha256=")
+
+
+def test_solve_phases_overflowing_seed_is_an_error(tmp_path):
+    out = tmp_path / "overflow.csv"
+    path = _write(tmp_path, "overflow.json", _solve_config(gap=1e308))
+    assert main(["solve-phases", "--config", path, "--out", str(out)]) == 2
+    lines = out.read_text().splitlines()
+    assert lines[:2] == ["k,alpha,beta", f"# error={_NOT_FINITE}"]
+    assert len(lines) == 3 and lines[2].startswith("# sha256=")
 
 
 @pytest.mark.parametrize("experiment,axis", [

@@ -7,7 +7,8 @@ from cstirap import experiments
 from cstirap.dynamics import SystemParams, propagate
 from cstirap.experiments import (ScanSpec, SweepAxis,
                                  decay_compensation_check, decay_scan,
-                                 grid_coords, monte_carlo_phase_noise, run_scan)
+                                 grid_coords, monte_carlo_phase_noise, run_scan,
+                                 solve_phases)
 from cstirap.phases import CompositeSequence, resonant_phases
 from cstirap.propalg import compose_sequence
 from cstirap.pulses import ShapeKind, build_train, make_pair
@@ -79,6 +80,17 @@ def test_run_scan_records_point_failures():
     rows = run_scan(spec)
     assert rows[0].error is not None and np.isnan(rows[0].p3)
     assert rows[1].error is None and rows[1].p3 > 0.9
+
+
+def test_solver_seed_matches_scan_with_gap():
+    # The solver composes on the scan's path, inter-pair gap included.
+    spec = _spec(omega0=20.0, system=SystemParams(delta=3.0), gap=0.7,
+                 sequence=resonant_phases(3))
+    seed_infidelity = solve_phases(spec, budget=20).seed_infidelity
+    assert seed_infidelity == pytest.approx(run_scan(spec)[0].infidelity, abs=1e-12)
+    no_gap = solve_phases(_spec(omega0=20.0, system=SystemParams(delta=3.0),
+                                sequence=resonant_phases(3)), budget=20)
+    assert abs(no_gap.seed_infidelity - seed_infidelity) > 1e-6
 
 
 def test_sweeping_system_parameters():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from cstirap.dynamics import SystemParams, propagate
+from cstirap.experiments import ScanSpec, solve_phases
 from cstirap.phases import (CompositeSequence, cap_numerators, cap_phases,
-                            resonant_numerators, resonant_phases, solve_phases)
+                            resonant_numerators, resonant_phases)
 from cstirap.propalg import compose_sequence
 from cstirap.pulses import ShapeKind, make_pair
 
@@ -76,17 +77,18 @@ def _infidelity(pair, sys, seq):
     return 1.0 - abs(m[2, 0]) ** 2
 
 
+def _spec(omega0, seed, system=SystemParams(), **tolerance):
+    return ScanSpec((), ShapeKind.SINE_SQUARED, omega0, system=system, sequence=seed,
+                    **tolerance)
+
+
 def test_solver_guards():
-    pair = make_pair(ShapeKind.SINE_SQUARED, 20.0)
     with pytest.raises(ValueError):
-        solve_phases(3, pair, SystemParams(gamma=0.1), resonant_phases(3))
-    with pytest.raises(ValueError):
-        solve_phases(5, pair, SystemParams(), resonant_phases(3))
+        solve_phases(_spec(20.0, resonant_phases(3), SystemParams(gamma=0.1)))
 
 
 def test_solver_trivial_for_single_pair():
-    pair = make_pair(ShapeKind.SINE_SQUARED, 20.0)
-    res = solve_phases(1, pair, SystemParams(), resonant_phases(1))
+    res = solve_phases(_spec(20.0, resonant_phases(1)))
     assert res.converged
     assert res.infidelity == res.seed_infidelity
 
@@ -96,8 +98,7 @@ def test_solver_never_worse_than_seed_and_pins_first_pair():
     # search can still shave; the first pair's phases are gauge and stay put.
     pair = make_pair(ShapeKind.SINE_SQUARED, 20.0)
     seed = resonant_phases(3)
-    res = solve_phases(3, pair, SystemParams(), seed, rtol=1e-9, atol=1e-11,
-                       budget=600)
+    res = solve_phases(_spec(20.0, seed, rtol=1e-9, atol=1e-11), budget=600)
     assert res.infidelity <= res.seed_infidelity
     assert res.sequence.pump_phases[0] == seed.pump_phases[0]
     assert res.sequence.stokes_phases[0] == seed.stokes_phases[0]
@@ -108,10 +109,8 @@ def test_solver_never_worse_than_seed_and_pins_first_pair():
 def test_solver_small_correction_inside_plateau():
     # Where the analytic phases are already excellent the optimum is a
     # small correction, not a different solution branch.
-    pair = make_pair(ShapeKind.SINE_SQUARED, 23.0)
     seed = resonant_phases(3)
-    res = solve_phases(3, pair, SystemParams(), seed, rtol=1e-9, atol=1e-11,
-                       budget=600)
+    res = solve_phases(_spec(23.0, seed, rtol=1e-9, atol=1e-11), budget=600)
     assert res.converged
     assert res.infidelity <= res.seed_infidelity < 1e-6
     moved = np.abs(np.array(res.sequence.pump_phases + res.sequence.stokes_phases)
@@ -125,7 +124,7 @@ def test_solver_beats_single_pair_off_resonance():
     pair = make_pair(ShapeKind.SINE_SQUARED, 60.0)
     sys = SystemParams(delta=100.0)
     seed = cap_phases(5)
-    res = solve_phases(5, pair, sys, seed, rtol=1e-8, atol=1e-10, budget=400)
+    res = solve_phases(_spec(60.0, seed, sys, rtol=1e-8, atol=1e-10), budget=400)
     single = _infidelity(pair, sys, resonant_phases(1))
     assert res.infidelity <= res.seed_infidelity
     assert res.seed_infidelity < 1e-4 < single
