@@ -81,8 +81,12 @@ class FidelityResult:
 
 def _gap_propagator(sys: dynamics.SystemParams, gap: float) -> np.ndarray:
     # Free evolution between pairs touches only state 2 (the other two
-    # diagonal entries of H vanish when the fields are off).
-    return np.diag([1.0, np.exp(-1j * (sys.delta - 0.5j * sys.gamma) * gap), 1.0]).astype(complex)
+    # diagonal entries of H vanish when the fields are off). A phase that
+    # overflows gives NaN, which fails the point with _NOT_FINITE, so
+    # numpy need not warn about it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = np.exp(-1j * (sys.delta - 0.5j * sys.gamma) * gap)
+    return np.diag([1.0, phase, 1.0]).astype(complex)
 
 
 def _compose(u_pair, sys: dynamics.SystemParams, gap: float, phase_sets,
@@ -222,7 +226,9 @@ def decay_compensation_check(spec: ScanSpec, gammas, threshold: float,
 
     Coarse geometric ascent brackets the crossing, bisection refines it;
     unreachable thresholds are recorded as None. The exponent is fitted on
-    log-log axes over the reachable rows.
+    log-log axes over the reachable rows. An infidelity that is not
+    finite raises ValueError instead of passing for an unreachable
+    threshold.
     """
     if threshold <= 0:
         raise ValueError("threshold must be > 0")
@@ -232,7 +238,10 @@ def decay_compensation_check(spec: ScanSpec, gammas, threshold: float,
     def infid(omega0, g):
         u, sys = _pair_propagator(spec, (("omega0", omega0), ("gamma", float(g))))
         m = _compose(u, sys, spec.gap, seq.phase_pairs(), seq.alternate_ordering)
-        return 1.0 - abs(m[2, 0]) ** 2
+        f = 1.0 - abs(m[2, 0]) ** 2
+        if not np.isfinite(f):
+            raise ValueError(_NOT_FINITE)
+        return f
 
     rows = []
     for g in gammas:

@@ -95,7 +95,9 @@ def phase_imprint(u: np.ndarray, alpha, beta) -> np.ndarray:
     """Phi U Phi* with Phi = diag(e^{i alpha}, 1, e^{-i beta}); array angles
     broadcast against each other and against the leading axes of `u`."""
     alpha, beta = np.broadcast_arrays(np.asarray(alpha, float), np.asarray(beta, float))
-    phi = np.exp(1j * np.stack([alpha, np.zeros_like(alpha), -beta], axis=-1))
+    # An overflowing angle gives a NaN factor, which its caller reports.
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = np.exp(1j * np.stack([alpha, np.zeros_like(alpha), -beta], axis=-1))
     return (phi[..., :, None] * np.asarray(u, dtype=complex)) * np.conj(phi)[..., None, :]
 
 

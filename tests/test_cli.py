@@ -349,6 +349,24 @@ def test_overflowing_composition_fails_the_point(tmp_path, experiment, over):
     assert lines[3].startswith("# sha256=")
 
 
+@pytest.mark.parametrize("experiment,over", [
+    ("simulate", {"system": {"delta": 3.0}, "gap": 1e308}),
+    ("montecarlo", {"noise": {"sigma": 1e308}}),
+], ids=["gap", "noise"])
+def test_overflowing_composition_prints_no_warning(tmp_path, experiment, over):
+    # The failed row carries the reason; numpy must not add a warning with
+    # a source path on stderr. A fresh process sees what a user sees.
+    cfg = {"experiment": experiment, "pulse": {"shape": "sin2", "omega0": 20.0},
+           "sequence": {"source": "resonant", "n": 3}}
+    cfg.update(over)
+    code = ("import sys; from cstirap.cli import main; "
+            f"sys.exit(main({[experiment, '--config', _write(tmp_path, 'o.json', cfg), '--out', str(tmp_path / 'o.csv')]!r}))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 2
+    assert "Warning" not in run.stderr, run.stderr
+
+
 def test_solve_phases_overflowing_seed_is_an_error(tmp_path):
     out = tmp_path / "overflow.csv"
     path = _write(tmp_path, "overflow.json", _solve_config(gap=1e308))

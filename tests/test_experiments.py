@@ -240,6 +240,14 @@ def test_compensation_search_monotone():
     assert res.exponent is not None and res.exponent > 0
 
 
+def test_compensation_overflow_is_an_error():
+    # A gap phase that overflows makes every composed infidelity NaN; that
+    # must not pass for a threshold no drive reaches.
+    spec = _spec(sequence=resonant_phases(3), system=SystemParams(delta=3.0), gap=1e308)
+    with pytest.raises(ValueError, match="not finite"):
+        decay_compensation_check(spec, [0.1], threshold=0.05)
+
+
 def test_compensation_unreachable_threshold():
     spec = _spec(sequence=resonant_phases(3))
     res = decay_compensation_check(spec, [0.5], threshold=1e-12, omega_max=20.0,

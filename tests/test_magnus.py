@@ -113,6 +113,49 @@ def test_fourth_order_convergence(gamma):
     assert errs[0] / errs[1] > 12 and errs[1] / errs[2] > 12
 
 
+@pytest.mark.parametrize("problem", ["two_state", "effective"])
+def test_sixth_order_convergence_two_state(monkeypatch, problem):
+    # 2x2 generators take the closed-form su(2) step: halving the step
+    # must cut the error against the oracle about 64-fold, where a
+    # fourth-order slip would give 16-fold. The effective problem also
+    # checks the trace part of the step.
+    pair = make_pair(ShapeKind.SINE_SQUARED, 20.0, 1.0, 0.4)
+    generators = []
+    integrate = dynamics._integrate
+    monkeypatch.setattr(dynamics, "_integrate",
+                        lambda gen, *args, **kw: generators.append(gen) or integrate(gen, *args, **kw))
+    if problem == "two_state":
+        propagate_two_state(pair)
+        ref = rk45_oracle.propagate_two_state(pair)
+    else:
+        propagate_effective(pair, 10.0)
+        ref = rk45_oracle.propagate_effective(pair, 10.0)
+    breaks = dynamics._breakpoints(pair, window(pair))
+    errs = []
+    for n in (4, 8, 16):
+        blocks = dynamics._chunk_products(generators[0], breaks, np.full(len(breaks) - 1, n), 2)
+        errs.append(_dev(dynamics._ordered_product(blocks), ref))
+    assert errs[0] / errs[1] > 40 and errs[1] / errs[2] > 40, errs
+
+
+_SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+@pytest.mark.parametrize("with_trace", [False, True])
+def test_su2_exp_matches_scipy(with_trace):
+    # exp(-i(trace + v.sigma)) in closed form, from |v| = 0 and below any
+    # step's scale to many turns.
+    rng = np.random.default_rng(5)
+    for norm in (0.0, 1e-300, 1e-8, 0.3, 3.0, 300.0):
+        v = rng.normal(size=(3, 8))
+        v *= norm / np.sqrt(np.sum(v * v, axis=0))
+        trace = rng.normal(0.0, 3.0, 8) if with_trace else np.zeros(8)
+        got = dynamics._su2_exp(trace, v)
+        for k in range(8):
+            h = trace[k] * np.eye(2) + np.einsum("i,ijk->jk", v[:, k], _SIGMA)
+            assert _dev(got[..., k], scipy.linalg.expm(-1j * h)) < 2e-15 * (1.0 + norm), norm
+
+
 def test_hamiltonian_stacks_over_time_arrays():
     pair = make_pair(ShapeKind.SINE_SQUARED, 6.0, 1.0, 0.3, pump_phase=0.5)
     sys = SystemParams(delta=2.0, gamma=0.8)
