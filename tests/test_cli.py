@@ -359,8 +359,9 @@ def test_overflowing_composition_prints_no_warning(tmp_path, experiment, over):
     cfg = {"experiment": experiment, "pulse": {"shape": "sin2", "omega0": 20.0},
            "sequence": {"source": "resonant", "n": 3}}
     cfg.update(over)
-    code = ("import sys; from cstirap.cli import main; "
-            f"sys.exit(main({[experiment, '--config', _write(tmp_path, 'o.json', cfg), '--out', str(tmp_path / 'o.csv')]!r}))")
+    args = [experiment, "--config", _write(tmp_path, "o.json", cfg),
+            "--out", str(tmp_path / "o.csv")]
+    code = f"import sys; from cstirap.cli import main; sys.exit(main({args!r}))"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert run.returncode == 2

@@ -123,7 +123,7 @@ def test_sixth_order_convergence_two_state(monkeypatch, problem):
     generators = []
     integrate = dynamics._integrate
     monkeypatch.setattr(dynamics, "_integrate",
-                        lambda gen, *args, **kw: generators.append(gen) or integrate(gen, *args, **kw))
+                        lambda gen, *a, **kw: generators.append(gen) or integrate(gen, *a, **kw))
     if problem == "two_state":
         propagate_two_state(pair)
         ref = rk45_oracle.propagate_two_state(pair)
