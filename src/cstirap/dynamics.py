@@ -6,12 +6,12 @@ loses population at rate gamma through the non-Hermitian diagonal term.
 
 All propagators share one integrator, a Magnus method (Blanes, Casas,
 Oteo and Ros, Phys. Rep. 470, 151 (2009)) on blocks of steps held
-component-major, as (d, d, steps) arrays, whose order follows the
-generator's dimension. A 3x3 generator takes fourth-order steps on two
+component-major, as (d, d, steps) arrays, and the step kernel the
+caller picks. _magnus4 takes fourth-order steps of a 3x3 generator on two
 Gauss nodes, each step exponential one Taylor polynomial in
 Paterson-Stockmeyer form, its degree picked by the block's 1-norm, with
-scaling and squaring. A Hermitian 2x2 generator takes sixth-order steps
-on three Gauss nodes in closed form: its Magnus terms are real
+scaling and squaring. _magnus6_su2 takes sixth-order steps of a Hermitian
+2x2 generator on three Gauss nodes in closed form: its Magnus terms are real
 sigma-vectors, their commutators cross products, and each exponential is
 cos|v| - i sinc|v| v.sigma. At gamma = 0 the propagator is then projected
 onto the nearest unitary matrix. On resonance, without decay, a single
@@ -176,7 +176,7 @@ def _breakpoints(pulses, t_span) -> np.ndarray:
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The products a[..., i] @ b[..., i] of component-major stacks."""
-    return (a[:, :, None] * b[None]).sum(axis=1)
+    return np.einsum("ijm,jkm->ikm", a, b)
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -243,9 +243,20 @@ def _su2_exp(trace, v) -> np.ndarray:
     return u * np.exp(-1j * trace)
 
 
-def _magnus6_su2(generator, start, h) -> np.ndarray:
-    """The sixth-order Magnus steps of a Hermitian 2x2 generator that start
-    at `start`, h long, in closed form, as a (2, 2, m) stack.
+def _magnus4(generator):
+    """The fourth-order kernel of a 3x3 generator: (3, 3, m) step stacks
+    exp(-i h/2 (H1 + H2) - (sqrt3/12) h^2 [H2, H1]) from H on both nodes."""
+    def step(start, h):
+        # Contiguous copies: _mul is about 20 % slower on strided views.
+        h1, h2 = np.moveaxis(generator(start + _NODES[:, None] * h), 1, -1).copy()
+        return _expm(-0.5j * h * (h1 + h2) - _COMMUTATOR * h * h * (_mul(h2, h1) - _mul(h1, h2)))
+
+    return step, 4
+
+
+def _magnus6_su2(generator):
+    """The sixth-order kernel of a Hermitian 2x2 generator: (2, 2, m) step
+    stacks in closed form from H on the three nodes.
 
     Each alpha_k of Blanes et al. is -i(t_k + a_k.sigma) with a real
     trace t_k and vector a_k, and [x.sigma, y.sigma] = 2i (x*y).sigma, so
@@ -253,56 +264,44 @@ def _magnus6_su2(generator, start, h) -> np.ndarray:
     C2 is -(1/15) a1*(a3 + p), and the step is exp(-i(t + w.sigma)) with
     t = t1 + t3/12 and w = a1 + a3/12 + (1/120) (2p - 20 a1 - a3)*(a2 + C2).
     """
-    m = len(start)
-    # The parts of the entries of H at the nodes as (node, part) rows, to
-    # the (trace, x, y, z) parts of alpha_1..3: (4, 3, m).
-    g = np.asarray(generator(start + _NODES6[:, None] * h), complex)
-    entries = g.reshape(3, m, 4).view(float).transpose(0, 2, 1)
-    alpha = (_ALPHA_PARTS @ entries.reshape(24, m)).reshape(4, 3, m) * h
-    t, (a1, a2, a3) = alpha[0], alpha[1:].transpose(1, 0, 2)
-    p = _cross(a1, a2)
-    c2 = (-1.0 / 15.0) * _cross(a1, a3 + p)
-    w = a1 + a3 / 12.0 + _cross(2.0 * p - 20.0 * a1 - a3, a2 + c2) / 120.0
-    return _su2_exp(t[0] + t[2] / 12.0, w)
+    def step(start, h):
+        m = len(start)
+        # The parts of the entries of H at the nodes as (node, part) rows,
+        # to the (trace, x, y, z) parts of alpha_1..3: (4, 3, m).
+        g = np.asarray(generator(start + _NODES6[:, None] * h), complex)
+        entries = g.reshape(3, m, 4).view(float).transpose(0, 2, 1)
+        alpha = (_ALPHA_PARTS @ entries.reshape(24, m)).reshape(4, 3, m) * h
+        t, (a1, a2, a3) = alpha[0], alpha[1:].transpose(1, 0, 2)
+        p = _cross(a1, a2)
+        c2 = (-1.0 / 15.0) * _cross(a1, a3 + p)
+        w = a1 + a3 / 12.0 + _cross(2.0 * p - 20.0 * a1 - a3, a2 + c2) / 120.0
+        return _su2_exp(t[0] + t[2] / 12.0, w)
+
+    return step, 6
 
 
-def _chunk_products(generator, breaks, steps, dim=3) -> np.ndarray:
-    """Products over consecutive blocks of _CHUNK Magnus steps, stacked as
-    (dim, dim, blocks); with step counts doubled, block j spans blocks 2j,
-    2j+1.
-
-    The generator's dimension picks the step: a 3x3 generator takes the
-    fourth-order step on _NODES, a Hermitian 2x2 one the closed-form
-    sixth-order su(2) step on _NODES6. The caller states the dimension, so
-    that the generator is evaluated once per block, at the right nodes.
-    """
+def _chunk_products(kernel, breaks, steps) -> np.ndarray:
+    """Products over consecutive blocks of _CHUNK steps of a kernel
+    (step(start, h) -> (d, d, m) stack, order), as (d, d, blocks); with
+    step counts doubled, block j spans blocks 2j, 2j+1. An overflow fails
+    the point through its non-finite estimate, without numpy warnings."""
+    step, _ = kernel
     total = int(steps.sum())
     out = []
-    for first in range(0, total, _CHUNK):
-        start, h = _steps(breaks, steps, np.arange(first, min(first + _CHUNK, total)))
-        if dim == 2:
-            out.append(_ordered_product(_magnus6_su2(generator, start, h)))
-            continue
-        # H at both nodes as contiguous component-major (d, d, m) stacks.
-        # These stay inline, alive until the next block: a helper function
-        # that freed them on return made glibc trim and regrow the heap,
-        # and the 3x3 pass 17 % slower.
-        h1, h2 = np.moveaxis(generator(start + _NODES[:, None] * h), 1, -1).copy()
-        # Omega = -i h/2 (H1 + H2) - (sqrt3/12) h^2 [H2, H1]
-        omega = -0.5j * h * (h1 + h2) - _COMMUTATOR * h * h * (_mul(h2, h1) - _mul(h1, h2))
-        out.append(_ordered_product(_expm(omega)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(0, total, _CHUNK):
+            start, h = _steps(breaks, steps, np.arange(first, min(first + _CHUNK, total)))
+            out.append(_ordered_product(step(start, h)))
     return np.stack(out, axis=-1)
 
 
-def _integrate(generator, pulses, t_span, hermitian, rtol, atol, margin=1.0,
-               dim=3) -> np.ndarray:
-    """U(t_f, t_i) of i dU/dt = H(t) U, where generator(t) stacks H(t) and
-    t_span defaults to the support window of `pulses`.
+def _integrate(kernel, pulses, t_span, hermitian, rtol, atol, margin=1.0) -> np.ndarray:
+    """U(t_f, t_i) of i dU/dt = H(t) U by the kernel of H, order p (see
+    _chunk_products); t_span defaults to the support window of `pulses`.
 
-    The step has order p = 4 for a 3x3 generator and p = 6 for a 2x2 one
-    (dim, see _chunk_products). Passes at n and 2n steps per segment give
-    the Richardson estimate max|U_2n - U_n| / (2^p - 1), but never less
-    than the round-off eps sqrt(2n) of U_2n. Until it is within
+    Passes at n and 2n steps per segment give the Richardson estimate
+    max|U_2n - U_n| / (2^p - 1), but never less than the round-off
+    eps sqrt(2n) of U_2n. Until it is within
     (atol + rtol) / margin, the step counts jump by the doublings that the
     2^p-fold drop per doubling predicts. The point fails at once when a
     jump would pass _MAX_STEPS, or when an estimate at round-off level is
@@ -325,11 +324,10 @@ def _integrate(generator, pulses, t_span, hermitian, rtol, atol, margin=1.0,
             steps=float(2 * steps.sum()))
     steps = steps.astype(np.int64)
     tol = (atol + rtol) / margin
-    last = math.inf
-    order = 6 if dim == 2 else 4
-    coarse = _chunk_products(generator, breaks, steps, dim)
+    last, order = math.inf, kernel[1]
+    coarse = _chunk_products(kernel, breaks, steps)
     while True:
-        fine = _chunk_products(generator, breaks, 2 * steps, dim)
+        fine = _chunk_products(kernel, breaks, 2 * steps)
         u = _ordered_product(fine)
         # The divisor shrinks the truncation error of U_2n, not its
         # round-off, which adds up like eps sqrt(steps). Without the floor,
@@ -359,14 +357,15 @@ def _integrate(generator, pulses, t_span, hermitian, rtol, atol, margin=1.0,
             local = np.abs(_pairwise(fine) - coarse).max(axis=(0, 1))
             block = int(np.argmax(np.nan_to_num(local, nan=np.inf)))
             where = _steps(breaks, steps, block * _CHUNK)[0]
+            note = "" if math.isfinite(err) else ": the propagator is not finite"
             raise IntegrationError(
                 f"Magnus stepping missed rtol={rtol:g}, atol={atol:g} with "
-                f"{2 * int(steps.sum())} steps (error estimate {err:.3g}"
+                f"{2 * int(steps.sum())} steps{note} (error estimate {err:.3g}"
                 + (f", stalled after {last:.3g})" if stalled else ")"), float(where),
                 steps=2 * int(steps.sum()), estimate=err)
         last = err
         steps = steps * 2 ** jump
-        coarse = fine if jump == 1 else _chunk_products(generator, breaks, steps, dim)
+        coarse = fine if jump == 1 else _chunk_products(kernel, breaks, steps)
 
 
 def propagate(pulses, sys: SystemParams, t_span=None,
@@ -391,9 +390,9 @@ def propagate(pulses, sys: SystemParams, t_span=None,
     """
     if (isinstance(pulses, PulsePair) and sys.delta == 0 and sys.gamma == 0
             and pulses.pump_phase == 0 and pulses.stokes_phase == 0 and t_span is None):
-        return lift_to_three(extract_ck(_integrate(_two_state_generator(pulses), pulses, None,
-                                                   True, rtol, atol, margin=2.0, dim=2)))
-    return _integrate(lambda t: hamiltonian(pulses, sys, t), pulses, t_span,
+        return lift_to_three(extract_ck(_integrate(_two_state_kernel(pulses), pulses, None,
+                                                   True, rtol, atol, margin=2.0)))
+    return _integrate(_magnus4(lambda t: hamiltonian(pulses, sys, t)), pulses, t_span,
                       sys.gamma == 0, rtol, atol)
 
 
@@ -432,11 +431,11 @@ def propagate_two_state(pair: PulsePair, t_span=None,
     in the Cayley-Klein parameters, which restores the full rotation angle.
     """
     _require_real_envelopes(pair)
-    return _integrate(_two_state_generator(pair), pair, t_span, True, rtol, atol, dim=2)
+    return _integrate(_two_state_kernel(pair), pair, t_span, True, rtol, atol)
 
 
-def _two_state_generator(pair: PulsePair):
-    return lambda t: 0.5 * resonant_two_state_hamiltonian(pair, t)
+def _two_state_kernel(pair: PulsePair):
+    return _magnus6_su2(lambda t: 0.5 * resonant_two_state_hamiltonian(pair, t))
 
 
 def effective_two_state(pair: PulsePair, delta: float):
@@ -479,4 +478,4 @@ def propagate_effective(pair: PulsePair, delta: float, t_span=None,
         return _matrix({(0, 0): c * abs(wp) ** 2, (0, 1): c * wp * ws,
                         (1, 0): c * np.conj(wp * ws), (1, 1): c * abs(ws) ** 2}, 2)
 
-    return _integrate(generator, pair, t_span, True, rtol, atol, dim=2)
+    return _integrate(_magnus6_su2(generator), pair, t_span, True, rtol, atol)

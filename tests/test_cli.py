@@ -352,7 +352,9 @@ def test_overflowing_composition_fails_the_point(tmp_path, experiment, over):
 @pytest.mark.parametrize("experiment,over", [
     ("simulate", {"system": {"delta": 3.0}, "gap": 1e308}),
     ("montecarlo", {"noise": {"sigma": 1e308}}),
-], ids=["gap", "noise"])
+    ("simulate", {"pulse": {"shape": "sin2", "omega0": 1e300}}),
+    ("simulate", {"system": {"delta": 1e300}}),
+], ids=["gap", "noise", "omega0", "delta"])
 def test_overflowing_composition_prints_no_warning(tmp_path, experiment, over):
     # The failed row carries the reason; numpy must not add a warning with
     # a source path on stderr. A fresh process sees what a user sees.

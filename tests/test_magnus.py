@@ -107,8 +107,8 @@ def test_fourth_order_convergence(gamma):
     breaks = dynamics._breakpoints(pair, window(pair))
     errs = []
     for n in (8, 16, 32):
-        blocks = dynamics._chunk_products(lambda t: hamiltonian(pair, sys, t), breaks,
-                                          np.full(len(breaks) - 1, n))
+        blocks = dynamics._chunk_products(dynamics._magnus4(lambda t: hamiltonian(pair, sys, t)),
+                                          breaks, np.full(len(breaks) - 1, n))
         errs.append(_dev(dynamics._ordered_product(np.array(blocks)), ref))
     assert errs[0] / errs[1] > 12 and errs[1] / errs[2] > 12
 
@@ -133,9 +133,30 @@ def test_sixth_order_convergence_two_state(monkeypatch, problem):
     breaks = dynamics._breakpoints(pair, window(pair))
     errs = []
     for n in (4, 8, 16):
-        blocks = dynamics._chunk_products(generators[0], breaks, np.full(len(breaks) - 1, n), 2)
+        blocks = dynamics._chunk_products(generators[0], breaks, np.full(len(breaks) - 1, n))
         errs.append(_dev(dynamics._ordered_product(blocks), ref))
     assert errs[0] / errs[1] > 40 and errs[1] / errs[2] > 40, errs
+
+
+@pytest.mark.parametrize("kernel,nodes,dim", [(dynamics._magnus4, 2, 3),
+                                              (dynamics._magnus6_su2, 3, 2)],
+                         ids=["magnus4", "magnus6_su2"])
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+def test_kernel_evaluates_generator_once_per_block(kernel, nodes, dim, blocks):
+    # One call per block, on all nodes of its steps at once: no probe call
+    # to learn the generator's dimension or the step's node count.
+    calls = []
+
+    def generator(t):
+        calls.append(t.shape)
+        return np.zeros(t.shape + (dim, dim))
+
+    last = 7
+    total = (blocks - 1) * dynamics._CHUNK + last
+    steps = np.array([total // 2, total - total // 2])
+    got = dynamics._chunk_products(kernel(generator), np.array([0.0, 0.4, 1.0]), steps)
+    assert calls == [(nodes, dynamics._CHUNK)] * (blocks - 1) + [(nodes, last)]
+    np.testing.assert_array_equal(got, np.broadcast_to(np.eye(dim)[:, :, None], got.shape))
 
 
 _SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
@@ -244,7 +265,8 @@ def test_overflowing_generator_fails_the_point(gamma):
     # A detuning near the float limit overflows the step generator; the
     # NaN propagator must end in IntegrationError, not a linear-algebra or
     # conversion error.
-    with pytest.raises(IntegrationError, match="missed"):
+    with pytest.raises(IntegrationError, match="missed .*: the propagator is not finite "
+                                               r"\(error estimate nan\)"):
         propagate(make_pair(ShapeKind.SINE_SQUARED, 30.0), SystemParams(1e300, gamma))
 
 
@@ -294,8 +316,8 @@ def test_three_state_kernel_matches_resonant_route(kind, omega0):
     # 4 no longer sees the 3x3 kernel at resonance; this test forces it.
     pair = make_pair(kind, omega0)
     sys = SystemParams()
-    direct = dynamics._integrate(lambda t: hamiltonian(pair, sys, t), pair, None, True,
-                                 dynamics.DEFAULT_RTOL, dynamics.DEFAULT_ATOL)
+    direct = dynamics._integrate(dynamics._magnus4(lambda t: hamiltonian(pair, sys, t)), pair,
+                                 None, True, dynamics.DEFAULT_RTOL, dynamics.DEFAULT_ATOL)
     assert _dev(direct, propagate(pair, sys)) < 1e-9
 
 
