@@ -467,6 +467,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _out_problem(out: str) -> str | None:
     """Why no table can be written to `out`, checked before any point is
     computed; whatever else the file system refuses shows at the write."""
+    if not out:
+        return "the path is empty"
     if os.path.isdir(out):
         return f"{out} is a directory"
     folder = os.path.dirname(out)
@@ -502,7 +504,7 @@ def main(argv=None) -> int:
 
     if args.out is not None:
         cfg = replace(cfg, out=args.out)
-    problem = cfg.out and _out_problem(cfg.out)
+    problem = cfg.out is not None and _out_problem(cfg.out)
     if problem:
         print(f"config error: out: {problem}", file=sys.stderr)
         return 1

@@ -10,13 +10,14 @@ component-major, as (d, d, steps) arrays, and the step kernel the
 caller picks. _magnus4 takes fourth-order steps of a 3x3 generator on two
 Gauss nodes, each step exponential one Taylor polynomial in
 Paterson-Stockmeyer form, its degree picked by the block's 1-norm, with
-scaling and squaring. _magnus6_su2 takes sixth-order steps of a Hermitian
-2x2 generator on three Gauss nodes in closed form: its Magnus terms are real
-sigma-vectors, their commutators cross products, and each exponential is
+scaling and squaring. _magnus6_su2 takes sixth-order steps in closed form
+of a Hermitian 2x2 generator given as its real parts (trace, x, y, z), on
+three Gauss nodes: its Magnus terms are real sigma-vectors, their
+commutators cross products, and each exponential is
 cos|v| - i sinc|v| v.sigma. At gamma = 0 the propagator is then projected
 onto the nearest unitary matrix. On resonance, without decay, a single
 zero-phase pair takes the paper's route: the two-state propagator, lifted
-to three states.
+to three states; any other pair is propagated as the one-pair train it is.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from .propalg import extract_ck, lift_to_three
 from .pulses import (PulsePair, PulseTrain, ShapeKind, pair_envelopes,
-                     train_envelopes, train_window, window)
+                     train_envelopes, train_window)
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
@@ -55,18 +56,6 @@ _NODES6 = 0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0
 _ALPHA = np.array([[0.0, 1.0, 0.0],
                    [-math.sqrt(15.0) / 3.0, 0.0, math.sqrt(15.0) / 3.0],
                    [10.0 / 3.0, -20.0 / 3.0, 10.0 / 3.0]])
-# (trace, x, y, z) of a Hermitian 2x2 H = trace + (x, y, z).sigma from the
-# real and imaginary parts of H00, H01, H10, H11, in that order; then the
-# same parts of alpha_1..3 from those of H at the nodes, as one matrix.
-_PAULI_PARTS = np.array([[0.5, 0, 0, 0, 0, 0, 0.5, 0],
-                         [0, 0, 0, 0, 1, 0, 0, 0],
-                         [0, 0, 0, 0, 0, 1, 0, 0],
-                         [0.5, 0, 0, 0, 0, 0, -0.5, 0]])
-_ALPHA_PARTS = np.multiply.outer(_PAULI_PARTS, _ALPHA).transpose(0, 2, 3, 1).reshape(12, 24)
-# _SU2 @ (c, s) for a scalar c and a vector s: the real, then the
-# imaginary parts of the entries of c - i s.sigma.
-_SU2 = np.array([np.eye(2), [[0, -1j], [-1j, 0]], [[0, -1], [1, 0]], [[-1j, 0], [0, 1j]]])
-_SU2 = np.concatenate([_SU2.real.reshape(4, 4).T, _SU2.imag.reshape(4, 4).T])
 
 
 def _ps_coefficients(degree: int, powers: int) -> np.ndarray:
@@ -118,20 +107,9 @@ class IntegrationError(RuntimeError):
         self.estimate = estimate
 
 
-def _pairs(pulses):
-    return pulses.pairs if isinstance(pulses, PulseTrain) else (pulses,)
-
-
-def _fields(pulses, t):
-    if isinstance(pulses, PulseTrain):
-        return train_envelopes(pulses, t)
-    return pair_envelopes(pulses, t)
-
-
-def _span(pulses):
-    if isinstance(pulses, PulseTrain):
-        return train_window(pulses)
-    return window(pulses)
+def _train(pulses) -> PulseTrain:
+    """A pair as the one-pair train it is; a train as it is."""
+    return pulses if isinstance(pulses, PulseTrain) else PulseTrain((pulses,))
 
 
 def _matrix(entries, dim: int) -> np.ndarray:
@@ -149,15 +127,15 @@ def hamiltonian(pulses, sys: SystemParams, t) -> np.ndarray:
 
     A scalar t gives one 3x3 matrix, an array t a (*t.shape, 3, 3) stack.
     """
-    wp, ws = _fields(pulses, t)
+    wp, ws = train_envelopes(_train(pulses), t)
     wp, ws = 0.5 * wp, 0.5 * ws
     return _matrix({(0, 1): wp, (1, 0): np.conj(wp),
                     (1, 1): sys.delta - 0.5j * sys.gamma,
                     (1, 2): ws, (2, 1): np.conj(ws)}, 3)
 
 
-def _min_width(pulses):
-    return min(min(p.pump.width, p.stokes.width) for p in _pairs(pulses))
+def _min_width(train: PulseTrain):
+    return min(min(p.pump.width, p.stokes.width) for p in train.pairs)
 
 
 def _breakpoints(pulses, t_span) -> np.ndarray:
@@ -165,7 +143,7 @@ def _breakpoints(pulses, t_span) -> np.ndarray:
     it: the envelopes' second derivatives jump there, so steps end there."""
     t_i, t_f = t_span
     points = {t_i, t_f}
-    for pair in _pairs(pulses):
+    for pair in _train(pulses).pairs:
         for shape in (pair.pump, pair.stokes):
             if shape.kind is ShapeKind.SINE_SQUARED:
                 points.update(x for x in (shape.center_or_start,
@@ -238,8 +216,8 @@ def _su2_exp(trace, v) -> np.ndarray:
     # At |v| = 0 the smallest normal float stands in for |v|: sin x / x
     # and cos x are exactly 1 there, as they are at 0.
     norm = np.maximum(np.sqrt(np.einsum("im,im->m", v, v)), np.finfo(float).tiny)
-    q = _SU2 @ np.concatenate([np.cos(norm)[None], (np.sin(norm) / norm) * v])
-    u = (q[:4] + 1j * q[4:]).reshape(2, 2, -1)
+    c, (x, y, z) = np.cos(norm), (np.sin(norm) / norm) * v
+    u = np.array([[c - 1j * z, -y - 1j * x], [y - 1j * x, c + 1j * z]])
     return u * np.exp(-1j * trace)
 
 
@@ -254,23 +232,22 @@ def _magnus4(generator):
     return step, 4
 
 
-def _magnus6_su2(generator):
-    """The sixth-order kernel of a Hermitian 2x2 generator: (2, 2, m) step
-    stacks in closed form from H on the three nodes.
+def _magnus6_su2(parts):
+    """The sixth-order kernel of H = trace + (x, y, z).sigma, a Hermitian
+    2x2 generator given as parts(t), the real (4, *t.shape) stack of
+    (trace, x, y, z), which is all it reads: (2, 2, m) step stacks in
+    closed form from H on the three nodes.
 
-    Each alpha_k of Blanes et al. is -i(t_k + a_k.sigma) with a real
-    trace t_k and vector a_k, and [x.sigma, y.sigma] = 2i (x*y).sigma, so
-    their commutators are cross products: with p = a1*a2, C1 is 2p and
-    C2 is -(1/15) a1*(a3 + p), and the step is exp(-i(t + w.sigma)) with
-    t = t1 + t3/12 and w = a1 + a3/12 + (1/120) (2p - 20 a1 - a3)*(a2 + C2).
+    Each alpha_k = h sum_n _ALPHA[k, n] H(node n) of Blanes et al. is
+    -i(t_k + a_k.sigma) with a real trace t_k and vector a_k, and
+    [x.sigma, y.sigma] = 2i (x*y).sigma, so their commutators are cross
+    products: with p = a1*a2, C1 is 2p and C2 is -(1/15) a1*(a3 + p), and
+    the step is exp(-i(t + w.sigma)) with t = t1 + t3/12 and
+    w = a1 + a3/12 + (1/120) (2p - 20 a1 - a3)*(a2 + C2).
     """
     def step(start, h):
-        m = len(start)
-        # The parts of the entries of H at the nodes as (node, part) rows,
-        # to the (trace, x, y, z) parts of alpha_1..3: (4, 3, m).
-        g = np.asarray(generator(start + _NODES6[:, None] * h), complex)
-        entries = g.reshape(3, m, 4).view(float).transpose(0, 2, 1)
-        alpha = (_ALPHA_PARTS @ entries.reshape(24, m)).reshape(4, 3, m) * h
+        # (trace, x, y, z) of alpha_1..3: (4, 3, m).
+        alpha = (_ALPHA @ parts(start + _NODES6[:, None] * h)) * h
         t, (a1, a2, a3) = alpha[0], alpha[1:].transpose(1, 0, 2)
         p = _cross(a1, a2)
         c2 = (-1.0 / 15.0) * _cross(a1, a3 + p)
@@ -309,18 +286,19 @@ def _integrate(kernel, pulses, t_span, hermitian, rtol, atol, margin=1.0) -> np.
     would otherwise creep up the ladder one doubling at a time. An
     IntegrationError quotes rtol and atol as given.
     """
-    t_i, t_f = _span(pulses) if t_span is None else t_span
+    train = _train(pulses)
+    t_i, t_f = train_window(train) if t_span is None else t_span
     if not t_i < t_f:
         raise ValueError("need t_i < t_f")
-    breaks = _breakpoints(pulses, (float(t_i), float(t_f)))
+    breaks = _breakpoints(train, (float(t_i), float(t_f)))
     # Start from steps of at most half a pulse width, so that no envelope
     # is stepped over unsampled. The count is checked as a float: cast
     # first, a window of 1e19 widths would wrap around int64.
-    steps = np.ceil(np.diff(breaks) / (0.5 * _min_width(pulses)))
+    steps = np.ceil(np.diff(breaks) / (0.5 * _min_width(train)))
     if not 2 * steps.sum() <= _MAX_STEPS:
         raise IntegrationError(
             f"Magnus stepping needs over {_MAX_STEPS} steps for a window of "
-            f"{t_f - t_i:g} with pulses {_min_width(pulses):g} wide", float(t_i),
+            f"{t_f - t_i:g} with pulses {_min_width(train):g} wide", float(t_i),
             steps=float(2 * steps.sum()))
     steps = steps.astype(np.int64)
     tol = (atol + rtol) / margin
@@ -405,9 +383,13 @@ def propagate_state(initial, pulses, sys: SystemParams, t_span=None,
     return propagate(pulses, sys, t_span, rtol, atol) @ c
 
 
-def _require_real_envelopes(pair: PulsePair):
+def _resonant_parts(pair: PulsePair, t) -> np.ndarray:
+    """(trace, x, y, z) of the resonant two-state matrix: (0, Wp/2, 0, -Ws/2)."""
     if pair.pump_phase % (2 * np.pi) != 0.0 or pair.stokes_phase % (2 * np.pi) != 0.0:
         raise ValueError("the two-state mapping assumes real envelopes (zero phases)")
+    wp, ws = pair_envelopes(pair, t)
+    zero = np.zeros(np.shape(wp))
+    return np.array([zero, 0.5 * wp.real, zero, -0.5 * ws.real])
 
 
 def resonant_two_state_hamiltonian(pair: PulsePair, t) -> np.ndarray:
@@ -416,10 +398,8 @@ def resonant_two_state_hamiltonian(pair: PulsePair, t) -> np.ndarray:
     Valid on one-photon resonance with gamma = 0 and real envelopes. An
     array t gives a (*t.shape, 2, 2) stack.
     """
-    _require_real_envelopes(pair)
-    wp, ws = pair_envelopes(pair, t)
-    wp, ws = 0.5 * wp.real, 0.5 * ws.real
-    return _matrix({(0, 0): -ws, (0, 1): wp, (1, 0): wp, (1, 1): ws}, 2)
+    _, x, _, z = _resonant_parts(pair, t)
+    return _matrix({(0, 0): z, (0, 1): x, (1, 0): x, (1, 1): -z}, 2)
 
 
 def propagate_two_state(pair: PulsePair, t_span=None,
@@ -430,12 +410,11 @@ def propagate_two_state(pair: PulsePair, t_span=None,
     resonant_two_state_hamiltonian: the three-state propagator is quadratic
     in the Cayley-Klein parameters, which restores the full rotation angle.
     """
-    _require_real_envelopes(pair)
     return _integrate(_two_state_kernel(pair), pair, t_span, True, rtol, atol)
 
 
 def _two_state_kernel(pair: PulsePair):
-    return _magnus6_su2(lambda t: 0.5 * resonant_two_state_hamiltonian(pair, t))
+    return _magnus6_su2(lambda t: 0.5 * _resonant_parts(pair, t))
 
 
 def effective_two_state(pair: PulsePair, delta: float):
@@ -472,10 +451,11 @@ def propagate_effective(pair: PulsePair, delta: float, t_span=None,
     if delta == 0:
         raise ValueError("adiabatic elimination needs a nonzero detuning")
 
-    def generator(t):
+    def parts(t):
         wp, ws = pair_envelopes(pair, t)
         c = -0.25 / delta
-        return _matrix({(0, 0): c * abs(wp) ** 2, (0, 1): c * wp * ws,
-                        (1, 0): c * np.conj(wp * ws), (1, 1): c * abs(ws) ** 2}, 2)
+        pump, stokes, h01 = abs(wp) ** 2, abs(ws) ** 2, c * wp * ws
+        return np.array([0.5 * c * (pump + stokes), h01.real, -h01.imag,
+                         0.5 * c * (pump - stokes)])
 
-    return _integrate(_magnus6_su2(generator), pair, t_span, True, rtol, atol)
+    return _integrate(_magnus6_su2(parts), pair, t_span, True, rtol, atol)

@@ -200,15 +200,21 @@ def monte_carlo_phase_noise(spec: ScanSpec, sigma: float, samples: int,
             for i, coords in enumerate(grid_coords(spec.axes))]
 
 
+def _decay_rates(gammas) -> np.ndarray:
+    """The decay rates of a SweepAxis or an array, checked to be >= 0."""
+    gammas = gammas.values() if isinstance(gammas, SweepAxis) else np.asarray(gammas, float)
+    if np.any(gammas < 0):
+        raise ValueError("decay rates must be >= 0")
+    return gammas
+
+
 def decay_scan(spec: ScanSpec, gammas) -> dict[str, list[FidelityResult]]:
     """Infidelity versus decay rate for the single pair and the composite.
 
     Pulse pairs sit back-to-back (spec.gap, default 0). Both curves come
     from the same per-gamma pair propagation.
     """
-    gammas = gammas.values() if isinstance(gammas, SweepAxis) else np.asarray(gammas, float)
-    if np.any(gammas < 0):
-        raise ValueError("decay rates must be >= 0")
+    gammas = _decay_rates(gammas)
     requests = [_request(phases.resonant_phases(1)), _request(spec.sequence)]
     rows = [_evaluate(spec, (("gamma", float(g)),), requests) for g in gammas]
     return {"single": [r[0] for r in rows], "composite": [r[1] for r in rows]}
@@ -226,13 +232,13 @@ def decay_compensation_check(spec: ScanSpec, gammas, threshold: float,
 
     Coarse geometric ascent brackets the crossing, bisection refines it;
     unreachable thresholds are recorded as None. The exponent is fitted on
-    log-log axes over the reachable rows. An infidelity that is not
-    finite raises ValueError instead of passing for an unreachable
-    threshold.
+    log-log axes over the reachable rows with gamma > 0. An infidelity
+    that is not finite raises ValueError instead of passing for an
+    unreachable threshold.
     """
     if threshold <= 0:
         raise ValueError("threshold must be > 0")
-    gammas = gammas.values() if isinstance(gammas, SweepAxis) else np.asarray(gammas, float)
+    gammas = _decay_rates(gammas)
     seq = spec.sequence
 
     def infid(omega0, g):
@@ -264,7 +270,7 @@ def decay_compensation_check(spec: ScanSpec, gammas, threshold: float,
                 lo = mid
         rows.append((float(g), hi))
 
-    fitted = [(g, o) for g, o in rows if o is not None]
+    fitted = [(g, o) for g, o in rows if o is not None and g > 0]
     exponent = None
     if len(fitted) >= 2:
         lg = np.log([g for g, _ in fitted])

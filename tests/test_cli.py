@@ -599,11 +599,12 @@ def _refuse_to_compute(cfg):
 
 
 @pytest.mark.parametrize("where", ["flag", "key"])
-@pytest.mark.parametrize("target", ["missing", "directory"])
+@pytest.mark.parametrize("target", ["missing", "directory", "empty"])
 def test_out_destination_checked_before_computing(tmp_path, capsys, monkeypatch,
                                                   where, target):
     monkeypatch.setattr(cli, "run_experiment", _refuse_to_compute)
-    out = str(tmp_path / "missing" / "t.csv" if target == "missing" else tmp_path)
+    out = {"missing": str(tmp_path / "missing" / "t.csv"), "directory": str(tmp_path),
+           "empty": ""}[target]
     cfg = _scan_config(out=out) if where == "key" else _scan_config()
     argv = ["scan", "--config", _write(tmp_path, "scan.json", cfg)]
     assert main(argv + (["--out", out] if where == "flag" else [])) == 1

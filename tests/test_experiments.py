@@ -240,6 +240,20 @@ def test_compensation_search_monotone():
     assert res.exponent is not None and res.exponent > 0
 
 
+def test_compensation_keeps_a_zero_decay_row_out_of_the_fit():
+    # log 0 is -inf: a gamma = 0 row is searched and kept, but not fitted.
+    spec = _spec(sequence=resonant_phases(3))
+    res = decay_compensation_check(spec, [0.0, 0.2, 0.6], threshold=2e-2, iters=12)
+    ref = decay_compensation_check(spec, [0.2, 0.6], threshold=2e-2, iters=12)
+    assert res.rows[0][0] == 0.0
+    assert res.rows[1:] == ref.rows and res.exponent == ref.exponent
+
+
+def test_compensation_rejects_negative_decay():
+    with pytest.raises(ValueError, match="decay rates must be >= 0"):
+        decay_compensation_check(_spec(), [0.2, -0.1], threshold=2e-2)
+
+
 def test_compensation_overflow_is_an_error():
     # A gap phase that overflows makes every composed infidelity NaN; that
     # must not pass for a threshold no drive reaches.

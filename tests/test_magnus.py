@@ -16,7 +16,7 @@ from cstirap import dynamics
 from cstirap.dynamics import (IntegrationError, SystemParams, hamiltonian,
                               propagate, propagate_effective, propagate_two_state)
 from cstirap.phases import cap_phases, resonant_phases
-from cstirap.pulses import ShapeKind, build_train, make_pair, window
+from cstirap.pulses import PulseTrain, ShapeKind, build_train, make_pair, window
 
 MAGNUS = dict(rtol=1e-8, atol=1e-10)
 AGREE = 1e-7
@@ -149,7 +149,7 @@ def test_kernel_evaluates_generator_once_per_block(kernel, nodes, dim, blocks):
 
     def generator(t):
         calls.append(t.shape)
-        return np.zeros(t.shape + (dim, dim))
+        return np.zeros((4,) + t.shape) if dim == 2 else np.zeros(t.shape + (dim, dim))
 
     last = 7
     total = (blocks - 1) * dynamics._CHUNK + last
@@ -319,6 +319,20 @@ def test_three_state_kernel_matches_resonant_route(kind, omega0):
     direct = dynamics._integrate(dynamics._magnus4(lambda t: hamiltonian(pair, sys, t)), pair,
                                  None, True, dynamics.DEFAULT_RTOL, dynamics.DEFAULT_ATOL)
     assert _dev(direct, propagate(pair, sys)) < 1e-9
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(shapes, omegas, st.floats(-100.0, 100.0), st.floats(0.0, 2.0),
+       st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))
+def test_pair_propagates_as_one_pair_train(kind, omega0, delta, gamma, pump_phase,
+                                           stokes_phase):
+    # Inside dynamics a pair is the one-pair train it stands for: over the
+    # same window both give the same propagator, bit for bit.
+    pair = make_pair(kind, omega0, pump_phase=pump_phase, stokes_phase=stokes_phase)
+    sys = SystemParams(delta, gamma)
+    span = window(pair)
+    np.testing.assert_array_equal(propagate(pair, sys, span, **MAGNUS),
+                                  propagate(PulseTrain((pair,)), sys, span, **MAGNUS))
 
 
 @pytest.mark.parametrize("case,routed", [

@@ -9,8 +9,18 @@ BENCH_<n>.json at the root of the checkout with the git SHA, nproc, the
 numpy and scipy versions and every metric key that BENCHMARK.json
 declares. A key that a run does not report is written as null. Run it
 on a committed tree: the file records HEAD and whether the tree was dirty.
-SEED and SECONDS are constants, not options, so that every BENCH file
-is comparable with the one before it.
+
+The host's speed drifts between recordings, so the files are compared
+through `versus_parent`, not with each other. The parent is the commit
+named by the newest BENCH_<m>.json with m < n. It is checked out with
+`git worktree add --detach` under a temporary directory, and each tree's
+own perfbench/run.py runs PAIRS alternating pairs per workload: pair k
+runs both trees at seed SEED + k, and the tree that runs first alternates
+from pair to pair. Per end-to-end metric the key holds both medians, the
+ratio change/parent and the number of pairs the change won.
+
+SEED, SECONDS and PAIRS are constants, not options, so that every BENCH
+file is comparable with the one before it.
 """
 
 from __future__ import annotations
@@ -19,8 +29,10 @@ import argparse
 import json
 import os
 import re
+import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -31,6 +43,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 SEED = 0
 SECONDS = 10.0
+PAIRS = 5
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider", "--durations=10"]
 
@@ -40,24 +53,71 @@ def _git(*args) -> str:
                           check=True).stdout.strip()
 
 
-def _perfbench(trace: int) -> dict:
-    """{workload: result}, one run.py process per workload.
+def _run(tree: Path, workload: str, seed: int, trace: int) -> dict:
+    """The result of the perfbench/run.py of `tree` on one workload.
 
-    One `--workload all` process would skew peak_rss_mb: a child's
-    ru_maxrss includes the memory of the process it was forked from, and
-    run.py grows as it checks each workload's tables.
+    One process per workload: one `--workload all` process would skew
+    peak_rss_mb, since a child's ru_maxrss includes the memory of the
+    process it was forked from, and run.py grows as it checks each
+    workload's tables.
     """
-    results = {}
-    for w in SPEC["workloads"]:
-        proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", w["name"],
-                               "--seed", str(SEED), "--seconds", str(SECONDS),
-                               "--trace", str(trace)],
-                              cwd=ROOT, capture_output=True, text=True)
-        if proc.returncode:
-            sys.exit(f"perfbench {w['name']} --trace {trace} exited {proc.returncode}:\n"
-                     f"{proc.stderr}")
-        results[w["name"]] = json.loads(proc.stdout.splitlines()[-1])
-    return results
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seed", str(seed), "--seconds", str(SECONDS),
+                           "--trace", str(trace)],
+                          cwd=tree, capture_output=True, text=True)
+    if proc.returncode:
+        sys.exit(f"perfbench {workload} --trace {trace} in {tree} exited "
+                 f"{proc.returncode}:\n{proc.stderr}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _perfbench(trace: int) -> dict:
+    return {w["name"]: _run(ROOT, w["name"], SEED, trace) for w in SPEC["workloads"]}
+
+
+def _parent_sha(n: int) -> str:
+    """The commit recorded by the newest BENCH_<m>.json with m < n."""
+    older = [(int(m[1]), path) for path in ROOT.glob("BENCH_*.json")
+             if (m := re.fullmatch(r"BENCH_(\d+)\.json", path.name)) and int(m[1]) < n]
+    if not older:
+        sys.exit(f"no BENCH_<m>.json with m < {n} names a parent commit")
+    return json.loads(max(older)[1].read_text())["sha"]
+
+
+def _compare(metric: dict, parent: list, change: list) -> dict:
+    """Medians, their ratio change/parent and the pairs the change won."""
+    if None in parent or None in change:
+        return {"parent": None, "change": None, "ratio": None, "won": None}
+    sign = 1.0 if metric["better"] == "higher" else -1.0
+    p, c = statistics.median(parent), statistics.median(change)
+    return {"parent": p, "change": c, "ratio": c / p if p else None,
+            "won": sum(sign * (b - a) > 0 for a, b in zip(parent, change))}
+
+
+def _versus_parent(sha: str) -> dict:
+    """PAIRS alternating end-to-end runs of the parent and this tree."""
+    workloads = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        parent = Path(tmp) / "parent"
+        _git("worktree", "add", "--detach", str(parent), sha)
+        try:
+            for w in SPEC["workloads"]:
+                runs = {parent: [], ROOT: []}
+                for k in range(PAIRS):
+                    for tree in (parent, ROOT) if k % 2 == 0 else (ROOT, parent):
+                        runs[tree].append(_run(tree, w["name"], SEED + k, 0))
+                values = {tree: [_values(r, "end_to_end") for r in rs]
+                          for tree, rs in runs.items()}
+                workloads[w["name"]] = {
+                    "correct": all(r["correct"] for rs in runs.values() for r in rs),
+                    "end_to_end": {
+                        m["name"]: _compare(m, [v[m["name"]] for v in values[parent]],
+                                            [v[m["name"]] for v in values[ROOT]])
+                        for m in SPEC["end_to_end"]},
+                }
+        finally:
+            _git("worktree", "remove", "--force", str(parent))
+    return {"sha": sha, "pairs": PAIRS, "workloads": workloads}
 
 
 def _tier1() -> dict:
@@ -85,6 +145,7 @@ def main() -> int:
     parser.add_argument("n", type=int, help="the number in BENCH_<n>.json")
     args = parser.parse_args()
 
+    parent_sha = _parent_sha(args.n)
     plain = _perfbench(0)
     traced = _perfbench(1)
     workloads = {}
@@ -109,6 +170,7 @@ def main() -> int:
         "perfbench": {"seed": SEED, "seconds": SECONDS},
         "workloads": workloads,
         "tier1": _tier1(),
+        "versus_parent": _versus_parent(parent_sha),
     }
     out = ROOT / f"BENCH_{args.n}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
