@@ -12,6 +12,7 @@ occurred (the table is still written, failed points carry NaN rows and an
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -94,12 +95,6 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _reject_unknown(section: dict, allowed, path: str, problems: list):
-    for key in section:
-        if key not in allowed:
-            problems.append(f"{path}.{key}: unknown key")
-
-
 def _positive(x) -> bool:
     return _is_number(x) and x > 0
 
@@ -115,6 +110,7 @@ def _count(x) -> bool:
 # section -> (problem when the section is absent, or None if {} stands in;
 #             key -> (default, check, conversion of a non-null value, problem)).
 # The resolved section (keys in this order) is what the config hash covers.
+# The "grid" table applies to each axis; its keys are in SweepAxis field order.
 _SECTIONS = {
     "pulse": ("required for this experiment", {
         "shape": (None, lambda x: isinstance(x, str) and x in _SHAPES, str,
@@ -141,131 +137,121 @@ _SECTIONS = {
         "xatol": (1e-6, _positive, float, "must be > 0"),
         "simplex_step": (0.01, _positive, float, "must be > 0"),
     }),
+    "sequence": (None, {
+        "source": ("single", lambda x: x in ("single", "resonant", "cap", "explicit"),
+                   str, "must be single|resonant|cap|explicit"),
+        "n": (1, lambda x: _count(x) and x % 2 == 1, int, "must be a positive odd integer"),
+        **{key: (None, lambda x: x is None or isinstance(x, list) and all(map(_is_number, x)),
+                 lambda x: tuple(map(float, x)), "must be a list of numbers")
+           for key in ("pump_phases", "stokes_phases")},
+        "alternate": (None, lambda x: x is None or isinstance(x, bool), bool,
+                      "must be true or false"),
+    }),
+    "grid": (None, {
+        "name": (None, lambda x: x in experiments.AXIS_NAMES, str,
+                 "must be one of " + "|".join(experiments.AXIS_NAMES)),
+        "min": (None, _is_number, float, "must be a finite number"),
+        "max": (None, _is_number, float, "must be a finite number"),
+        "points": (None, lambda x: _is_int(x) and x >= 2, int, "must be an integer >= 2"),
+        "spacing": ("linear", lambda x: x in ("linear", "log"), str,
+                    "must be 'linear' or 'log'"),
+    }),
 }
 
 
-def _parse_section(data, name, problems):
-    """The section's resolved dict (defaults filled), or None after adding
-    its problems."""
-    absent, keys = _SECTIONS[name]
-    section = data.get(name, None if absent else {})
-    if section is None and absent:
-        problems.append(f"{name}: {absent}")
-        return None
+def _parse_section(section, keys, path, problems):
+    """`section` checked against the key table `keys` and resolved (defaults
+    filled, keys in table order), or None after adding its problems, each
+    at its key path under `path`."""
     if not isinstance(section, dict):
-        problems.append(f"{name}: must be an object")
+        problems.append(f"{path}: must be an object")
         return None
     before = len(problems)
-    _reject_unknown(section, keys, name, problems)
+    problems.extend(f"{path}.{key}: unknown key" for key in section if key not in keys)
     resolved = {}
     for key, (default, check, convert, problem) in keys.items():
         value = section.get(key, default)
         if check(value):
             resolved[key] = None if value is None else convert(value)
         else:
-            problems.append(f"{name}.{key}: {problem}")
+            problems.append(f"{path}.{key}: {problem}")
     return None if len(problems) > before else resolved
 
 
+def _section(data, name, problems):
+    """The top-level section `name`, resolved by _parse_section."""
+    absent, keys = _SECTIONS[name]
+    section = data.get(name, None if absent else {})
+    if section is None and absent:
+        problems.append(f"{name}: {absent}")
+        return None
+    return _parse_section(section, keys, name, problems)
+
+
 def _parse_sequence(data, experiment, problems):
-    s = data.get("sequence", {})
-    if not isinstance(s, dict):
-        problems.append("sequence: must be an object")
+    s = _section(data, "sequence", problems)
+    if s is None:
         return None
-    _reject_unknown(s, {"source", "n", "pump_phases", "stokes_phases", "alternate"},
-                    "sequence", problems)
-    source = s.get("source", "single")
-    if source not in ("single", "resonant", "cap", "explicit"):
-        problems.append("sequence.source: must be single|resonant|cap|explicit")
-        return None
-    n = s.get("n", 1)
-    if not _is_int(n) or n < 1 or n % 2 == 0:
-        problems.append("sequence.n: must be a positive odd integer")
-        return None
+    source, n = s["source"], s["n"]
+    before = len(problems)
     if n > _MAX_PAIRS:
         problems.append(f"sequence.n: may be at most {_MAX_PAIRS}")
-        return None
-    if experiment == "phases" and source not in ("resonant", "cap"):
+    elif experiment == "phases" and source not in ("resonant", "cap"):
         problems.append("sequence.source: the phases experiment prints the "
                         "'resonant' or 'cap' tables")
-        return None
-    if source == "explicit":
-        pump, stokes = s.get("pump_phases"), s.get("stokes_phases")
-        alternate = s.get("alternate")
-        before = len(problems)
-        for name, val in (("pump_phases", pump), ("stokes_phases", stokes)):
-            if (not isinstance(val, list) or len(val) != n
-                    or not all(_is_number(v) for v in val)):
-                problems.append(f"sequence.{name}: must be a list of {n} numbers")
-        if not isinstance(alternate, bool):
+    elif source == "explicit":
+        for key in ("pump_phases", "stokes_phases"):
+            if s[key] is None or len(s[key]) != n:
+                problems.append(f"sequence.{key}: must be a list of {n} numbers")
+        if s["alternate"] is None:
             problems.append("sequence.alternate: must be true or false")
-        if len(problems) > before:
-            return None
-        return {"source": source, "n": n,
-                "pump_phases": tuple(float(v) for v in pump),
-                "stokes_phases": tuple(float(v) for v in stokes), "alternate": alternate}
-    for key in ("pump_phases", "stokes_phases", "alternate"):
-        if key in s:
-            problems.append(f"sequence.{key}: only meaningful with source 'explicit'")
-    if source == "single" and n != 1:
-        problems.append("sequence.n: a single pair means n = 1")
-    return {"source": source, "n": n}
+    else:
+        problems.extend(f"sequence.{key}: only meaningful with source 'explicit'"
+                        for key in ("pump_phases", "stokes_phases", "alternate")
+                        if key in data.get("sequence", {}))
+        if source == "single" and n != 1:
+            problems.append("sequence.n: a single pair means n = 1")
+        s = {"source": source, "n": n}
+    return None if len(problems) > before else s
 
 
 def _parse_grid(data, experiment, problems):
+    """(resolved axis entries, SweepAxis tuple), or (None, ()) after adding
+    the problems."""
     g = data.get("grid", [])
     if not isinstance(g, list):
         problems.append("grid: must be a list of axis objects")
-        return None
-    axes = []
-    broken = False
-    rows = 1
+        return None, ()
+    before = len(problems)
+    entries, axes, rows = [], [], 1
     for i, entry in enumerate(g):
         path = f"grid[{i}]"
-        if not isinstance(entry, dict):
-            problems.append(f"{path}: must be an object")
-            broken = True
-            continue
-        _reject_unknown(entry, {"name", "min", "max", "points", "spacing"},
-                        path, problems)
-        name = entry.get("name")
-        lo, hi = entry.get("min"), entry.get("max")
-        points = entry.get("points")
-        spacing = entry.get("spacing", "linear")
-        if (not isinstance(name, str) or not _is_number(lo) or not _is_number(hi)
-                or not _is_int(points) or not isinstance(spacing, str)):
-            problems.append(f"{path}: needs name (string), min/max (numbers), "
-                            "points (integer), optional spacing")
-            broken = True
+        axis = _parse_section(entry, _SECTIONS["grid"][1], path, problems)
+        if axis is None:
             continue
         try:
-            axes.append(experiments.SweepAxis(name, float(lo), float(hi),
-                                              points, spacing))
+            axes.append(experiments.SweepAxis(*axis.values()))
         except ValueError as exc:
             problems.append(f"{path}: {exc}")
-            broken = True
             continue
+        name, lo, points = axis["name"], axis["min"], axis["points"]
         if name in _NONNEGATIVE_AXES and lo < 0:
             problems.append(f"{path}: {name} axis must stay >= 0 (min is {lo:g})")
-            broken = True
         if rows <= _MAX_GRID_ROWS < rows * points:
             problems.append(f"{path}: the grid may have at most {_MAX_GRID_ROWS} rows")
-            broken = True
         rows *= points
-    if broken:
-        return None
-    arity = _GRID_ARITY.get(experiment)
-    if arity is not None and len(axes) not in arity:
-        want = " or ".join(str(a) for a in arity)
-        problems.append(f"grid: {experiment!r} takes {want} swept axes, got {len(axes)}")
-        return None
-    if experiment == "decay" and axes and axes[0].name != "gamma":
-        problems.append("grid: the decay experiment sweeps 'gamma'")
-        return None
-    if experiment == "contour" and len(axes) == 2 and axes[0].name == axes[1].name:
-        problems.append("grid: contour axes must differ")
-        return None
-    return tuple(axes)
+        entries.append(axis)
+    if len(problems) == before:
+        arity = _GRID_ARITY[experiment]
+        names = [ax.name for ax in axes]
+        if len(axes) not in arity:
+            want = " or ".join(str(a) for a in arity)
+            problems.append(f"grid: {experiment!r} takes {want} swept axes, got {len(axes)}")
+        elif experiment == "decay" and names != ["gamma"]:
+            problems.append("grid: the decay experiment sweeps 'gamma'")
+        elif experiment == "contour" and len(set(names)) < len(names):
+            problems.append("grid: contour axes must differ")
+    return (None, ()) if len(problems) > before else (entries, tuple(axes))
 
 
 def parse_config(data, experiment: str, seed: int | None = None) -> RunConfig:
@@ -295,9 +281,9 @@ def parse_config(data, experiment: str, seed: int | None = None) -> RunConfig:
                 "sequence": _parse_sequence(data, experiment, problems)}
     if experiment != "phases":
         for name in ("pulse", "system", "tolerance"):
-            resolved[name] = _parse_section(data, name, problems)
+            resolved[name] = _section(data, name, problems)
         gap = data.get("gap", 0.0)
-        if not _is_number(gap) or gap < 0:
+        if not _nonnegative(gap):
             problems.append("gap: must be a number >= 0")
             gap = 0.0
         resolved["gap"] = float(gap)
@@ -306,15 +292,11 @@ def parse_config(data, experiment: str, seed: int | None = None) -> RunConfig:
 
     axes = ()
     if "grid" in allowed:
-        axes = _parse_grid(data, experiment, problems)
-        if axes is not None:
-            resolved["grid"] = [{"name": ax.name, "min": ax.start, "max": ax.stop,
-                                 "points": ax.points, "spacing": ax.spacing}
-                                for ax in axes]
+        resolved["grid"], axes = _parse_grid(data, experiment, problems)
 
     for name in ("noise", "solver"):
         if name in allowed:
-            resolved[name] = _parse_section(data, name, problems)
+            resolved[name] = _section(data, name, problems)
     if resolved.get("noise") and resolved["noise"]["samples"] > _MAX_SAMPLES:
         problems.append(f"noise.samples: may be at most {_MAX_SAMPLES}")
 
@@ -434,13 +416,6 @@ def run_experiment(cfg: RunConfig) -> tuple[str, bool]:
     return _run_table(cfg)
 
 
-def _u64(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2 ** 64:
-        raise argparse.ArgumentTypeError("seed must fit in 64 unsigned bits")
-    return value
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -457,16 +432,18 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(kind)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", help="output file (default stdout)")
-        p.add_argument("--seed", type=_u64, help="overrides the config seed")
+        p.add_argument("--seed", type=int, help="overrides the config seed")
         p.add_argument("--threads", type=_positive_int, default=1,
                        help="accepted for compatibility; changes neither "
                             "the output nor the speed")
     return parser
 
 
-def _out_problem(out: str) -> str | None:
-    """Why no table can be written to `out`, checked before any point is
-    computed; whatever else the file system refuses shows at the write."""
+def _out_problem(out: str | None) -> str | None:
+    """Why no table can be written to `out` (None: stdout), checked before
+    any point is computed; whatever else the system refuses shows at the write."""
+    if out is None:
+        return "stdout is closed" if sys.stdout is None else None
     if not out:
         return "the path is empty"
     if os.path.isdir(out):
@@ -504,21 +481,22 @@ def main(argv=None) -> int:
 
     if args.out is not None:
         cfg = replace(cfg, out=args.out)
-    problem = cfg.out is not None and _out_problem(cfg.out)
+    problem = _out_problem(cfg.out)
     if problem:
         print(f"config error: out: {problem}", file=sys.stderr)
         return 1
 
     text, failed = run_experiment(cfg)
-    if cfg.out is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(cfg.out, "w") as fh:
-                fh.write(text)
-        except (OSError, ValueError) as exc:   # ValueError: a NUL in the path
-            print(f"config error: out: {exc}", file=sys.stderr)
-            return 1
+    try:
+        with contextlib.nullcontext(sys.stdout) if cfg.out is None else open(cfg.out, "w") as fh:
+            fh.write(text)
+            fh.flush()
+    except (OSError, ValueError) as exc:   # ValueError: a NUL in the path
+        if cfg.out is None:
+            # The reader has gone: the interpreter's last flush goes to /dev/null.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        print(f"config error: out: {exc}", file=sys.stderr)
+        return 1
     return 2 if failed else 0
 
 

@@ -32,6 +32,8 @@ class SweepAxis:
     def __post_init__(self):
         if self.name not in AXIS_NAMES:
             raise ValueError(f"unknown axis {self.name!r}; choose from {AXIS_NAMES}")
+        if not (abs(self.start) < np.inf and abs(self.stop) < np.inf):
+            raise ValueError("axis ends must be finite")
         if self.points < 2:
             raise ValueError("an axis needs at least 2 points")
         if not self.start < self.stop:
@@ -64,7 +66,7 @@ class ScanSpec:
         names = [ax.name for ax in self.axes]
         if len(set(names)) != len(names):
             raise ValueError("swept parameters must be distinct")
-        if self.gap < 0:
+        if not self.gap >= 0:
             raise ValueError("inter-pair gap must be >= 0")
 
 
@@ -189,7 +191,7 @@ def _noisy_phase_blocks(seq: phases.CompositeSequence, sigma: float, samples: in
 def monte_carlo_phase_noise(spec: ScanSpec, sigma: float, samples: int,
                             seed: int) -> list[FidelityResult]:
     """Mean populations over Gaussian phase noise on every alpha_k, beta_k."""
-    if sigma < 0:
+    if not sigma >= 0:
         raise ValueError("sigma must be >= 0")
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -203,7 +205,7 @@ def monte_carlo_phase_noise(spec: ScanSpec, sigma: float, samples: int,
 def _decay_rates(gammas) -> np.ndarray:
     """The decay rates of a SweepAxis or an array, checked to be >= 0."""
     gammas = gammas.values() if isinstance(gammas, SweepAxis) else np.asarray(gammas, float)
-    if np.any(gammas < 0):
+    if not np.all(gammas >= 0):
         raise ValueError("decay rates must be >= 0")
     return gammas
 
@@ -236,7 +238,7 @@ def decay_compensation_check(spec: ScanSpec, gammas, threshold: float,
     that is not finite raises ValueError instead of passing for an
     unreachable threshold.
     """
-    if threshold <= 0:
+    if not threshold > 0:
         raise ValueError("threshold must be > 0")
     gammas = _decay_rates(gammas)
     seq = spec.sequence

@@ -598,6 +598,82 @@ def _refuse_to_compute(cfg):
     raise AssertionError("a point was computed")
 
 
+
+def _set(cfg, path, value):
+    section, key = path.split(".")
+    (cfg["grid"][0] if section == "grid[0]" else cfg[section])[key] = value
+
+
+# One bad value for every key of every key table: (experiment, key path, value).
+_BAD_VALUES = [
+    ("scan", "pulse.shape", "box"),
+    ("scan", "pulse.omega0", 0),
+    ("scan", "pulse.width", -1.0),
+    ("scan", "pulse.delay", 0.0),
+    ("scan", "system.delta", "3"),
+    ("scan", "system.gamma", -0.1),
+    ("scan", "tolerance.rtol", 0),
+    ("scan", "tolerance.atol", None),
+    ("montecarlo", "noise.sigma", math.nan),
+    ("montecarlo", "noise.samples", 0),
+    ("solve-phases", "solver.budget", 1.5),
+    ("solve-phases", "solver.xatol", -1e-6),
+    ("solve-phases", "solver.simplex_step", True),
+    ("scan", "sequence.source", "box"),
+    ("scan", "sequence.n", 2),
+    ("scan", "sequence.pump_phases", [0.0, "x", 2.0]),
+    ("scan", "sequence.stokes_phases", 1.0),
+    ("scan", "sequence.alternate", 1),
+    ("scan", "grid[0].name", "area"),
+    ("scan", "grid[0].min", math.inf),
+    ("scan", "grid[0].max", "1"),
+    ("scan", "grid[0].points", 1),
+    ("scan", "grid[0].spacing", "cubic"),
+]
+
+
+@pytest.mark.parametrize("kind,path,value", _BAD_VALUES,
+                         ids=[path for _, path, _ in _BAD_VALUES])
+def test_bad_value_names_its_key_path(kind, path, value):
+    cfg = _valid_config(kind)
+    _set(cfg, path, value)
+    with pytest.raises(ConfigError) as err:
+        parse_config(cfg, kind)
+    assert len(err.value.problems) == 1, err.value.problems
+    assert err.value.problems[0].startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("kind", EXPERIMENTS)
+def test_spelled_out_defaults_keep_the_digest(kind):
+    axis = {"name": "gamma", "min": 0.0, "max": 1.0, "points": 3}
+    grid = {"scan": [axis], "decay": [axis],
+            "contour": [axis, dict(axis, name="omega0")]}.get(kind, [])
+    bare = {"pulse": {"shape": "sin2", "omega0": 30.0}, "noise": {"sigma": 0.01}}
+    if kind == "phases":
+        bare["sequence"] = {"source": "cap"}
+    if grid:
+        bare["grid"] = grid
+    full = {"experiment": kind, "seed": 0, "out": None, "gap": 0.0,
+            "sequence": dict({"source": "single", "n": 1}, **bare.get("sequence", {})),
+            "pulse": dict(bare["pulse"], width=1.0, delay=None),
+            "system": {"delta": 0.0, "gamma": 0.0},
+            "tolerance": {"rtol": dynamics.DEFAULT_RTOL, "atol": dynamics.DEFAULT_ATOL},
+            "grid": [dict(a, spacing="linear") for a in grid],
+            "noise": {"sigma": 0.01, "samples": 1000},
+            "solver": {"budget": 2000, "xatol": 1e-6, "simplex_step": 0.01}}
+
+    def allowed(cfg):
+        return {k: v for k, v in cfg.items() if k in _ALLOWED_KEYS[kind]}
+
+    assert parse_config(allowed(bare), kind).digest == parse_config(allowed(full), kind).digest
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_seed_flag_out_of_range_is_a_config_error(tmp_path, capsys, seed):
+    path = _write(tmp_path, "scan.json", _scan_config())
+    assert main(["scan", "--config", path, "--seed", seed]) == 1
+    assert capsys.readouterr().err == "config error: seed: must be an unsigned 64-bit integer\n"
+
 @pytest.mark.parametrize("where", ["flag", "key"])
 @pytest.mark.parametrize("target", ["missing", "directory", "empty"])
 def test_out_destination_checked_before_computing(tmp_path, capsys, monkeypatch,
@@ -663,3 +739,28 @@ def test_main_never_raises_on_arbitrary_config_bytes(tmp_path, capsys, content):
         for out in outs:
             assert main([kind, "--config", str(path)] + out) in (0, 1, 2)
     capsys.readouterr()
+
+
+def test_closed_stdout_exits_1_without_traceback(tmp_path):
+    # The reader of the table is gone before it is written, as in
+    # `cstirap simulate --config small.json | true`.
+    path = tmp_path / "small.json"
+    path.write_bytes(_SMALL)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    argv = [sys.executable, "-m", "cstirap.cli", "simulate", "--config", str(path)]
+    run = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                           text=True)
+    run.stdout.close()
+    err = run.stderr.read()
+    assert run.wait() == 1
+    assert err.startswith("config error: out: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def test_closed_stdout_checked_before_computing(tmp_path, capsys, monkeypatch):
+    # Started with file descriptor 1 closed (`cstirap ... >&-`), Python sets
+    # sys.stdout to None.
+    monkeypatch.setattr(cli, "run_experiment", _refuse_to_compute)
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["scan", "--config", _write(tmp_path, "scan.json", _scan_config())]) == 1
+    assert capsys.readouterr().err == "config error: out: stdout is closed\n"

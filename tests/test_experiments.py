@@ -270,3 +270,22 @@ def test_compensation_unreachable_threshold():
     assert res.exponent is None
     with pytest.raises(ValueError):
         decay_compensation_check(spec, [0.5], threshold=0.0)
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: _spec(gap=_NAN),
+    lambda: SweepAxis("omega0", 1.0, _INF, 3),
+    lambda: SweepAxis("omega0", _NAN, 1.0, 3),
+    lambda: SweepAxis("delta", -_INF, 1.0, 3),
+    lambda: decay_compensation_check(_spec(), [0.2], threshold=_NAN),
+    lambda: decay_scan(_spec(), [0.2, _NAN]),
+    lambda: monte_carlo_phase_noise(_spec(), _NAN, 10, 0),
+], ids=["gap", "axis-max-inf", "axis-min-nan", "axis-min-minus-inf", "threshold",
+        "decay-rate", "sigma"])
+def test_range_checks_reject_nan_and_infinity(call):
+    # Each check is written so that NaN fails it, as a value out of range.
+    with pytest.raises(ValueError):
+        call()
