@@ -7,10 +7,13 @@ loses population at rate gamma through the non-Hermitian diagonal term.
 All propagators share one integrator, a Magnus method (Blanes, Casas,
 Oteo and Ros, Phys. Rep. 470, 151 (2009)) on blocks of steps held
 component-major, as (d, d, steps) arrays, and the step kernel the
-caller picks. _magnus4 takes fourth-order steps of a 3x3 generator on two
-Gauss nodes, each step exponential one Taylor polynomial in
-Paterson-Stockmeyer form, its degree picked by the block's 1-norm, with
-scaling and squaring. _magnus6_su2 takes sixth-order steps in closed form
+caller picks. A 3x3 generator takes sixth-order steps on three Gauss
+nodes (_magnus6), each segment starting with steps of h ||H|| <= 3,
+inside the Magnus convergence radius pi. Where those would pass the step
+limit, it takes fourth-order steps on two nodes (_magnus4) from half a
+pulse width instead. Each 3x3 step exponential is one Taylor polynomial
+in Paterson-Stockmeyer form, its degree picked by the block's 1-norm,
+with scaling and squaring. _magnus6_su2 takes sixth-order steps in closed form
 of a Hermitian 2x2 generator given as its real parts (trace, x, y, z), on
 three Gauss nodes: its Magnus terms are real sigma-vectors, their
 commutators cross products, and each exponential is
@@ -25,6 +28,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from sys import float_info
 
 import numpy as np
 
@@ -46,12 +50,12 @@ _CHUNK = 512
 # Step doubling gives up beyond this many steps per propagator.
 _MAX_STEPS = 1 << 20
 # Gauss-Legendre nodes on [0, 1] and the commutator coefficient of the
-# fourth-order Magnus expansion (3x3 generators).
+# fourth-order Magnus expansion.
 _NODES = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
 _COMMUTATOR = math.sqrt(3.0) / 12.0
-# The three Gauss-Legendre nodes of the sixth-order expansion (2x2), and
-# its alpha_1, alpha_2, alpha_3 per unit step as weights of the generator
-# at those nodes (Blanes et al.).
+# The three Gauss-Legendre nodes of the sixth-order expansion, and its
+# alpha_1, alpha_2, alpha_3 per unit step as weights of the generator at
+# those nodes (Blanes et al.).
 _NODES6 = 0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0
 _ALPHA = np.array([[0.0, 1.0, 0.0],
                    [-math.sqrt(15.0) / 3.0, 0.0, math.sqrt(15.0) / 3.0],
@@ -85,7 +89,8 @@ class SystemParams:
     gamma: float = 0.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.delta) and np.isfinite(self.gamma)):
+        # Exact for integers, where np.isfinite fails on one beyond float range.
+        if not (abs(self.delta) <= float_info.max and abs(self.gamma) <= float_info.max):
             raise ValueError("detuning and decay must be finite")
         if self.gamma < 0:
             raise ValueError("decay rate must be >= 0")
@@ -204,6 +209,11 @@ def _steps(breaks, steps, k):
     return breaks[seg] + (k - ends[seg] + steps[seg]) * h, h
 
 
+def _commutator(a, b):
+    """[a, b] of component-major stacks."""
+    return _mul(a, b) - _mul(b, a)
+
+
 def _cross(a, b):
     """Cross products of (3, m) stacks of vectors."""
     outer = a[:, None] * b[None]
@@ -227,9 +237,30 @@ def _magnus4(generator):
     def step(start, h):
         # Contiguous copies: _mul is about 20 % slower on strided views.
         h1, h2 = np.moveaxis(generator(start + _NODES[:, None] * h), 1, -1).copy()
-        return _expm(-0.5j * h * (h1 + h2) - _COMMUTATOR * h * h * (_mul(h2, h1) - _mul(h1, h2)))
+        return _expm(-0.5j * h * (h1 + h2) - _COMMUTATOR * h * h * _commutator(h2, h1))
 
     return step, 4
+
+
+def _magnus6(generator):
+    """The sixth-order kernel of a 3x3 generator: (3, 3, m) step stacks
+    exp(Omega) from A = -iH on the three nodes (Blanes et al.). With
+    alpha_k = h sum_n _ALPHA[k, n] A(node n), C1 = [alpha_1, alpha_2] and
+    C2 = -(1/60) [alpha_1, 2 alpha_3 + C1], Omega is
+    alpha_1 + alpha_3/12 + (1/240) [-20 alpha_1 - alpha_3 + C1, alpha_2 + C2].
+    The series converges only for h ||H|| < pi (see _integrate's guard)."""
+    def step(start, h):
+        nodes = generator(start + _NODES6[:, None] * h)
+        # One real product of _ALPHA with the node stack, then
+        # component-major in C order: _mul is slower on strided views.
+        flat = nodes.reshape(3, -1).view(float)
+        alpha = np.moveaxis((_ALPHA @ flat).view(nodes.dtype).reshape(nodes.shape), 1, -1)
+        a1, a2, a3 = np.multiply(alpha, -1j * h, order="C")
+        c1 = _commutator(a1, a2)
+        c2 = (-1.0 / 60.0) * _commutator(a1, 2.0 * a3 + c1)
+        return _expm(a1 + a3 / 12.0 + _commutator(c1 - 20.0 * a1 - a3, a2 + c2) / 240.0)
+
+    return step, 6
 
 
 def _magnus6_su2(parts):
@@ -272,9 +303,17 @@ def _chunk_products(kernel, breaks, steps) -> np.ndarray:
     return np.stack(out, axis=-1)
 
 
-def _integrate(kernel, pulses, t_span, hermitian, rtol, atol, margin=1.0) -> np.ndarray:
+def _integrate(kernel, pulses, t_span, hermitian, rtol, atol, margin=1.0,
+               guard=None) -> np.ndarray:
     """U(t_f, t_i) of i dU/dt = H(t) U by the kernel of H, order p (see
     _chunk_products); t_span defaults to the support window of `pulses`.
+
+    A guard (bound, fallback) holds an upper bound of ||H|| and a second
+    kernel. Each segment's first pass then takes steps of h * bound <= 3,
+    inside the Magnus convergence radius pi (Moan and Niesen, Found.
+    Comput. Math. 8, 291 (2008)). Where the fine pass of those steps would
+    pass _MAX_STEPS, the point is integrated as without the guard, by the
+    fallback kernel instead.
 
     Passes at n and 2n steps per segment give the Richardson estimate
     max|U_2n - U_n| / (2^p - 1), but never less than the round-off
@@ -295,6 +334,13 @@ def _integrate(kernel, pulses, t_span, hermitian, rtol, atol, margin=1.0) -> np.
     # is stepped over unsampled. The count is checked as a float: cast
     # first, a window of 1e19 widths would wrap around int64.
     steps = np.ceil(np.diff(breaks) / (0.5 * _min_width(train)))
+    if guard is not None:
+        bound, fallback = guard
+        guarded = np.maximum(steps, np.ceil(np.diff(breaks) * (bound / 3.0)))
+        if 2 * guarded.sum() <= _MAX_STEPS:
+            steps = guarded
+        else:
+            kernel = fallback
     if not 2 * steps.sum() <= _MAX_STEPS:
         raise IntegrationError(
             f"Magnus stepping needs over {_MAX_STEPS} steps for a window of "
@@ -364,14 +410,20 @@ def propagate(pulses, sys: SystemParams, t_span=None,
     bound: with |a|^2 + |b|^2 = 1, an error d in both moves an entry of
     the lift by up to 2 sqrt(2) d, about 1.4 times the tolerance in the
     worst case. An IntegrationError from the route quotes rtol and atol
-    as given.
+    as given. Any other case takes the sixth-order 3x3 kernel behind the
+    first-pass guard of _integrate.
     """
     if (isinstance(pulses, PulsePair) and sys.delta == 0 and sys.gamma == 0
             and pulses.pump_phase == 0 and pulses.stokes_phase == 0 and t_span is None):
         return lift_to_three(extract_ck(_integrate(_two_state_kernel(pulses), pulses, None,
                                                    True, rtol, atol, margin=2.0)))
-    return _integrate(_magnus4(lambda t: hamiltonian(pulses, sys, t)), pulses, t_span,
-                      sys.gamma == 0, rtol, atol)
+    generator = lambda t: hamiltonian(pulses, sys, t)
+    # An upper bound of ||H||: |Delta - i gamma/2| bounds the diagonal, and
+    # the largest peak Rabi frequency bounds the couplings Wp/2 and Ws/2.
+    bound = abs(sys.delta) + 0.5 * sys.gamma + max(
+        max(pair.pump.peak, pair.stokes.peak) for pair in _train(pulses).pairs)
+    return _integrate(_magnus6(generator), pulses, t_span, sys.gamma == 0, rtol, atol,
+                      guard=(bound, _magnus4(generator)))
 
 
 def propagate_state(initial, pulses, sys: SystemParams, t_span=None,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from sys import float_info
 
 import numpy as np
 
@@ -32,7 +33,8 @@ class SweepAxis:
     def __post_init__(self):
         if self.name not in AXIS_NAMES:
             raise ValueError(f"unknown axis {self.name!r}; choose from {AXIS_NAMES}")
-        if not (abs(self.start) < np.inf and abs(self.stop) < np.inf):
+        # Exact for integers: one beyond float range fails, as NaN does.
+        if not (abs(self.start) <= float_info.max and abs(self.stop) <= float_info.max):
             raise ValueError("axis ends must be finite")
         if self.points < 2:
             raise ValueError("an axis needs at least 2 points")
@@ -44,9 +46,11 @@ class SweepAxis:
             raise ValueError("log spacing needs start > 0")
 
     def values(self) -> np.ndarray:
+        # As floats: numpy holds an integer beyond int64 as an object.
+        ends = float(self.start), float(self.stop)
         if self.spacing == "log":
-            return np.geomspace(self.start, self.stop, self.points)
-        return np.linspace(self.start, self.stop, self.points)
+            return np.geomspace(*ends, self.points)
+        return np.linspace(*ends, self.points)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,13 @@ def test_system_params_validation():
         SystemParams(delta=float("inf"))
 
 
+@pytest.mark.parametrize("delta,gamma", [(10 ** 400, 0.0), (-10 ** 400, 0.0), (0.0, 10 ** 400)],
+                         ids=["delta", "minus-delta", "gamma"])
+def test_system_params_reject_integers_beyond_float_range(delta, gamma):
+    with pytest.raises(ValueError, match="detuning and decay must be finite"):
+        SystemParams(delta, gamma)
+
+
 def test_hamiltonian_structure():
     pair = make_pair(ShapeKind.SINE_SQUARED, 6.0, 1.0, 0.3, pump_phase=0.5)
     sys = SystemParams(delta=2.0, gamma=0.8)

@@ -41,6 +41,19 @@ def test_sweep_axis_validation():
         SweepAxis("gamma", 0.1, 1.0, 5, "cubic")
 
 
+@pytest.mark.parametrize("start,stop", [(1, 10 ** 400), (-10 ** 400, 1)], ids=["stop", "start"])
+def test_sweep_axis_rejects_integer_ends_beyond_float_range(start, stop):
+    with pytest.raises(ValueError, match="axis ends must be finite"):
+        SweepAxis("omega0", start, stop, 3).values()
+
+
+@pytest.mark.parametrize("spacing", ["linear", "log"])
+def test_sweep_axis_takes_integer_ends_beyond_int64(spacing):
+    # numpy holds such an integer as an object, not as a float.
+    np.testing.assert_array_equal(SweepAxis("omega0", 1, 10 ** 300, 3, spacing).values(),
+                                  SweepAxis("omega0", 1.0, 1e300, 3, spacing).values())
+
+
 def test_scan_spec_validation():
     with pytest.raises(ValueError):
         _spec(axes=(SweepAxis("omega0", 1, 2, 2), SweepAxis("omega0", 3, 4, 2)))

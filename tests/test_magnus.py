@@ -113,6 +113,66 @@ def test_fourth_order_convergence(gamma):
     assert errs[0] / errs[1] > 12 and errs[1] / errs[2] > 12
 
 
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+def test_sixth_order_convergence(gamma):
+    # The 3x3 generator off resonance, with and without decay, takes the
+    # sixth-order step: halving the step must cut the error against the
+    # oracle about 64-fold, where a fourth-order slip would give 16-fold.
+    pair = make_pair(ShapeKind.SINE_SQUARED, 20.0, 1.0, 0.4)
+    sys = SystemParams(delta=3.0, gamma=gamma)
+    ref = rk45_oracle.propagate(pair, sys)
+    breaks = dynamics._breakpoints(pair, window(pair))
+    errs = []
+    for n in (8, 16, 32):
+        blocks = dynamics._chunk_products(dynamics._magnus6(lambda t: hamiltonian(pair, sys, t)),
+                                          breaks, np.full(len(breaks) - 1, n))
+        errs.append(_dev(dynamics._ordered_product(blocks), ref))
+    assert errs[0] / errs[1] > 40 and errs[1] / errs[2] > 40, errs
+
+
+@pytest.mark.parametrize("omega0,delta", [(10.0, 1e4), (2.0, 1e4), (10.0, 3e4)])
+def test_far_detuned_first_pass_does_not_falsely_converge(omega0, delta):
+    # Started at half a pulse width, h * Delta >> 1, the fourth-order step
+    # once accepted passes whose two Richardson estimates agreed by
+    # accident: these points were 1.55e-5, 3.1e-6 and 1.8e-6 off.
+    # The references: propagate at rtol 1e-11, and the unguarded
+    # fourth-order kernel at rtol 1e-11, a second and independent one.
+    pair = make_pair(ShapeKind.SINE_SQUARED, omega0)
+    sys = SystemParams(delta)
+    got = propagate(pair, sys, **MAGNUS)
+    for ref in (propagate(pair, sys, rtol=1e-11, atol=1e-13),
+                dynamics._integrate(dynamics._magnus4(lambda t: hamiltonian(pair, sys, t)), pair,
+                                    None, True, 1e-11, 1e-13)):
+        assert _dev(got, ref) < 10 * MAGNUS["rtol"]
+
+
+@pytest.mark.parametrize("delta,guarded", [(1e4, True), (1e7, False)])
+def test_first_pass_guard_and_its_fallback(monkeypatch, delta, guarded):
+    # The sixth-order kernel starts each segment with steps of
+    # h ||H|| <= 3 < pi. Where the fine pass of those steps passes
+    # _MAX_STEPS, the point takes the unguarded first pass and the
+    # fourth-order kernel, bit for bit.
+    pair = make_pair(ShapeKind.SINE_SQUARED, 80.0)
+    sys = SystemParams(delta)
+    passes = []
+    chunk_products = dynamics._chunk_products
+    monkeypatch.setattr(dynamics, "_chunk_products", lambda kernel, breaks, steps: passes.append(
+        (kernel[1], steps)) or chunk_products(kernel, breaks, steps))
+    got = propagate(pair, sys, **MAGNUS)
+    monkeypatch.undo()
+    lengths = np.diff(dynamics._breakpoints(pair, window(pair)))
+    order, first = passes[0]
+    if guarded:
+        assert order == 6 and np.all(first >= lengths * (delta + 80.0) / 3.0), first
+        return
+    assert 2 * np.ceil(lengths * (delta + 80.0) / 3.0).sum() > dynamics._MAX_STEPS
+    assert order == 4
+    np.testing.assert_array_equal(first, np.ceil(lengths / 0.5))
+    want = dynamics._integrate(dynamics._magnus4(lambda t: hamiltonian(pair, sys, t)), pair,
+                               None, True, **MAGNUS)
+    np.testing.assert_array_equal(got, want)
+
+
 @pytest.mark.parametrize("problem", ["two_state", "effective"])
 def test_sixth_order_convergence_two_state(monkeypatch, problem):
     # 2x2 generators take the closed-form su(2) step: halving the step
@@ -139,8 +199,9 @@ def test_sixth_order_convergence_two_state(monkeypatch, problem):
 
 
 @pytest.mark.parametrize("kernel,nodes,dim", [(dynamics._magnus4, 2, 3),
+                                              (dynamics._magnus6, 3, 3),
                                               (dynamics._magnus6_su2, 3, 2)],
-                         ids=["magnus4", "magnus6_su2"])
+                         ids=["magnus4", "magnus6", "magnus6_su2"])
 @pytest.mark.parametrize("blocks", [1, 2, 3])
 def test_kernel_evaluates_generator_once_per_block(kernel, nodes, dim, blocks):
     # One call per block, on all nodes of its steps at once: no probe call
@@ -251,10 +312,13 @@ def test_stalled_estimate_fails_within_three_estimates(monkeypatch, tol):
 
 
 def test_slow_drop_above_round_off_is_no_stall():
-    # At Delta = 1e4 the estimate falls only 2.3x from 512 to 4,096 steps
-    # (7.1e-6 to 3.1e-6) before the fourth-order rate sets in; the point
+    # Without the first-pass guard, as where the guard falls back, the
+    # fourth-order estimate at Delta = 1e4 falls only 2.3x from 512 to
+    # 4,096 steps (7.1e-6 to 3.1e-6) before its rate sets in; the point
     # converges at 32,768 steps.
-    u = propagate(make_pair(ShapeKind.SINE_SQUARED, 30.0), SystemParams(1e4), **MAGNUS)
+    pair, sys = make_pair(ShapeKind.SINE_SQUARED, 30.0), SystemParams(1e4)
+    u = dynamics._integrate(dynamics._magnus4(lambda t: hamiltonian(pair, sys, t)), pair, None,
+                            True, **MAGNUS)
     assert _unitarity(u) < 1e-12
 
 

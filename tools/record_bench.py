@@ -16,8 +16,11 @@ named by the newest BENCH_<m>.json with m < n. It is checked out with
 `git worktree add --detach` under a temporary directory, and each tree's
 own perfbench/run.py runs PAIRS alternating pairs per workload: pair k
 runs both trees at seed SEED + k, and the tree that runs first alternates
-from pair to pair. Per end-to-end metric the key holds both medians, the
-ratio change/parent and the number of pairs the change won.
+from pair to pair. Per end-to-end metric the key holds both medians, both
+sides' quartiles, the ratio change/parent and the number of pairs the
+change won. Ten pairs is the fewest on which a gain is claimed: the change
+must win nine tenths of them, and its median must differ from the
+parent's by more than the parent's interquartile range.
 
 SEED, SECONDS and PAIRS are constants, not options, so that every BENCH
 file is comparable with the one before it.
@@ -43,7 +46,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 SEED = 0
 SECONDS = 10.0
-PAIRS = 5
+PAIRS = 10
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider", "--durations=10"]
 
@@ -85,13 +88,22 @@ def _parent_sha(n: int) -> str:
 
 
 def _compare(metric: dict, parent: list, change: list) -> dict:
-    """Medians, their ratio change/parent and the pairs the change won."""
+    """Medians, quartiles (first, third), the ratio of the medians
+    change/parent and the pairs the change won."""
     if None in parent or None in change:
-        return {"parent": None, "change": None, "ratio": None, "won": None}
+        return {"parent": None, "change": None, "ratio": None, "won": None,
+                "parent_quartiles": None, "change_quartiles": None}
     sign = 1.0 if metric["better"] == "higher" else -1.0
     p, c = statistics.median(parent), statistics.median(change)
     return {"parent": p, "change": c, "ratio": c / p if p else None,
-            "won": sum(sign * (b - a) > 0 for a, b in zip(parent, change))}
+            "won": sum(sign * (b - a) > 0 for a, b in zip(parent, change)),
+            "parent_quartiles": _quartiles(parent), "change_quartiles": _quartiles(change)}
+
+
+def _quartiles(values: list) -> list:
+    """The first and third quartiles (exclusive method)."""
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return [q1, q3]
 
 
 def _versus_parent(sha: str) -> dict:
