@@ -6,21 +6,15 @@ loses population at rate gamma through the non-Hermitian diagonal term.
 
 All propagators share one integrator, a Magnus method (Blanes, Casas,
 Oteo and Ros, Phys. Rep. 470, 151 (2009)) on blocks of steps held
-component-major, as (d, d, steps) arrays, and the step kernel the
-caller picks. A 3x3 generator takes sixth-order steps on three Gauss
-nodes (_magnus6), each segment starting with steps of h ||H|| <= 3,
-inside the Magnus convergence radius pi. Where those would pass the step
-limit, it takes fourth-order steps on two nodes (_magnus4) from half a
-pulse width instead. Each 3x3 step exponential is one Taylor polynomial
-in Paterson-Stockmeyer form, its degree picked by the block's 1-norm,
-with scaling and squaring. _magnus6_su2 takes sixth-order steps in closed form
-of a Hermitian 2x2 generator given as its real parts (trace, x, y, z), on
-three Gauss nodes: its Magnus terms are real sigma-vectors, their
-commutators cross products, and each exponential is
-cos|v| - i sinc|v| v.sigma. At gamma = 0 the propagator is then projected
-onto the nearest unitary matrix. On resonance, without decay, a single
-zero-phase pair takes the paper's route: the two-state propagator, lifted
-to three states; any other pair is propagated as the one-pair train it is.
+component-major, as (d, d, steps) arrays, with the step kernel the caller
+picks: sixth order on three Gauss nodes for a 3x3 generator (_magnus6,
+behind a first-pass guard, with _magnus4 as its fallback), and in closed
+form for a 2x2 one given as its Pauli parts (trace, x, y, z)
+(_magnus6_su2). Each two-state model is written once, as its parts. At
+gamma = 0 the 3x3 propagator is projected onto the nearest unitary matrix.
+On resonance, without decay, a single pair with real envelopes takes the
+paper's route: the two-state propagator, lifted to three states; any
+other pair is propagated as the one-pair train it is.
 """
 
 from __future__ import annotations
@@ -303,8 +297,7 @@ def _chunk_products(kernel, breaks, steps) -> np.ndarray:
     return np.stack(out, axis=-1)
 
 
-def _integrate(kernel, pulses, t_span, hermitian, rtol, atol, margin=1.0,
-               guard=None) -> np.ndarray:
+def _integrate(kernel, pulses, t_span, rtol, atol, margin=1.0, guard=None) -> np.ndarray:
     """U(t_f, t_i) of i dU/dt = H(t) U by the kernel of H, order p (see
     _chunk_products); t_span defaults to the support window of `pulses`.
 
@@ -360,12 +353,6 @@ def _integrate(kernel, pulses, t_span, hermitian, rtol, atol, margin=1.0,
         err = float(np.maximum(np.max(np.abs(u - _ordered_product(coarse))) / (2.0 ** order - 1.0),
                                np.finfo(float).eps * math.sqrt(2 * int(steps.sum()))))
         if err <= tol:
-            if hermitian:
-                # Each step is unitary to round-off, but the defects add
-                # up over thousands of steps. The polar factor removes
-                # them and moves u far less than the tolerance.
-                w, _, vh = np.linalg.svd(u)
-                u = w @ vh
             return u
         # At most 64 doublings, which overshoot _MAX_STEPS anyway (err / tol
         # is inf for a subnormal tol; err may be inf or NaN, and tol 0 when
@@ -399,31 +386,38 @@ def propagate(pulses, sys: SystemParams, t_span=None,
     t_span defaults to the pulse support window. Unitary to round-off when
     gamma = 0.
 
-    A single PulsePair with both phases zero, at Delta = 0 and gamma = 0
-    and over the default t_span, takes the paper's route: the two-state
-    propagator of propagate_two_state, lifted to three states by
-    propalg.lift_to_three. It takes the closed-form sixth-order su(2)
-    steps, 4 to 8 times fewer than fourth order needs, and its 2x2
-    products cost 8 multiplies instead of 27. The lift is quadratic in
-    the Cayley-Klein parameters (a, b), so the two-state problem is
-    integrated to half of rtol + atol. The half is a heuristic, not a
-    bound: with |a|^2 + |b|^2 = 1, an error d in both moves an entry of
-    the lift by up to 2 sqrt(2) d, about 1.4 times the tolerance in the
-    worst case. An IntegrationError from the route quotes rtol and atol
-    as given. Any other case takes the sixth-order 3x3 kernel behind the
-    first-pass guard of _integrate.
+    A single PulsePair with real envelopes (both phases multiples of 2 pi),
+    at Delta = 0 and gamma = 0 and over the default t_span, takes the
+    paper's route: the two-state propagator of propagate_two_state, lifted
+    to three states by propalg.lift_to_three. Its closed-form sixth-order
+    su(2) steps are 4 to 8 times fewer than fourth order needs, and its 2x2
+    products cost 8 multiplies instead of 27. The lift is quadratic in the
+    Cayley-Klein parameters (a, b), so the two-state problem is integrated
+    to half of rtol + atol. The half is a heuristic, not a bound: with
+    |a|^2 + |b|^2 = 1, an error d in both moves an entry of the lift by up
+    to 2 sqrt(2) d, about 1.4 times the tolerance in the worst case. An
+    IntegrationError from the route quotes rtol and atol as given. Any
+    other case takes the sixth-order 3x3 kernel behind the first-pass guard
+    of _integrate, projected onto the nearest unitary matrix at gamma = 0.
     """
     if (isinstance(pulses, PulsePair) and sys.delta == 0 and sys.gamma == 0
-            and pulses.pump_phase == 0 and pulses.stokes_phase == 0 and t_span is None):
+            and _real_envelopes(pulses) and t_span is None):
         return lift_to_three(extract_ck(_integrate(_two_state_kernel(pulses), pulses, None,
-                                                   True, rtol, atol, margin=2.0)))
+                                                   rtol, atol, margin=2.0)))
     generator = lambda t: hamiltonian(pulses, sys, t)
     # An upper bound of ||H||: |Delta - i gamma/2| bounds the diagonal, and
     # the largest peak Rabi frequency bounds the couplings Wp/2 and Ws/2.
     bound = abs(sys.delta) + 0.5 * sys.gamma + max(
         max(pair.pump.peak, pair.stokes.peak) for pair in _train(pulses).pairs)
-    return _integrate(_magnus6(generator), pulses, t_span, sys.gamma == 0, rtol, atol,
-                      guard=(bound, _magnus4(generator)))
+    u = _integrate(_magnus6(generator), pulses, t_span, rtol, atol,
+                   guard=(bound, _magnus4(generator)))
+    if sys.gamma == 0:
+        # The defects of the Taylor step exponentials add up to about 1e-11
+        # over thousands of steps; the polar factor removes them and moves u
+        # far less than the tolerance. Products of su(2) steps need none.
+        w, _, vh = np.linalg.svd(u)
+        u = w @ vh
+    return u
 
 
 def propagate_state(initial, pulses, sys: SystemParams, t_span=None,
@@ -435,10 +429,15 @@ def propagate_state(initial, pulses, sys: SystemParams, t_span=None,
     return propagate(pulses, sys, t_span, rtol, atol) @ c
 
 
+def _real_envelopes(pair: PulsePair) -> bool:
+    """Whether both phases are multiples of 2 pi, as the two-state mapping needs."""
+    return pair.pump_phase % (2 * np.pi) == 0.0 and pair.stokes_phase % (2 * np.pi) == 0.0
+
+
 def _resonant_parts(pair: PulsePair, t) -> np.ndarray:
     """(trace, x, y, z) of the resonant two-state matrix: (0, Wp/2, 0, -Ws/2)."""
-    if pair.pump_phase % (2 * np.pi) != 0.0 or pair.stokes_phase % (2 * np.pi) != 0.0:
-        raise ValueError("the two-state mapping assumes real envelopes (zero phases)")
+    if not _real_envelopes(pair):
+        raise ValueError("the two-state mapping assumes real envelopes (phases of whole turns)")
     wp, ws = pair_envelopes(pair, t)
     zero = np.zeros(np.shape(wp))
     return np.array([zero, 0.5 * wp.real, zero, -0.5 * ws.real])
@@ -462,19 +461,29 @@ def propagate_two_state(pair: PulsePair, t_span=None,
     resonant_two_state_hamiltonian: the three-state propagator is quadratic
     in the Cayley-Klein parameters, which restores the full rotation angle.
     """
-    return _integrate(_two_state_kernel(pair), pair, t_span, True, rtol, atol)
+    return _integrate(_two_state_kernel(pair), pair, t_span, rtol, atol)
 
 
 def _two_state_kernel(pair: PulsePair):
     return _magnus6_su2(lambda t: 0.5 * _resonant_parts(pair, t))
 
 
-def effective_two_state(pair: PulsePair, delta: float):
-    """Far-off-resonance reduction: returns (W_eff(t), D_eff(t)).
+def _eliminated_parts(pair: PulsePair, delta: float, t) -> np.ndarray:
+    """(trace, x, y, z) of the (c1, c3) problem left when c2 is eliminated
+    at |Delta| >> Omega0: the light shifts H00 = -|Wp|^2/(4 Delta) and
+    H11 = -|Ws|^2/(4 Delta), and the coupling H01 = x - iy = -Wp Ws/(4 Delta).
+    Its two-state form (effective_two_state) is W_eff = 2 H01, which couples
+    states 1 and 3, and the effective detuning
+    D_eff = 2 (H11 - H00) = (|Wp|^2 - |Ws|^2)/(2 Delta)."""
+    wp, ws = pair_envelopes(pair, t)
+    c = -0.25 / delta
+    pump, stokes, h01 = abs(wp) ** 2, abs(ws) ** 2, c * wp * ws
+    return np.array([0.5 * c * (pump + stokes), h01.real, -h01.imag,
+                     0.5 * c * (pump - stokes)])
 
-    W_eff = -Wp*Ws/(2*Delta) couples states 1 and 3 directly and
-    D_eff = (|Wp|^2 - |Ws|^2)/(2*Delta) is the effective detuning.
-    """
+
+def effective_two_state(pair: PulsePair, delta: float):
+    """Far-off-resonance reduction: (W_eff(t), D_eff(t)) of _eliminated_parts."""
     if delta == 0:
         raise ValueError("adiabatic elimination needs a nonzero detuning")
     peak = max(pair.pump.peak, pair.stokes.peak)
@@ -483,31 +492,20 @@ def effective_two_state(pair: PulsePair, delta: float):
                       stacklevel=2)
 
     def w_eff(t):
-        wp, ws = pair_envelopes(pair, t)
-        return -wp * ws / (2.0 * delta)
+        _, x, y, _ = _eliminated_parts(pair, delta, t)
+        return 2.0 * (x - 1j * y)
 
     def d_eff(t):
-        wp, ws = pair_envelopes(pair, t)
-        return (abs(wp) ** 2 - abs(ws) ** 2) / (2.0 * delta)
+        return -4.0 * _eliminated_parts(pair, delta, t)[3]    # 2 (H11 - H00)
 
     return w_eff, d_eff
 
 
 def propagate_effective(pair: PulsePair, delta: float, t_span=None,
                         rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> np.ndarray:
-    """2x2 propagator of the adiabatically eliminated (c1, c3) problem.
-
-    Keeps the full light-shift diagonal -|Wp|^2/(4 Delta), -|Ws|^2/(4 Delta),
-    whose difference is the effective detuning of effective_two_state.
-    """
+    """2x2 propagator of the adiabatically eliminated (c1, c3) problem of
+    _eliminated_parts, light-shift trace included."""
     if delta == 0:
         raise ValueError("adiabatic elimination needs a nonzero detuning")
-
-    def parts(t):
-        wp, ws = pair_envelopes(pair, t)
-        c = -0.25 / delta
-        pump, stokes, h01 = abs(wp) ** 2, abs(ws) ** 2, c * wp * ws
-        return np.array([0.5 * c * (pump + stokes), h01.real, -h01.imag,
-                         0.5 * c * (pump - stokes)])
-
-    return _integrate(_magnus6_su2(parts), pair, t_span, True, rtol, atol)
+    return _integrate(_magnus6_su2(lambda t: _eliminated_parts(pair, delta, t)), pair, t_span,
+                      rtol, atol)

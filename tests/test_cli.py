@@ -668,6 +668,46 @@ def test_spelled_out_defaults_keep_the_digest(kind):
     assert parse_config(allowed(bare), kind).digest == parse_config(allowed(full), kind).digest
 
 
+_EXPLICIT = {"source": "explicit", "n": 3, "pump_phases": [0.0, 1.0, 2.0],
+             "stokes_phases": [2.0, 1.0, 0.0], "alternate": True}
+
+
+@pytest.mark.parametrize("sequence,problem", [
+    pytest.param({"source": "single", "n": 3}, "sequence.n: a single pair means n = 1",
+                 id="single-with-n"),
+    pytest.param(dict(_EXPLICIT, pump_phases=[0.0, 1.0]),
+                 "sequence.pump_phases: must be a list of 3 numbers", id="explicit-short-list"),
+    pytest.param({k: v for k, v in _EXPLICIT.items() if k != "alternate"},
+                 "sequence.alternate: must be true or false", id="explicit-no-alternate"),
+])
+def test_sequence_rules_across_keys(tmp_path, capsys, sequence, problem):
+    with pytest.raises(ConfigError) as err:
+        parse_config(_scan_config(sequence=sequence), "scan")
+    assert err.value.problems == (problem,)
+    path = _write(tmp_path, "scan.json", _scan_config(sequence=sequence))
+    assert main(["scan", "--config", path]) == 1
+    assert capsys.readouterr().err == f"config error: {problem}\n"
+
+
+def test_unknown_kind_is_a_config_error():
+    with pytest.raises(ConfigError) as err:
+        parse_config(_scan_config(), "bogus")
+    assert err.value.problems == ("experiment: unknown kind 'bogus'",)
+
+
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(["bogus"], "invalid choice: 'bogus'", id="unknown-kind"),
+    pytest.param(["scan", "--threads", "0"], "argument --threads: must be >= 1",
+                 id="threads-0"),
+])
+def test_bad_command_line_exits_1(tmp_path, capsys, argv, message):
+    # argparse's usage errors exit 1 here: 2 is kept for numerical failures.
+    path = _write(tmp_path, "scan.json", _scan_config())
+    assert main(argv + ["--config", path]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err, err
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
 def test_seed_flag_out_of_range_is_a_config_error(tmp_path, capsys, seed):
     path = _write(tmp_path, "scan.json", _scan_config())

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from cstirap import dynamics
 from cstirap.dynamics import (IntegrationError, SystemParams, effective_two_state,
                               hamiltonian, propagate, propagate_effective,
                               propagate_state, propagate_two_state,
                               resonant_two_state_hamiltonian)
-from cstirap.pulses import PulsePair, PulseShape, ShapeKind, make_pair, window
+from cstirap.pulses import (PulsePair, PulseShape, ShapeKind, make_pair, pair_envelopes,
+                            window)
 
 
 def _unitarity(u):
@@ -127,6 +129,31 @@ def test_effective_two_state_values():
     ws = 4.0 * math.sin(math.pi * t) ** 2
     assert w_eff(t) == pytest.approx(-wp * ws / 200.0)
     assert d_eff(t) == pytest.approx((wp ** 2 - ws ** 2) / 200.0)
+
+
+@pytest.mark.parametrize("kind", list(ShapeKind))
+@pytest.mark.parametrize("phases", [(0.0, 0.0), (0.7, -2.1)], ids=["real", "phased"])
+@pytest.mark.parametrize("delta", [100.0, -100.0])
+def test_eliminated_model_views_agree(monkeypatch, kind, phases, delta):
+    # effective_two_state and the generator that propagate_effective
+    # integrates are one model: W_eff = 2 H01 and D_eff = 2 (H11 - H00),
+    # and both are -Wp Ws/(2 Delta) and (|Wp|^2 - |Ws|^2)/(2 Delta).
+    pair = make_pair(kind, 4.0, pump_phase=phases[0], stokes_phase=phases[1])
+    generators = []
+    kernel = dynamics._magnus6_su2
+    monkeypatch.setattr(dynamics, "_magnus6_su2",
+                        lambda parts: generators.append(parts) or kernel(parts))
+    propagate_effective(pair, delta, rtol=1e-6, atol=1e-8)
+    w_eff, d_eff = effective_two_state(pair, delta)
+    t = np.linspace(*window(pair), 41)
+    trace, x, y, z = generators[0](t)
+    h00, h01, h11 = trace + z, x - 1j * y, trace - z
+    np.testing.assert_allclose(w_eff(t), 2.0 * h01, rtol=1e-15, atol=1e-17)
+    np.testing.assert_allclose(d_eff(t), 2.0 * (h11 - h00), rtol=1e-15, atol=1e-16)
+    wp, ws = pair_envelopes(pair, t)
+    np.testing.assert_allclose(w_eff(t), -wp * ws / (2.0 * delta), rtol=1e-15, atol=1e-17)
+    np.testing.assert_allclose(d_eff(t), (abs(wp) ** 2 - abs(ws) ** 2) / (2.0 * delta),
+                               rtol=1e-15, atol=1e-16)
 
 
 def test_effective_two_state_guards():

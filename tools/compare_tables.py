@@ -4,9 +4,10 @@
 
 Runs each configs/*.json of this checkout at --seed 42 on both trees, each
 run in a fresh process with that tree's src/ directory on PYTHONPATH, and
-prints per table the largest difference between numeric cells and whether
-the comment lines are equal. A text cell (a header, the phases line)
-must match exactly, and NaN matches only NaN.
+prints per table the largest difference between numeric cells, or
+`identical` when both outputs are equal byte for byte, and whether the
+comment lines are equal. A text cell (a header, the phases line) must
+match exactly, and NaN matches only NaN.
 
 A solve-phases table is compared on its solved phases and its infidelity
 instead: the Nelder-Mead search stops anywhere in a basin where the
@@ -105,6 +106,8 @@ def compare(config: Path, parent: Path, change: Path, tmp: Path) -> bool:
         same_notes = notes_a == notes_b
         ok = worst <= BOUND
         detail = f"max cell diff {worst:.3g}"
+    if outs[0].read_bytes() == outs[1].read_bytes():
+        detail = "identical"
     ok = ok and same_notes and codes[0] == codes[1]
     print(f"{config.name:28s} {detail}; comment lines "
           f"{'equal' if same_notes else 'differ'}; exit {codes[0]}/{codes[1]}; "
