@@ -7,14 +7,12 @@ loses population at rate gamma through the non-Hermitian diagonal term.
 All propagators share one integrator, a Magnus method (Blanes, Casas,
 Oteo and Ros, Phys. Rep. 470, 151 (2009)) on blocks of steps held
 component-major, as (d, d, steps) arrays, with the step kernel the caller
-picks: sixth order on three Gauss nodes for a 3x3 generator (_magnus6,
-behind a first-pass guard, with _magnus4 as its fallback), and in closed
-form for a 2x2 one given as its Pauli parts (trace, x, y, z)
-(_magnus6_su2). Each two-state model is written once, as its parts. At
-gamma = 0 the 3x3 propagator is projected onto the nearest unitary matrix.
-On resonance, without decay, a single pair with real envelopes takes the
-paper's route: the two-state propagator, lifted to three states; any
-other pair is propagated as the one-pair train it is.
+picks, all on three Gauss nodes: sixth order for a 3x3 generator
+(_magnus6, behind a first-pass guard, with its fourth-order truncation
+_magnus4 as the fallback), and in closed form for a 2x2 one given as its
+Pauli parts (trace, x, y, z) (_magnus6_su2). Every input is read as a
+train. On resonance, without decay, real envelopes take the paper's
+route: the two-state propagator, lifted to three states.
 """
 
 from __future__ import annotations
@@ -27,8 +25,7 @@ from sys import float_info
 import numpy as np
 
 from .propalg import extract_ck, lift_to_three
-from .pulses import (PulsePair, PulseTrain, ShapeKind, pair_envelopes,
-                     train_envelopes, train_window)
+from .pulses import PulseTrain, ShapeKind, train_envelopes, train_window
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
@@ -43,11 +40,7 @@ Propagator3 = np.ndarray    # shape (3, 3), unitary when gamma = 0
 _CHUNK = 512
 # Step doubling gives up beyond this many steps per propagator.
 _MAX_STEPS = 1 << 20
-# Gauss-Legendre nodes on [0, 1] and the commutator coefficient of the
-# fourth-order Magnus expansion.
-_NODES = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
-_COMMUTATOR = math.sqrt(3.0) / 12.0
-# The three Gauss-Legendre nodes of the sixth-order expansion, and its
+# The three Gauss-Legendre nodes on [0, 1] of the Magnus kernels, and
 # alpha_1, alpha_2, alpha_3 per unit step as weights of the generator at
 # those nodes (Blanes et al.).
 _NODES6 = 0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0
@@ -126,8 +119,7 @@ def hamiltonian(pulses, sys: SystemParams, t) -> np.ndarray:
 
     A scalar t gives one 3x3 matrix, an array t a (*t.shape, 3, 3) stack.
     """
-    wp, ws = train_envelopes(_train(pulses), t)
-    wp, ws = 0.5 * wp, 0.5 * ws
+    wp, ws = (0.5 * w for w in train_envelopes(_train(pulses), t))
     return _matrix({(0, 1): wp, (1, 0): np.conj(wp),
                     (1, 1): sys.delta - 0.5j * sys.gamma,
                     (1, 2): ws, (2, 1): np.conj(ws)}, 3)
@@ -135,6 +127,10 @@ def hamiltonian(pulses, sys: SystemParams, t) -> np.ndarray:
 
 def _min_width(train: PulseTrain):
     return min(min(p.pump.width, p.stokes.width) for p in train.pairs)
+
+
+def _peak(train: PulseTrain):
+    return max(max(p.pump.peak, p.stokes.peak) for p in train.pairs)
 
 
 def _breakpoints(pulses, t_span) -> np.ndarray:
@@ -225,31 +221,34 @@ def _su2_exp(trace, v) -> np.ndarray:
     return u * np.exp(-1j * trace)
 
 
+def _alphas(generator, start, h):
+    """alpha_1..3 of A = -iH for a 3x3 generator, from H on the nodes: (3, 3, 3, m)."""
+    nodes = generator(start + _NODES6[:, None] * h)
+    # One real product of _ALPHA with the node stack, then
+    # component-major in C order: _mul is slower on strided views.
+    flat = nodes.reshape(3, -1).view(float)
+    alpha = np.moveaxis((_ALPHA @ flat).view(nodes.dtype).reshape(nodes.shape), 1, -1)
+    return np.multiply(alpha, -1j * h, order="C")
+
+
 def _magnus4(generator):
-    """The fourth-order kernel of a 3x3 generator: (3, 3, m) step stacks
-    exp(-i h/2 (H1 + H2) - (sqrt3/12) h^2 [H2, H1]) from H on both nodes."""
+    """The fourth-order kernel of a 3x3 generator, the truncation of
+    _magnus6 on the same nodes: exp(alpha_1 + alpha_3/12 - [alpha_1, alpha_2]/12)."""
     def step(start, h):
-        # Contiguous copies: _mul is about 20 % slower on strided views.
-        h1, h2 = np.moveaxis(generator(start + _NODES[:, None] * h), 1, -1).copy()
-        return _expm(-0.5j * h * (h1 + h2) - _COMMUTATOR * h * h * _commutator(h2, h1))
+        a1, a2, a3 = _alphas(generator, start, h)
+        return _expm(a1 + a3 / 12.0 - _commutator(a1, a2) / 12.0)
 
     return step, 4
 
 
 def _magnus6(generator):
     """The sixth-order kernel of a 3x3 generator: (3, 3, m) step stacks
-    exp(Omega) from A = -iH on the three nodes (Blanes et al.). With
-    alpha_k = h sum_n _ALPHA[k, n] A(node n), C1 = [alpha_1, alpha_2] and
-    C2 = -(1/60) [alpha_1, 2 alpha_3 + C1], Omega is
+    exp(Omega) from the alpha_k of _alphas (Blanes et al.). With
+    C1 = [alpha_1, alpha_2] and C2 = -(1/60) [alpha_1, 2 alpha_3 + C1], Omega is
     alpha_1 + alpha_3/12 + (1/240) [-20 alpha_1 - alpha_3 + C1, alpha_2 + C2].
     The series converges only for h ||H|| < pi (see _integrate's guard)."""
     def step(start, h):
-        nodes = generator(start + _NODES6[:, None] * h)
-        # One real product of _ALPHA with the node stack, then
-        # component-major in C order: _mul is slower on strided views.
-        flat = nodes.reshape(3, -1).view(float)
-        alpha = np.moveaxis((_ALPHA @ flat).view(nodes.dtype).reshape(nodes.shape), 1, -1)
-        a1, a2, a3 = np.multiply(alpha, -1j * h, order="C")
+        a1, a2, a3 = _alphas(generator, start, h)
         c1 = _commutator(a1, a2)
         c2 = (-1.0 / 60.0) * _commutator(a1, 2.0 * a3 + c1)
         return _expm(a1 + a3 / 12.0 + _commutator(c1 - 20.0 * a1 - a3, a2 + c2) / 240.0)
@@ -334,14 +333,14 @@ def _integrate(kernel, pulses, t_span, rtol, atol, margin=1.0, guard=None) -> np
             steps = guarded
         else:
             kernel = fallback
+    order, last = kernel[1], math.inf
     if not 2 * steps.sum() <= _MAX_STEPS:
         raise IntegrationError(
-            f"Magnus stepping needs over {_MAX_STEPS} steps for a window of "
-            f"{t_f - t_i:g} with pulses {_min_width(train):g} wide", float(t_i),
+            f"Magnus stepping of order {order} needs over {_MAX_STEPS} steps for a "
+            f"window of {t_f - t_i:g} with pulses {_min_width(train):g} wide", float(t_i),
             steps=float(2 * steps.sum()))
     steps = steps.astype(np.int64)
     tol = (atol + rtol) / margin
-    last, order = math.inf, kernel[1]
     coarse = _chunk_products(kernel, breaks, steps)
     while True:
         fine = _chunk_products(kernel, breaks, 2 * steps)
@@ -370,7 +369,7 @@ def _integrate(kernel, pulses, t_span, rtol, atol, margin=1.0, guard=None) -> np
             where = _steps(breaks, steps, block * _CHUNK)[0]
             note = "" if math.isfinite(err) else ": the propagator is not finite"
             raise IntegrationError(
-                f"Magnus stepping missed rtol={rtol:g}, atol={atol:g} with "
+                f"Magnus stepping of order {order} missed rtol={rtol:g}, atol={atol:g} with "
                 f"{2 * int(steps.sum())} steps{note} (error estimate {err:.3g}"
                 + (f", stalled after {last:.3g})" if stalled else ")"), float(where),
                 steps=2 * int(steps.sum()), estimate=err)
@@ -381,35 +380,32 @@ def _integrate(kernel, pulses, t_span, rtol, atol, margin=1.0, guard=None) -> np
 
 def propagate(pulses, sys: SystemParams, t_span=None,
               rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> Propagator3:
-    """Propagator U(t_f, t_i) of i dU/dt = H(t) U for a pair or a train.
+    """Propagator U(t_f, t_i) of i dU/dt = H(t) U for a pair or a train,
+    over t_span (by default the pulse support window); unitary to round-off
+    when gamma = 0.
 
-    t_span defaults to the pulse support window. Unitary to round-off when
-    gamma = 0.
-
-    A single PulsePair with real envelopes (both phases multiples of 2 pi),
-    at Delta = 0 and gamma = 0 and over the default t_span, takes the
-    paper's route: the two-state propagator of propagate_two_state, lifted
-    to three states by propalg.lift_to_three. Its closed-form sixth-order
-    su(2) steps are 4 to 8 times fewer than fourth order needs, and its 2x2
-    products cost 8 multiplies instead of 27. The lift is quadratic in the
-    Cayley-Klein parameters (a, b), so the two-state problem is integrated
-    to half of rtol + atol. The half is a heuristic, not a bound: with
-    |a|^2 + |b|^2 = 1, an error d in both moves an entry of the lift by up
-    to 2 sqrt(2) d, about 1.4 times the tolerance in the worst case. An
-    IntegrationError from the route quotes rtol and atol as given. Any
-    other case takes the sixth-order 3x3 kernel behind the first-pass guard
-    of _integrate, projected onto the nearest unitary matrix at gamma = 0.
+    At Delta = 0 and gamma = 0, real envelopes (every phase a multiple of
+    2 pi) take the paper's route over any t_span: the two-state propagator
+    of propagate_two_state, lifted to three states by propalg.lift_to_three,
+    whose su(2) steps cost 8 multiplies per 2x2 product instead of 27. The
+    lift is quadratic in the Cayley-Klein parameters (a, b), so the
+    two-state problem is integrated to half of rtol + atol. The half is a
+    heuristic, not a bound: with |a|^2 + |b|^2 = 1, an error d in both
+    moves an entry of the lift by up to 2 sqrt(2) d, about 1.4 times the
+    tolerance in the worst case. An IntegrationError from the route quotes
+    rtol and atol as given. Any other case takes the sixth-order 3x3 kernel
+    behind the first-pass guard of _integrate, projected onto the nearest
+    unitary matrix at gamma = 0.
     """
-    if (isinstance(pulses, PulsePair) and sys.delta == 0 and sys.gamma == 0
-            and _real_envelopes(pulses) and t_span is None):
-        return lift_to_three(extract_ck(_integrate(_two_state_kernel(pulses), pulses, None,
+    train = _train(pulses)
+    if sys.delta == 0 and sys.gamma == 0 and _real_envelopes(train):
+        return lift_to_three(extract_ck(_integrate(_two_state_kernel(train), train, t_span,
                                                    rtol, atol, margin=2.0)))
-    generator = lambda t: hamiltonian(pulses, sys, t)
+    generator = lambda t: hamiltonian(train, sys, t)
     # An upper bound of ||H||: |Delta - i gamma/2| bounds the diagonal, and
     # the largest peak Rabi frequency bounds the couplings Wp/2 and Ws/2.
-    bound = abs(sys.delta) + 0.5 * sys.gamma + max(
-        max(pair.pump.peak, pair.stokes.peak) for pair in _train(pulses).pairs)
-    u = _integrate(_magnus6(generator), pulses, t_span, rtol, atol,
+    bound = abs(sys.delta) + 0.5 * sys.gamma + _peak(train)
+    u = _integrate(_magnus6(generator), train, t_span, rtol, atol,
                    guard=(bound, _magnus4(generator)))
     if sys.gamma == 0:
         # The defects of the Taylor step exponentials add up to about 1e-11
@@ -429,31 +425,31 @@ def propagate_state(initial, pulses, sys: SystemParams, t_span=None,
     return propagate(pulses, sys, t_span, rtol, atol) @ c
 
 
-def _real_envelopes(pair: PulsePair) -> bool:
-    """Whether both phases are multiples of 2 pi, as the two-state mapping needs."""
-    return pair.pump_phase % (2 * np.pi) == 0.0 and pair.stokes_phase % (2 * np.pi) == 0.0
+def _real_envelopes(train: PulseTrain) -> bool:
+    """Whether every phase is a multiple of 2 pi, as the two-state mapping needs."""
+    return all(x % (2 * np.pi) == 0.0 for p in train.pairs for x in (p.pump_phase, p.stokes_phase))
 
 
-def _resonant_parts(pair: PulsePair, t) -> np.ndarray:
+def _resonant_parts(train: PulseTrain, t) -> np.ndarray:
     """(trace, x, y, z) of the resonant two-state matrix: (0, Wp/2, 0, -Ws/2)."""
-    if not _real_envelopes(pair):
+    if not _real_envelopes(train):
         raise ValueError("the two-state mapping assumes real envelopes (phases of whole turns)")
-    wp, ws = pair_envelopes(pair, t)
+    wp, ws = train_envelopes(train, t)
     zero = np.zeros(np.shape(wp))
     return np.array([zero, 0.5 * wp.real, zero, -0.5 * ws.real])
 
 
-def resonant_two_state_hamiltonian(pair: PulsePair, t) -> np.ndarray:
+def resonant_two_state_hamiltonian(pulses, t) -> np.ndarray:
     """The real symmetric two-state matrix (1/2)[[-Ws, Wp], [Wp, Ws]].
 
     Valid on one-photon resonance with gamma = 0 and real envelopes. An
     array t gives a (*t.shape, 2, 2) stack.
     """
-    _, x, _, z = _resonant_parts(pair, t)
+    _, x, _, z = _resonant_parts(_train(pulses), t)
     return _matrix({(0, 0): z, (0, 1): x, (1, 0): x, (1, 1): -z}, 2)
 
 
-def propagate_two_state(pair: PulsePair, t_span=None,
+def propagate_two_state(pulses, t_span=None,
                         rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> np.ndarray:
     """SU(2) propagator of the two-state problem equivalent to resonant STIRAP.
 
@@ -461,51 +457,53 @@ def propagate_two_state(pair: PulsePair, t_span=None,
     resonant_two_state_hamiltonian: the three-state propagator is quadratic
     in the Cayley-Klein parameters, which restores the full rotation angle.
     """
-    return _integrate(_two_state_kernel(pair), pair, t_span, rtol, atol)
+    train = _train(pulses)
+    return _integrate(_two_state_kernel(train), train, t_span, rtol, atol)
 
 
-def _two_state_kernel(pair: PulsePair):
-    return _magnus6_su2(lambda t: 0.5 * _resonant_parts(pair, t))
+def _two_state_kernel(train: PulseTrain):
+    return _magnus6_su2(lambda t: 0.5 * _resonant_parts(train, t))
 
 
-def _eliminated_parts(pair: PulsePair, delta: float, t) -> np.ndarray:
+def _eliminated_parts(train: PulseTrain, delta: float, t) -> np.ndarray:
     """(trace, x, y, z) of the (c1, c3) problem left when c2 is eliminated
     at |Delta| >> Omega0: the light shifts H00 = -|Wp|^2/(4 Delta) and
     H11 = -|Ws|^2/(4 Delta), and the coupling H01 = x - iy = -Wp Ws/(4 Delta).
     Its two-state form (effective_two_state) is W_eff = 2 H01, which couples
     states 1 and 3, and the effective detuning
     D_eff = 2 (H11 - H00) = (|Wp|^2 - |Ws|^2)/(2 Delta)."""
-    wp, ws = pair_envelopes(pair, t)
+    wp, ws = train_envelopes(train, t)
     c = -0.25 / delta
     pump, stokes, h01 = abs(wp) ** 2, abs(ws) ** 2, c * wp * ws
     return np.array([0.5 * c * (pump + stokes), h01.real, -h01.imag,
                      0.5 * c * (pump - stokes)])
 
 
-def effective_two_state(pair: PulsePair, delta: float):
+def effective_two_state(pulses, delta: float):
     """Far-off-resonance reduction: (W_eff(t), D_eff(t)) of _eliminated_parts."""
     if delta == 0:
         raise ValueError("adiabatic elimination needs a nonzero detuning")
-    peak = max(pair.pump.peak, pair.stokes.peak)
-    if abs(delta) < 10.0 * peak:
+    train = _train(pulses)
+    if abs(delta) < 10.0 * _peak(train):
         warnings.warn("adiabatic elimination is unreliable for |Delta| < 10*Omega0",
                       stacklevel=2)
 
     def w_eff(t):
-        _, x, y, _ = _eliminated_parts(pair, delta, t)
+        _, x, y, _ = _eliminated_parts(train, delta, t)
         return 2.0 * (x - 1j * y)
 
     def d_eff(t):
-        return -4.0 * _eliminated_parts(pair, delta, t)[3]    # 2 (H11 - H00)
+        return -4.0 * _eliminated_parts(train, delta, t)[3]    # 2 (H11 - H00)
 
     return w_eff, d_eff
 
 
-def propagate_effective(pair: PulsePair, delta: float, t_span=None,
+def propagate_effective(pulses, delta: float, t_span=None,
                         rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> np.ndarray:
     """2x2 propagator of the adiabatically eliminated (c1, c3) problem of
     _eliminated_parts, light-shift trace included."""
     if delta == 0:
         raise ValueError("adiabatic elimination needs a nonzero detuning")
-    return _integrate(_magnus6_su2(lambda t: _eliminated_parts(pair, delta, t)), pair, t_span,
+    train = _train(pulses)
+    return _integrate(_magnus6_su2(lambda t: _eliminated_parts(train, delta, t)), train, t_span,
                       rtol, atol)

@@ -22,6 +22,11 @@ from .pulses import ShapeKind, make_pair
 AXIS_NAMES = ("omega0", "delay", "gamma", "delta")
 
 
+def _is_count(n, least: int) -> bool:
+    """An integer, numpy's too but not a bool, of at least `least`."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= least
+
+
 @dataclass(frozen=True)
 class SweepAxis:
     name: str
@@ -36,8 +41,8 @@ class SweepAxis:
         # Exact for integers: one beyond float range fails, as NaN does.
         if not (abs(self.start) <= float_info.max and abs(self.stop) <= float_info.max):
             raise ValueError("axis ends must be finite")
-        if self.points < 2:
-            raise ValueError("an axis needs at least 2 points")
+        if not _is_count(self.points, 2):
+            raise ValueError("an axis needs an integer count of at least 2 points")
         if not self.start < self.stop:
             raise ValueError("axis needs start < stop")
         if self.spacing not in ("linear", "log"):
@@ -154,11 +159,8 @@ def _request(seq: phases.CompositeSequence):
 
 def grid_coords(axes) -> list[tuple[tuple[str, float], ...]]:
     """Row-major cartesian product of the axes, first axis outermost."""
-    if not axes:
-        return [()]
-    values = [ax.values() for ax in axes]
     names = [ax.name for ax in axes]
-    return [tuple(zip(names, combo)) for combo in product(*values)]
+    return [tuple(zip(names, combo)) for combo in product(*(ax.values() for ax in axes))]
 
 
 def run_scan(spec: ScanSpec) -> list[FidelityResult]:
@@ -197,8 +199,8 @@ def monte_carlo_phase_noise(spec: ScanSpec, sigma: float, samples: int,
     """Mean populations over Gaussian phase noise on every alpha_k, beta_k."""
     if not sigma >= 0:
         raise ValueError("sigma must be >= 0")
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    if not _is_count(samples, 1):
+        raise ValueError("need an integer count of at least one sample")
     seq = spec.sequence
     return [_evaluate(spec, coords,
                       [(_noisy_phase_blocks(seq, sigma, samples, seed, i),
@@ -257,8 +259,7 @@ def decay_compensation_check(spec: ScanSpec, gammas, threshold: float,
 
     rows = []
     for g in gammas:
-        lo, hi = 0.0, None
-        omega = 5.0
+        lo, hi, omega = 0.0, None, 5.0
         while omega <= omega_max:
             if infid(omega, g) < threshold:
                 hi = omega

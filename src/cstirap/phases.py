@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from sys import float_info
 
 
 @dataclass(frozen=True)
@@ -30,6 +31,9 @@ class CompositeSequence:
             raise ValueError("the number of pulse pairs must be odd and positive")
         if len(self.pump_phases) != self.n_pairs or len(self.stokes_phases) != self.n_pairs:
             raise ValueError("phase lists must have length N")
+        # Exact for integers: one beyond float range fails, as NaN does.
+        if not all(abs(x) <= float_info.max for x in (*self.pump_phases, *self.stokes_phases)):
+            raise ValueError("phases must be finite")
 
     def phase_pairs(self):
         return tuple(zip(self.pump_phases, self.stokes_phases))

@@ -63,10 +63,9 @@ class PulsePair:
 
 def envelope(shape: PulseShape, t):
     """Real envelope value(s) at time t (scalar or array)."""
-    if shape.kind is ShapeKind.GAUSSIAN:
-        x = (t - shape.center_or_start) / shape.width
-        return shape.peak * np.exp(-x * x)
     x = (t - shape.center_or_start) / shape.width
+    if shape.kind is ShapeKind.GAUSSIAN:
+        return shape.peak * np.exp(-x * x)
     inside = (x >= 0.0) & (x <= 1.0)
     return np.where(inside, shape.peak * np.sin(np.pi * np.clip(x, 0.0, 1.0)) ** 2, 0.0)
 
@@ -110,15 +109,13 @@ def make_pair(kind: ShapeKind, peak: float, width: float = 1.0, delay: float | N
 
 def window(pair: PulsePair) -> tuple[float, float]:
     """Integration window covering both envelopes of the pair."""
+    lo = min(pair.pump.center_or_start, pair.stokes.center_or_start)
     if pair.pump.kind is ShapeKind.GAUSSIAN:
-        lo = min(pair.pump.center_or_start, pair.stokes.center_or_start)
         hi = max(pair.pump.center_or_start, pair.stokes.center_or_start)
         pad = GAUSSIAN_CUTOFF * max(pair.pump.width, pair.stokes.width)
         return lo - pad, hi + pad
-    lo = min(pair.pump.center_or_start, pair.stokes.center_or_start)
-    hi = max(pair.pump.center_or_start + pair.pump.width,
-             pair.stokes.center_or_start + pair.stokes.width)
-    return lo, hi
+    return lo, max(pair.pump.center_or_start + pair.pump.width,
+                   pair.stokes.center_or_start + pair.stokes.width)
 
 
 def duration(pair: PulsePair) -> float:
@@ -164,9 +161,8 @@ def build_train(base: PulsePair, pump_phases, stokes_phases, alternate: bool,
 
 def train_envelopes(train: PulseTrain, t):
     """Complex (pump, Stokes) amplitudes of the whole train at time t."""
-    ep = 0j
-    es = 0j
-    for p in train.pairs:
+    ep, es = pair_envelopes(train.pairs[0], t)
+    for p in train.pairs[1:]:
         a, b = pair_envelopes(p, t)
         ep = ep + a
         es = es + b

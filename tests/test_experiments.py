@@ -41,6 +41,15 @@ def test_sweep_axis_validation():
         SweepAxis("gamma", 0.1, 1.0, 5, "cubic")
 
 
+def test_sweep_axis_count_must_be_an_integer():
+    # A float or bool count once passed and failed later, in values().
+    for points in (3.0, 2.5, True, "3"):
+        with pytest.raises(ValueError, match="integer count"):
+            SweepAxis("omega0", 1, 2, points)
+    np.testing.assert_array_equal(SweepAxis("omega0", 1, 2, np.int64(3)).values(),
+                                  [1.0, 1.5, 2.0])
+
+
 @pytest.mark.parametrize("start,stop", [(1, 10 ** 400), (-10 ** 400, 1)], ids=["stop", "start"])
 def test_sweep_axis_rejects_integer_ends_beyond_float_range(start, stop):
     with pytest.raises(ValueError, match="axis ends must be finite"):
@@ -213,6 +222,15 @@ def test_monte_carlo_samples_share_no_draw():
     draws = np.concatenate(list(blocks)).reshape(experiments._MC_BLOCK + 2, -1)
     for sample, following in zip(draws, draws[1:]):
         assert not set(sample) & set(following)
+
+
+def test_monte_carlo_sample_count_must_be_an_integer():
+    for samples in (3.0, True, 0, np.int32(0)):
+        with pytest.raises(ValueError, match="integer count"):
+            monte_carlo_phase_noise(_spec(), 0.01, samples, 0)
+    spec = _spec(sequence=resonant_phases(3))
+    assert (monte_carlo_phase_noise(spec, 0.01, np.int64(3), 0)
+            == monte_carlo_phase_noise(spec, 0.01, 3, 0))
 
 
 def test_monte_carlo_noise_degrades_transfer():

@@ -175,6 +175,21 @@ def test_first_pass_guard_and_its_fallback(monkeypatch, delta, guarded):
     np.testing.assert_array_equal(got, w @ vh)
 
 
+def test_fallback_meets_its_tolerance():
+    # Here the guarded first pass would need 549,302 steps, so the point
+    # takes the fourth-order fallback. The reference is one fixed pass of
+    # the sixth-order kernel at the guarded step counts, h ||H|| <= 3, and
+    # its polar factor, as propagate takes it at gamma = 0.
+    pair, sys = make_pair(ShapeKind.SINE_SQUARED, 10.0), SystemParams(1.25e6)
+    breaks = dynamics._breakpoints(pair, window(pair))
+    guarded = np.ceil(np.diff(breaks) * (sys.delta + 10.0) / 3.0).astype(np.int64)
+    assert guarded.sum() == 549_302 and 2 * guarded.sum() > dynamics._MAX_STEPS
+    blocks = dynamics._chunk_products(dynamics._magnus6(lambda t: hamiltonian(pair, sys, t)),
+                                      breaks, guarded)
+    w, _, vh = np.linalg.svd(dynamics._ordered_product(blocks))
+    assert _dev(propagate(pair, sys, **MAGNUS), w @ vh) < 10 * MAGNUS["rtol"]
+
+
 @pytest.mark.parametrize("problem", ["two_state", "effective"])
 def test_sixth_order_convergence_two_state(monkeypatch, problem):
     # 2x2 generators take the closed-form su(2) step: halving the step
@@ -200,7 +215,7 @@ def test_sixth_order_convergence_two_state(monkeypatch, problem):
     assert errs[0] / errs[1] > 40 and errs[1] / errs[2] > 40, errs
 
 
-@pytest.mark.parametrize("kernel,nodes,dim", [(dynamics._magnus4, 2, 3),
+@pytest.mark.parametrize("kernel,nodes,dim", [(dynamics._magnus4, 3, 3),
                                               (dynamics._magnus6, 3, 3),
                                               (dynamics._magnus6_su2, 3, 2)],
                          ids=["magnus4", "magnus6", "magnus6_su2"])
@@ -407,12 +422,12 @@ def test_pair_propagates_as_one_pair_train(kind, omega0, delta, gamma, pump_phas
     (dict(sys=SystemParams(gamma=1e-3)), False),
     (dict(pump_phase=0.1), False),
     (dict(stokes_phase=0.1), False),
-    (dict(t_span=(0.0, 1.3)), False),
-    (dict(train=True), False),
+    (dict(t_span=(0.0, 1.3)), True),
+    (dict(train=True), True),
 ])
 def test_resonant_route_condition(monkeypatch, case, routed):
-    # Only a single zero-phase pair at Delta = gamma = 0 over its own window
-    # skips the three-state Hamiltonian.
+    # Real envelopes at Delta = gamma = 0 skip the three-state Hamiltonian,
+    # for a pair or a train and over any t_span.
     calls = []
     three_state = dynamics.hamiltonian
     monkeypatch.setattr(dynamics, "hamiltonian", lambda *a: calls.append(1) or three_state(*a))
@@ -421,6 +436,20 @@ def test_resonant_route_condition(monkeypatch, case, routed):
     pulses = build_train(pair, [0.0], [0.0], False) if case.get("train") else pair
     propagate(pulses, case.get("sys", SystemParams()), t_span=case.get("t_span"))
     assert (not calls) == routed
+
+
+@pytest.mark.parametrize("kind", list(ShapeKind))
+def test_resonant_train_takes_the_route(monkeypatch, kind):
+    # A zero-phase three-pair train, alternating as the resonant protocol
+    # does, is lifted from its two-state propagator like a single pair.
+    calls = []
+    three_state = dynamics.hamiltonian
+    monkeypatch.setattr(dynamics, "hamiltonian", lambda *a: calls.append(1) or three_state(*a))
+    train = build_train(make_pair(kind, 12.0), [0.0] * 3, [0.0] * 3, True)
+    got = propagate(train, SystemParams(), **MAGNUS)
+    assert not calls
+    monkeypatch.undo()
+    assert _dev(got, rk45_oracle.propagate(train, SystemParams())) < AGREE
 
 
 @pytest.mark.parametrize("phase", [2 * np.pi, -2 * np.pi, 4 * np.pi], ids=["2pi", "-2pi", "4pi"])
@@ -442,11 +471,12 @@ def test_resonant_route_takes_phases_modulo_two_pi(monkeypatch, phase):
 @pytest.mark.parametrize("route", ["two_state", "three_state", "detuned"])
 @pytest.mark.parametrize("case", ["unmeetable", "stalled", "over_limit"])
 def test_integration_error_carries_steps_and_estimate(monkeypatch, case, route):
-    # Each failure on the resonant route, on the 3x3 kernel at resonance
-    # (an explicit t_span keeps the pair off the route) and off resonance,
-    # with the stepping passes it may take: none before the step limit,
-    # two for an unmeetable tolerance and at most six for a stall. Pulses
-    # 1e-7 wide, 1.0 apart, need 2e7 steps from the start.
+    # Each failure on the resonant route, on the guarded 3x3 kernel at
+    # resonance (called directly: propagate takes the route there) and off
+    # resonance, with the stepping passes it may take: none before the step
+    # limit, two for an unmeetable tolerance and at most six for a stall.
+    # Pulses 1e-7 wide, 1.0 apart, need 2e7 steps from the start; there the
+    # guard falls back, and the message names the fourth order.
     passes = []
     chunk_products = dynamics._chunk_products
     monkeypatch.setattr(dynamics, "_chunk_products",
@@ -454,11 +484,17 @@ def test_integration_error_carries_steps_and_estimate(monkeypatch, case, route):
     shape = dict(width=1e-7, delay=1.0) if case == "over_limit" else {}
     pair = make_pair(ShapeKind.SINE_SQUARED, 30.0, **shape)
     sys = SystemParams(delta=1.0 if route == "detuned" else 0.0)
-    t_span = window(pair) if route == "three_state" else None
     tol = {"unmeetable": 1e-300, "stalled": 1e-16, "over_limit": 1e-10}[case]
     with pytest.raises(IntegrationError) as info:
-        propagate(pair, sys, t_span, rtol=tol, atol=tol)
+        if route == "three_state":
+            generator = lambda t: hamiltonian(pair, sys, t)
+            dynamics._integrate(dynamics._magnus6(generator), pair, None, tol, tol,
+                                guard=(30.0, dynamics._magnus4(generator)))
+        else:
+            propagate(pair, sys, rtol=tol, atol=tol)
     err = info.value
+    order = 4 if case == "over_limit" and route != "two_state" else 6
+    assert str(err).startswith(f"Magnus stepping of order {order} "), str(err)
     if case == "over_limit":
         assert err.estimate is None and err.steps > dynamics._MAX_STEPS and not passes
         return

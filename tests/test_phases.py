@@ -71,6 +71,17 @@ def test_sequence_validation():
         resonant_numerators(4)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 10 ** 400],
+                         ids=["nan", "inf", "-inf", "int-beyond-float"])
+def test_sequence_rejects_non_finite_phases(bad):
+    # Once accepted, such a phase failed the composition later with a
+    # message that blamed the gap or the phase noise.
+    with pytest.raises(ValueError, match="phases must be finite"):
+        CompositeSequence(3, (0.0, bad, 0.0), (0.0, 0.0, 0.0), True)
+    with pytest.raises(ValueError, match="phases must be finite"):
+        CompositeSequence(3, (0.0, 0.0, 0.0), (bad, 0.0, 0.0), True)
+
+
 def _infidelity(pair, sys, seq):
     u = propagate(pair, sys, rtol=1e-9, atol=1e-11)
     m = compose_sequence([u] * seq.n_pairs, seq.phase_pairs(), seq.alternate_ordering)
