@@ -91,20 +91,12 @@ def _is_number(x) -> bool:
             and abs(x) <= sys.float_info.max)
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _positive(x) -> bool:
     return _is_number(x) and x > 0
 
 
 def _nonnegative(x) -> bool:
     return _is_number(x) and x >= 0
-
-
-def _count(x) -> bool:
-    return _is_int(x) and x >= 1
 
 
 # section -> (problem when the section is absent, or None if {} stands in;
@@ -130,17 +122,18 @@ _SECTIONS = {
     }),
     "noise": ("required for montecarlo", {
         "sigma": (None, _nonnegative, float, "must be a number >= 0"),
-        "samples": (1000, _count, int, "must be an integer >= 1"),
+        "samples": (1000, lambda x: phases.is_count(x, 1), int, "must be an integer >= 1"),
     }),
     "solver": (None, {
-        "budget": (2000, _count, int, "must be an integer >= 1"),
+        "budget": (2000, lambda x: phases.is_count(x, 1), int, "must be an integer >= 1"),
         "xatol": (1e-6, _positive, float, "must be > 0"),
         "simplex_step": (0.01, _positive, float, "must be > 0"),
     }),
     "sequence": (None, {
         "source": ("single", lambda x: x in ("single", "resonant", "cap", "explicit"),
                    str, "must be single|resonant|cap|explicit"),
-        "n": (1, lambda x: _count(x) and x % 2 == 1, int, "must be a positive odd integer"),
+        "n": (1, lambda x: phases.is_count(x, 1) and x % 2 == 1, int,
+              "must be a positive odd integer"),
         **{key: (None, lambda x: x is None or isinstance(x, list) and all(map(_is_number, x)),
                  lambda x: tuple(map(float, x)), "must be a list of numbers")
            for key in ("pump_phases", "stokes_phases")},
@@ -152,7 +145,7 @@ _SECTIONS = {
                  "must be one of " + "|".join(experiments.AXIS_NAMES)),
         "min": (None, _is_number, float, "must be a finite number"),
         "max": (None, _is_number, float, "must be a finite number"),
-        "points": (None, lambda x: _is_int(x) and x >= 2, int, "must be an integer >= 2"),
+        "points": (None, lambda x: phases.is_count(x, 2), int, "must be an integer >= 2"),
         "spacing": ("linear", lambda x: x in ("linear", "log"), str,
                     "must be 'linear' or 'log'"),
     }),
@@ -301,7 +294,7 @@ def parse_config(data, experiment: str, seed: int | None = None) -> RunConfig:
         problems.append(f"noise.samples: may be at most {_MAX_SAMPLES}")
 
     seed = data.get("seed", 0) if seed is None else seed
-    if not _is_int(seed) or not 0 <= seed < 2 ** 64:
+    if not phases.is_count(seed, 0) or not seed < 2 ** 64:
         problems.append("seed: must be an unsigned 64-bit integer")
     resolved["seed"] = seed
 

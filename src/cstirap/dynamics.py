@@ -12,7 +12,8 @@ picks, all on three Gauss nodes: sixth order for a 3x3 generator
 _magnus4 as the fallback), and in closed form for a 2x2 one given as its
 Pauli parts (trace, x, y, z) (_magnus6_su2). Every input is read as a
 train. On resonance, without decay, real envelopes take the paper's
-route: the two-state propagator, lifted to three states.
+route: the two-state propagator, lifted to three states. Off it, a
+mirrored pair is integrated over half its window (see propagate).
 """
 
 from __future__ import annotations
@@ -396,6 +397,13 @@ def propagate(pulses, sys: SystemParams, t_span=None,
     rtol and atol as given. Any other case takes the sixth-order 3x3 kernel
     behind the first-pass guard of _integrate, projected onto the nearest
     unitary matrix at gamma = 0.
+
+    On that path one pair, without t_span, with pump and Stokes of equal
+    kind, peak and width and phases of whole turns is mirrored: with S the
+    swap of states 1 and 3, H(t_i + t_f - t) = S H(t) S and H^T = H at any
+    Delta and gamma, so U = S U_h^T S U_h with U_h = U(mid, t_i). Only that
+    half is integrated, to half of rtol + atol (its error enters twice); an
+    IntegrationError quotes rtol and atol as given, and the half's steps.
     """
     train = _train(pulses)
     if sys.delta == 0 and sys.gamma == 0 and _real_envelopes(train):
@@ -405,8 +413,15 @@ def propagate(pulses, sys: SystemParams, t_span=None,
     # An upper bound of ||H||: |Delta - i gamma/2| bounds the diagonal, and
     # the largest peak Rabi frequency bounds the couplings Wp/2 and Ws/2.
     bound = abs(sys.delta) + 0.5 * sys.gamma + _peak(train)
-    u = _integrate(_magnus6(generator), train, t_span, rtol, atol,
-                   guard=(bound, _magnus4(generator)))
+    kernel, guard = _magnus6(generator), (bound, _magnus4(generator))
+    if t_span is None and _mirrored(train):
+        t_i, t_f = train_window(train)
+        uh = _integrate(kernel, train, (t_i, 0.5 * (t_i + t_f)), rtol, atol, margin=2.0,
+                        guard=guard)
+        # S U_h^T S U_h, where S swaps states 1 and 3.
+        u = uh.T[::-1, ::-1] @ uh
+    else:
+        u = _integrate(kernel, train, t_span, rtol, atol, guard=guard)
     if sys.gamma == 0:
         # The defects of the Taylor step exponentials add up to about 1e-11
         # over thousands of steps; the polar factor removes them and moves u
@@ -423,6 +438,14 @@ def propagate_state(initial, pulses, sys: SystemParams, t_span=None,
     if c.shape != (3,):
         raise ValueError("state must have three amplitudes")
     return propagate(pulses, sys, t_span, rtol, atol) @ c
+
+
+def _mirrored(train: PulseTrain) -> bool:
+    """One pair whose pulses differ only in position, with real envelopes:
+    each pulse is the other reflected about the window's middle."""
+    a, b = train.pairs[0].pump, train.pairs[0].stokes
+    return (len(train.pairs) == 1 and (a.kind, a.peak, a.width) == (b.kind, b.peak, b.width)
+            and _real_envelopes(train))
 
 
 def _real_envelopes(train: PulseTrain) -> bool:

@@ -22,11 +22,6 @@ from .pulses import ShapeKind, make_pair
 AXIS_NAMES = ("omega0", "delay", "gamma", "delta")
 
 
-def _is_count(n, least: int) -> bool:
-    """An integer, numpy's too but not a bool, of at least `least`."""
-    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= least
-
-
 @dataclass(frozen=True)
 class SweepAxis:
     name: str
@@ -41,7 +36,7 @@ class SweepAxis:
         # Exact for integers: one beyond float range fails, as NaN does.
         if not (abs(self.start) <= float_info.max and abs(self.stop) <= float_info.max):
             raise ValueError("axis ends must be finite")
-        if not _is_count(self.points, 2):
+        if not phases.is_count(self.points, 2):
             raise ValueError("an axis needs an integer count of at least 2 points")
         if not self.start < self.stop:
             raise ValueError("axis needs start < stop")
@@ -199,7 +194,7 @@ def monte_carlo_phase_noise(spec: ScanSpec, sigma: float, samples: int,
     """Mean populations over Gaussian phase noise on every alpha_k, beta_k."""
     if not sigma >= 0:
         raise ValueError("sigma must be >= 0")
-    if not _is_count(samples, 1):
+    if not phases.is_count(samples, 1):
         raise ValueError("need an integer count of at least one sample")
     seq = spec.sequence
     return [_evaluate(spec, coords,
@@ -246,6 +241,8 @@ def decay_compensation_check(spec: ScanSpec, gammas, threshold: float,
     """
     if not threshold > 0:
         raise ValueError("threshold must be > 0")
+    if not phases.is_count(iters, 0):
+        raise ValueError("iters must be an integer >= 0")
     gammas = _decay_rates(gammas)
     seq = spec.sequence
 

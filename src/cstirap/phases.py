@@ -9,8 +9,14 @@ solver, which needs the pair propagator, is experiments.solve_phases.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from sys import float_info
+
+
+def is_count(n, least: int) -> bool:
+    """An integer, numpy's too but not a bool, of at least `least`."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= least
 
 
 @dataclass(frozen=True)
@@ -27,7 +33,7 @@ class CompositeSequence:
     alternate_ordering: bool
 
     def __post_init__(self):
-        if self.n_pairs < 1 or self.n_pairs % 2 == 0:
+        if not is_count(self.n_pairs, 1) or self.n_pairs % 2 == 0:
             raise ValueError("the number of pulse pairs must be odd and positive")
         if len(self.pump_phases) != self.n_pairs or len(self.stokes_phases) != self.n_pairs:
             raise ValueError("phase lists must have length N")
@@ -40,7 +46,7 @@ class CompositeSequence:
 
 
 def _check_n(n: int):
-    if not isinstance(n, int) or n < 1 or n % 2 == 0:
+    if not is_count(n, 1) or n % 2 == 0:
         raise ValueError("N must be a positive odd integer")
 
 

@@ -285,6 +285,13 @@ def test_compensation_rejects_negative_decay():
         decay_compensation_check(_spec(), [0.2, -0.1], threshold=2e-2)
 
 
+@pytest.mark.parametrize("iters", [2.5, -1, True])
+def test_compensation_iters_must_be_a_count(iters):
+    # iters=2.5 once raised TypeError from range.
+    with pytest.raises(ValueError, match="iters must be an integer >= 0"):
+        decay_compensation_check(_spec(), [0.2], threshold=2e-2, iters=iters)
+
+
 def test_compensation_overflow_is_an_error():
     # A gap phase that overflows makes every composed infidelity NaN; that
     # must not pass for a threshold no drive reaches.

@@ -5,6 +5,8 @@ shipped scan and contour configs; the oracle runs at rtol 1e-11. Examples
 are drawn deterministically, so every run checks the same points.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -16,7 +18,8 @@ from cstirap import dynamics
 from cstirap.dynamics import (IntegrationError, SystemParams, hamiltonian,
                               propagate, propagate_effective, propagate_two_state)
 from cstirap.phases import cap_phases, resonant_phases
-from cstirap.pulses import PulseTrain, ShapeKind, build_train, make_pair, window
+from cstirap.pulses import (PulseTrain, ShapeKind, build_train, make_pair, train_window,
+                            window)
 
 MAGNUS = dict(rtol=1e-8, atol=1e-10)
 AGREE = 1e-7
@@ -146,21 +149,28 @@ def test_far_detuned_first_pass_does_not_falsely_converge(omega0, delta):
         assert _dev(got, ref) < 10 * MAGNUS["rtol"]
 
 
+def _record_passes(monkeypatch):
+    """The (order, step counts) of every stepping pass made from here on."""
+    passes = []
+    chunk_products = dynamics._chunk_products
+    monkeypatch.setattr(dynamics, "_chunk_products", lambda kernel, breaks, steps: passes.append(
+        (kernel[1], steps)) or chunk_products(kernel, breaks, steps))
+    return passes
+
+
 @pytest.mark.parametrize("delta,guarded", [(1e4, True), (1e7, False)])
 def test_first_pass_guard_and_its_fallback(monkeypatch, delta, guarded):
     # The sixth-order kernel starts each segment with steps of
     # h ||H|| <= 3 < pi. Where the fine pass of those steps passes
     # _MAX_STEPS, the point takes the unguarded first pass and the
-    # fourth-order kernel, bit for bit.
+    # fourth-order kernel, bit for bit. The explicit t_span keeps the
+    # mirrored pair on the full window.
     pair = make_pair(ShapeKind.SINE_SQUARED, 80.0)
-    sys = SystemParams(delta)
-    passes = []
-    chunk_products = dynamics._chunk_products
-    monkeypatch.setattr(dynamics, "_chunk_products", lambda kernel, breaks, steps: passes.append(
-        (kernel[1], steps)) or chunk_products(kernel, breaks, steps))
-    got = propagate(pair, sys, **MAGNUS)
+    sys, span = SystemParams(delta), window(pair)
+    passes = _record_passes(monkeypatch)
+    got = propagate(pair, sys, span, **MAGNUS)
     monkeypatch.undo()
-    lengths = np.diff(dynamics._breakpoints(pair, window(pair)))
+    lengths = np.diff(dynamics._breakpoints(pair, span))
     order, first = passes[0]
     if guarded:
         assert order == 6 and np.all(first >= lengths * (delta + 80.0) / 3.0), first
@@ -169,25 +179,45 @@ def test_first_pass_guard_and_its_fallback(monkeypatch, delta, guarded):
     assert order == 4
     np.testing.assert_array_equal(first, np.ceil(lengths / 0.5))
     want = dynamics._integrate(dynamics._magnus4(lambda t: hamiltonian(pair, sys, t)), pair,
-                               None, **MAGNUS)
+                               span, **MAGNUS)
     # propagate's polar factor at gamma = 0.
     w, _, vh = np.linalg.svd(want)
     np.testing.assert_array_equal(got, w @ vh)
 
 
-def test_fallback_meets_its_tolerance():
+def test_first_pass_guard_on_the_half_window(monkeypatch):
+    # A mirrored pair integrates only [t_i, mid]: two segments, the
+    # Stokes pulse's rise up to the pump's start and on to the middle,
+    # each guarded.
+    pair = make_pair(ShapeKind.SINE_SQUARED, 80.0)
+    t_i, t_f = window(pair)
+    passes = _record_passes(monkeypatch)
+    propagate(pair, SystemParams(1e4), **MAGNUS)
+    lengths = np.diff(dynamics._breakpoints(pair, (t_i, 0.5 * (t_i + t_f))))
+    order, first = passes[0]
+    assert len(lengths) == 2 and order == 6
+    assert np.all(first >= lengths * (1e4 + 80.0) / 3.0), first
+
+
+def test_fallback_meets_its_tolerance(monkeypatch):
     # Here the guarded first pass would need 549,302 steps, so the point
     # takes the fourth-order fallback. The reference is one fixed pass of
     # the sixth-order kernel at the guarded step counts, h ||H|| <= 3, and
-    # its polar factor, as propagate takes it at gamma = 0.
+    # its polar factor, as propagate takes it at gamma = 0. The explicit
+    # t_span keeps the mirrored pair on the full window, whose guarded
+    # pass, unlike the half's, is beyond the step limit.
     pair, sys = make_pair(ShapeKind.SINE_SQUARED, 10.0), SystemParams(1.25e6)
-    breaks = dynamics._breakpoints(pair, window(pair))
+    span = window(pair)
+    breaks = dynamics._breakpoints(pair, span)
     guarded = np.ceil(np.diff(breaks) * (sys.delta + 10.0) / 3.0).astype(np.int64)
     assert guarded.sum() == 549_302 and 2 * guarded.sum() > dynamics._MAX_STEPS
     blocks = dynamics._chunk_products(dynamics._magnus6(lambda t: hamiltonian(pair, sys, t)),
                                       breaks, guarded)
     w, _, vh = np.linalg.svd(dynamics._ordered_product(blocks))
-    assert _dev(propagate(pair, sys, **MAGNUS), w @ vh) < 10 * MAGNUS["rtol"]
+    passes = _record_passes(monkeypatch)
+    got = propagate(pair, sys, span, **MAGNUS)
+    assert {order for order, _ in passes} == {4}
+    assert _dev(got, w @ vh) < 10 * MAGNUS["rtol"]
 
 
 @pytest.mark.parametrize("problem", ["two_state", "effective"])
@@ -466,6 +496,67 @@ def test_resonant_route_takes_phases_modulo_two_pi(monkeypatch, phase):
                          stokes_phase=stokes_phase)
         np.testing.assert_array_equal(propagate(pair, SystemParams(), **MAGNUS), want)
     assert not calls
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(shapes, st.sampled_from([5.0, 23.0, 60.0]), delays, st.floats(-100.0, 100.0),
+       st.floats(0.0, 2.0))
+def test_half_window_matches_full_window(kind, omega0, delay, delta, gamma):
+    # A mirrored pair on the 3x3 path is integrated over [t_i, mid] only,
+    # as S U_h^T S U_h; the full window, forced by an explicit t_span,
+    # integrates both halves.
+    pair = make_pair(kind, omega0, 1.0, delay)
+    sys, tol = SystemParams(delta, gamma), dict(rtol=1e-10, atol=1e-12)
+    full = propagate(pair, sys, train_window(PulseTrain((pair,))), **tol)
+    assert _dev(propagate(pair, sys, **tol), full) < 10 * tol["rtol"]
+
+
+@pytest.mark.parametrize("kind", list(ShapeKind))
+@pytest.mark.parametrize("gamma", [0.0, 0.8])
+def test_half_window_matches_oracle(kind, gamma):
+    pair = make_pair(kind, 23.0, 1.0, 0.7)
+    sys = SystemParams(delta=7.0, gamma=gamma)
+    got = propagate(pair, sys, **MAGNUS)
+    assert _dev(got, rk45_oracle.propagate(pair, sys)) < AGREE
+    if gamma == 0.0:
+        assert _unitarity(got) < 1e-12
+
+
+def _other_pulse(pair, **change):
+    return replace(pair, pump=replace(pair.pump, **change))
+
+
+@pytest.mark.parametrize("kind", list(ShapeKind))
+@pytest.mark.parametrize("case,half", [
+    ("pair", True),
+    ("one_pair_train", True),
+    ("reversed", True),
+    ("unequal_peaks", False),
+    ("unequal_widths", False),
+    ("three_pair_train", False),
+    ("phase", False),
+    ("t_span", False),
+])
+def test_half_window_condition(monkeypatch, kind, case, half):
+    # Only one pair whose pulses differ in position alone, with real
+    # envelopes and no t_span, takes the half window on the 3x3 path, to
+    # half of rtol + atol.
+    spans = []
+    integrate = dynamics._integrate
+    monkeypatch.setattr(dynamics, "_integrate", lambda kernel, pulses, t_span, *a, **kw:
+                        spans.append((t_span, kw.get("margin", 1.0)))
+                        or integrate(kernel, pulses, t_span, *a, **kw))
+    pair = make_pair(kind, 12.0, reversed=case == "reversed",
+                     pump_phase=0.3 if case == "phase" else 0.0)
+    pulses = {"one_pair_train": PulseTrain((pair,)),
+              "unequal_peaks": _other_pulse(pair, peak=13.0),
+              "unequal_widths": _other_pulse(pair, width=1.1),
+              "three_pair_train": build_train(pair, [0.0] * 3, [0.0] * 3, False),
+              }.get(case, pair)
+    t_span = window(pair) if case == "t_span" else None
+    propagate(pulses, SystemParams(delta=5.0), t_span, **MAGNUS)
+    t_i, t_f = window(pair)
+    assert spans == [((t_i, 0.5 * (t_i + t_f)), 2.0) if half else (t_span, 1.0)]
 
 
 @pytest.mark.parametrize("route", ["two_state", "three_state", "detuned"])

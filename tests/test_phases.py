@@ -71,6 +71,24 @@ def test_sequence_validation():
         resonant_numerators(4)
 
 
+@pytest.mark.parametrize("n", [3.0, True, np.float64(3.0), np.bool_(True)],
+                         ids=["float", "bool", "numpy-float", "numpy-bool"])
+def test_sequence_count_must_be_an_integer(n):
+    # A float or a bool count once passed and failed later, inside numpy.
+    with pytest.raises(ValueError, match="odd and positive"):
+        CompositeSequence(n, (0.0,) * 3, (0.0,) * 3, True)
+    assert CompositeSequence(np.int64(3), (0.0,) * 3, (0.0,) * 3, True).n_pairs == 3
+
+
+@pytest.mark.parametrize("build", [resonant_phases, cap_phases, resonant_numerators,
+                                   cap_numerators])
+@pytest.mark.parametrize("n", [True, 3.0])
+def test_analytic_phases_need_an_integer_count(build, n):
+    # resonant_phases(True) once built a sequence with n_pairs=True.
+    with pytest.raises(ValueError, match="positive odd integer"):
+        build(n)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 10 ** 400],
                          ids=["nan", "inf", "-inf", "int-beyond-float"])
 def test_sequence_rejects_non_finite_phases(bad):

@@ -12,8 +12,8 @@ on a committed tree: the file records HEAD and whether the tree was dirty.
 
 The host's speed drifts between recordings, so the files are compared
 through `versus_parent`, not with each other. The parent is the commit
-named by the newest BENCH_<m>.json with m < n. It is checked out with
-`git worktree add --detach` under a temporary directory, and each tree's
+named by the newest BENCH_<m>.json with m < n. Its committed files are
+unpacked with `git archive` into a temporary directory, and each tree's
 own perfbench/run.py runs PAIRS alternating pairs per workload: pair k
 runs both trees at seed SEED + k, and the tree that runs first alternates
 from pair to pair. Per end-to-end metric the key holds both medians, both
@@ -110,25 +110,24 @@ def _versus_parent(sha: str) -> dict:
     """PAIRS alternating end-to-end runs of the parent and this tree."""
     workloads = {}
     with tempfile.TemporaryDirectory() as tmp:
-        parent = Path(tmp) / "parent"
-        _git("worktree", "add", "--detach", str(parent), sha)
-        try:
-            for w in SPEC["workloads"]:
-                runs = {parent: [], ROOT: []}
-                for k in range(PAIRS):
-                    for tree in (parent, ROOT) if k % 2 == 0 else (ROOT, parent):
-                        runs[tree].append(_run(tree, w["name"], SEED + k, 0))
-                values = {tree: [_values(r, "end_to_end") for r in rs]
-                          for tree, rs in runs.items()}
-                workloads[w["name"]] = {
-                    "correct": all(r["correct"] for rs in runs.values() for r in rs),
-                    "end_to_end": {
-                        m["name"]: _compare(m, [v[m["name"]] for v in values[parent]],
-                                            [v[m["name"]] for v in values[ROOT]])
-                        for m in SPEC["end_to_end"]},
-                }
-        finally:
-            _git("worktree", "remove", "--force", str(parent))
+        parent = Path(tmp)
+        archive = subprocess.run(["git", "archive", sha], cwd=ROOT, capture_output=True,
+                                 check=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(parent)], input=archive, check=True)
+        for w in SPEC["workloads"]:
+            runs = {parent: [], ROOT: []}
+            for k in range(PAIRS):
+                for tree in (parent, ROOT) if k % 2 == 0 else (ROOT, parent):
+                    runs[tree].append(_run(tree, w["name"], SEED + k, 0))
+            values = {tree: [_values(r, "end_to_end") for r in rs]
+                      for tree, rs in runs.items()}
+            workloads[w["name"]] = {
+                "correct": all(r["correct"] for rs in runs.values() for r in rs),
+                "end_to_end": {
+                    m["name"]: _compare(m, [v[m["name"]] for v in values[parent]],
+                                        [v[m["name"]] for v in values[ROOT]])
+                    for m in SPEC["end_to_end"]},
+            }
     return {"sha": sha, "pairs": PAIRS, "workloads": workloads}
 
 
