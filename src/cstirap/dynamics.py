@@ -14,6 +14,14 @@ Pauli parts (trace, x, y, z) (_magnus6_su2). Every input is read as a
 train. On resonance, without decay, real envelopes take the paper's
 route: the two-state propagator, lifted to three states. Off it, a
 mirrored pair is integrated over half its window (see propagate).
+
+The integrator runs a batch of points at once: propagate_many takes many,
+and propagate is the batch of one. Each rung of the step-doubling ladder
+(_ladder) evaluates the kernel once per slab of whole blocks over every
+pass that the batch's active points make; the generator reads each
+step's parameters from its point's row (_row). Every point keeps its own
+breakpoints, step counts, tolerance, Taylor degrees and product tree, so
+its bits do not depend on the batch it runs in.
 """
 
 from __future__ import annotations
@@ -22,11 +30,12 @@ import math
 import warnings
 from dataclasses import dataclass
 from sys import float_info
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .propalg import extract_ck, lift_to_three
-from .pulses import PulseTrain, ShapeKind, train_envelopes, train_window
+from .pulses import PulseTrain, ShapeKind, table_envelopes, train_table, train_window
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
@@ -35,10 +44,14 @@ DEFAULT_ATOL = 1e-12
 StateVector = np.ndarray    # shape (3,), amplitudes (c1, c2, c3)
 Propagator3 = np.ndarray    # shape (3, 3), unitary when gamma = 0
 
-# Time steps evaluated per batch. A constant, not a setting: it bounds
-# memory, and it fixes the order in which the step exponentials are
-# multiplied, so every output bit depends on the point alone.
+# Time steps per block. A constant, not a setting: each block's step
+# exponentials take the Taylor degree that the block's own largest norm
+# picks and are multiplied in a fixed tree, so every output bit depends on
+# the point alone, also within a batch.
 _CHUNK = 512
+# Time steps per kernel call, in whole blocks of any points of a batch. A
+# constant, not a setting: it bounds the memory of a call.
+_SLAB = 2 * _CHUNK
 # Step doubling gives up beyond this many steps per propagator.
 _MAX_STEPS = 1 << 20
 # The three Gauss-Legendre nodes on [0, 1] of the Magnus kernels, and
@@ -105,6 +118,12 @@ def _train(pulses) -> PulseTrain:
     return pulses if isinstance(pulses, PulseTrain) else PulseTrain((pulses,))
 
 
+def _row(pulses, sys: SystemParams) -> np.ndarray:
+    """A point as every generator reads it: the train_table of its pulses,
+    then Delta and gamma."""
+    return np.append(train_table(_train(pulses)), (sys.delta, sys.gamma))
+
+
 def _matrix(entries, dim: int) -> np.ndarray:
     """A (..., dim, dim) stack from {(row, col): entry}; the other entries
     are zero."""
@@ -115,15 +134,19 @@ def _matrix(entries, dim: int) -> np.ndarray:
     return m
 
 
+def _hamiltonian(t, cols) -> np.ndarray:
+    """H at t of the points whose _row entries are cols[k] (see hamiltonian)."""
+    wp, ws = (0.5 * w for w in table_envelopes(cols[:-2], t))
+    return _matrix({(0, 1): wp, (1, 0): np.conj(wp), (1, 1): cols[-2] - 0.5j * cols[-1],
+                    (1, 2): ws, (2, 1): np.conj(ws)}, 3)
+
+
 def hamiltonian(pulses, sys: SystemParams, t) -> np.ndarray:
     """The rotating-wave Hamiltonian at time(s) t (two-photon resonance).
 
     A scalar t gives one 3x3 matrix, an array t a (*t.shape, 3, 3) stack.
     """
-    wp, ws = (0.5 * w for w in train_envelopes(_train(pulses), t))
-    return _matrix({(0, 1): wp, (1, 0): np.conj(wp),
-                    (1, 1): sys.delta - 0.5j * sys.gamma,
-                    (1, 2): ws, (2, 1): np.conj(ws)}, 3)
+    return _hamiltonian(t, _row(pulses, sys))
 
 
 def _min_width(train: PulseTrain):
@@ -153,14 +176,37 @@ def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ijm,jkm->ikm", a, b)
 
 
-def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(A) for a component-major stack A: a Taylor polynomial of the
-    degree that the 1-norm picks, in Paterson-Stockmeyer form, with scaling
-    and squaring."""
-    norm = float(np.max(np.sum(np.abs(a), axis=0)))
-    theta, powers, c = next((row for row in _TAYLOR if norm <= row[0]), _TAYLOR[-1])
+def _taylor(norm: float) -> tuple[int, int]:
+    """The _TAYLOR row and the squarings for a block of 1-norm `norm`."""
+    row = next((k for k, (theta, _, _) in enumerate(_TAYLOR) if norm <= theta), len(_TAYLOR) - 1)
+    theta = _TAYLOR[row][0]
     # NaN or inf in A: no squarings; the NaN result fails the error estimate.
-    squarings = math.ceil(math.log2(norm / theta)) if theta < norm < math.inf else 0
+    return row, math.ceil(math.log2(norm / theta)) if theta < norm < math.inf else 0
+
+
+def _expm(a: np.ndarray, blocks) -> np.ndarray:
+    """exp(A) for a component-major stack A of consecutive blocks of steps
+    of the given lengths: a Taylor polynomial in Paterson-Stockmeyer form,
+    with scaling and squaring, whose degree and squarings each block's own
+    largest 1-norm picks."""
+    norms = np.maximum.reduceat(np.sum(np.abs(a), axis=0).max(axis=0),
+                                np.cumsum(blocks) - blocks)
+    plans = [_taylor(float(x)) for x in norms]
+    kinds = sorted(set(plans))
+    if len(kinds) == 1:
+        return _taylor_exp(a, *kinds[0])
+    u = np.empty(a.shape, dtype=np.result_type(a, 1j))
+    step_plan = np.repeat([kinds.index(p) for p in plans], blocks)
+    for k, plan in enumerate(kinds):
+        steps = np.flatnonzero(step_plan == k)
+        u[..., steps] = _taylor_exp(a[..., steps], *plan)
+    return u
+
+
+def _taylor_exp(a: np.ndarray, row: int, squarings: int) -> np.ndarray:
+    """exp(A) by the Taylor polynomial of _TAYLOR[row] of A / 2^squarings,
+    squared that many times."""
+    _, powers, c = _TAYLOR[row]
     p = np.empty((powers + 1,) + a.shape, dtype=np.result_type(a, 1j))
     p[0] = np.eye(a.shape[0])[:, :, None]
     p[1] = a * 2.0 ** -squarings
@@ -171,8 +217,8 @@ def _expm(a: np.ndarray) -> np.ndarray:
     # imaginary parts alike; one block at a time keeps the memory small.
     flat = p.reshape(powers + 1, -1).view(float)
     u = None
-    for row in c[::-1]:
-        block = (row @ flat).view(p.dtype).reshape(a.shape)
+    for coefficients in c[::-1]:
+        block = (coefficients @ flat).view(p.dtype).reshape(a.shape)
         u = block if u is None else _mul(u, p[powers]) + block
     for _ in range(squarings):
         u = _mul(u, u)
@@ -180,24 +226,46 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 
 def _pairwise(u: np.ndarray) -> np.ndarray:
-    """u[..., 2j+1] @ u[..., 2j]; an odd last matrix is carried over as is."""
+    """u[..., 2j+1] @ u[..., 2j]; an odd last matrix is carried by a product with I."""
     if u.shape[-1] % 2:
         u = np.concatenate([u, np.eye(u.shape[0])[:, :, None]], axis=-1)
     return _mul(u[..., 1::2], u[..., 0::2])
 
 
+def _tree(u: np.ndarray, runs) -> np.ndarray:
+    """The ordered products u[..., last] @ ... @ u[..., first] of the
+    consecutive runs of u of the given lengths, as a (d, d, runs) stack:
+    each multiplied pairwise in a fixed tree, level by level, with an odd
+    run end carried by a product with I. A run of one is its own product."""
+    runs = np.asarray(runs)
+    out = np.empty(u.shape[:2] + runs.shape, dtype=u.dtype)
+    live = np.arange(len(runs))
+    while True:
+        done = runs == 1
+        if done.any():
+            out[..., live[done]] = u[..., (np.cumsum(runs) - 1)[done]]
+            if done.all():
+                return out
+            u, live, runs = u[..., np.repeat(~done, runs)], live[~done], runs[~done]
+        odd = runs % 2 == 1
+        if odd.any():
+            u = np.insert(u, np.cumsum(runs)[odd], np.eye(u.shape[0])[:, :, None], axis=-1)
+            runs = runs + odd
+        u, runs = _pairwise(u), runs // 2
+
+
 def _ordered_product(u: np.ndarray) -> np.ndarray:
     """u[..., -1] @ ... @ u[..., 0], multiplied pairwise in a fixed tree."""
-    return u[..., 0] if u.shape[-1] == 1 else _ordered_product(_pairwise(u))
+    return _tree(u, [u.shape[-1]])[..., 0]
 
 
-def _steps(breaks, steps, k):
-    """Start and length of global step(s) k when segment s of `breaks` is
-    cut into steps[s] equal steps."""
+def _steps(lo, hi, steps, k):
+    """Start, length and segment of global step(s) k when segment s,
+    [lo[s], hi[s]], is cut into steps[s] equal steps."""
     ends = np.cumsum(steps)
     seg = np.searchsorted(ends, k, side="right")
-    h = (breaks[seg + 1] - breaks[seg]) / steps[seg]
-    return breaks[seg] + (k - ends[seg] + steps[seg]) * h, h
+    h = (hi[seg] - lo[seg]) / steps[seg]
+    return lo[seg] + (k - ends[seg] + steps[seg]) * h, h, seg
 
 
 def _commutator(a, b):
@@ -232,36 +300,35 @@ def _alphas(generator, start, h):
     return np.multiply(alpha, -1j * h, order="C")
 
 
-def _magnus4(generator):
+# A step kernel is (step, order): step(generator, start, h, blocks) gives
+# the (d, d, m) stack of step exponentials of steps [start, start + h]
+# that fall in consecutive blocks of the given lengths.
+
+def _magnus4(generator, start, h, blocks):
     """The fourth-order kernel of a 3x3 generator, the truncation of
     _magnus6 on the same nodes: exp(alpha_1 + alpha_3/12 - [alpha_1, alpha_2]/12)."""
-    def step(start, h):
-        a1, a2, a3 = _alphas(generator, start, h)
-        return _expm(a1 + a3 / 12.0 - _commutator(a1, a2) / 12.0)
-
-    return step, 4
+    a1, a2, a3 = _alphas(generator, start, h)
+    return _expm(a1 + a3 / 12.0 - _commutator(a1, a2) / 12.0, blocks)
 
 
-def _magnus6(generator):
-    """The sixth-order kernel of a 3x3 generator: (3, 3, m) step stacks
-    exp(Omega) from the alpha_k of _alphas (Blanes et al.). With
-    C1 = [alpha_1, alpha_2] and C2 = -(1/60) [alpha_1, 2 alpha_3 + C1], Omega is
+def _magnus6(generator, start, h, blocks):
+    """The sixth-order kernel of a 3x3 generator: exp(Omega) from the
+    alpha_k of _alphas (Blanes et al.). With C1 = [alpha_1, alpha_2] and
+    C2 = -(1/60) [alpha_1, 2 alpha_3 + C1], Omega is
     alpha_1 + alpha_3/12 + (1/240) [-20 alpha_1 - alpha_3 + C1, alpha_2 + C2].
-    The series converges only for h ||H|| < pi (see _integrate's guard)."""
-    def step(start, h):
-        a1, a2, a3 = _alphas(generator, start, h)
-        c1 = _commutator(a1, a2)
-        c2 = (-1.0 / 60.0) * _commutator(a1, 2.0 * a3 + c1)
-        return _expm(a1 + a3 / 12.0 + _commutator(c1 - 20.0 * a1 - a3, a2 + c2) / 240.0)
-
-    return step, 6
+    The series converges only for h ||H|| < pi (see _plan's guard)."""
+    a1, a2, a3 = _alphas(generator, start, h)
+    c1 = _commutator(a1, a2)
+    c2 = (-1.0 / 60.0) * _commutator(a1, 2.0 * a3 + c1)
+    return _expm(a1 + a3 / 12.0 + _commutator(c1 - 20.0 * a1 - a3, a2 + c2) / 240.0, blocks)
 
 
-def _magnus6_su2(parts):
+def _magnus6_su2(parts, start, h, blocks):
     """The sixth-order kernel of H = trace + (x, y, z).sigma, a Hermitian
     2x2 generator given as parts(t), the real (4, *t.shape) stack of
-    (trace, x, y, z), which is all it reads: (2, 2, m) step stacks in
-    closed form from H on the three nodes.
+    (trace, x, y, z), which is all it reads: step stacks in closed form
+    from H on the three nodes; each step is exact to round-off, so the
+    blocks do not matter.
 
     Each alpha_k = h sum_n _ALPHA[k, n] H(node n) of Blanes et al. is
     -i(t_k + a_k.sigma) with a real trace t_k and vector a_k, and
@@ -270,55 +337,80 @@ def _magnus6_su2(parts):
     the step is exp(-i(t + w.sigma)) with t = t1 + t3/12 and
     w = a1 + a3/12 + (1/120) (2p - 20 a1 - a3)*(a2 + C2).
     """
-    def step(start, h):
-        # (trace, x, y, z) of alpha_1..3: (4, 3, m).
-        alpha = (_ALPHA @ parts(start + _NODES6[:, None] * h)) * h
-        t, (a1, a2, a3) = alpha[0], alpha[1:].transpose(1, 0, 2)
-        p = _cross(a1, a2)
-        c2 = (-1.0 / 15.0) * _cross(a1, a3 + p)
-        w = a1 + a3 / 12.0 + _cross(2.0 * p - 20.0 * a1 - a3, a2 + c2) / 120.0
-        return _su2_exp(t[0] + t[2] / 12.0, w)
-
-    return step, 6
+    # (trace, x, y, z) of alpha_1..3: (4, 3, m).
+    alpha = (_ALPHA @ parts(start + _NODES6[:, None] * h)) * h
+    t, (a1, a2, a3) = alpha[0], alpha[1:].transpose(1, 0, 2)
+    p = _cross(a1, a2)
+    c2 = (-1.0 / 15.0) * _cross(a1, a3 + p)
+    w = a1 + a3 / 12.0 + _cross(2.0 * p - 20.0 * a1 - a3, a2 + c2) / 120.0
+    return _su2_exp(t[0] + t[2] / 12.0, w)
 
 
-def _chunk_products(kernel, breaks, steps) -> np.ndarray:
-    """Products over consecutive blocks of _CHUNK steps of a kernel
-    (step(start, h) -> (d, d, m) stack, order), as (d, d, blocks); with
-    step counts doubled, block j spans blocks 2j, 2j+1. An overflow fails
-    the point through its non-finite estimate, without numpy warnings."""
+_MAGNUS4, _MAGNUS6, _MAGNUS6_SU2 = (_magnus4, 4), (_magnus6, 6), (_magnus6_su2, 6)
+
+
+def _chunk_products(kernel, model, passes) -> list:
+    """Products over consecutive blocks of _CHUNK steps of every pass of
+    `passes`, a list of (row, breaks, steps) of points: per pass a
+    (d, d, blocks) stack; with step counts doubled, block j spans blocks
+    2j, 2j+1. The kernel runs once per slab of at most _SLAB steps in whole
+    blocks, on the generator model(t, cols), where cols[k] holds entry k of
+    the row of each step's point. An overflow fails the point through its
+    non-finite estimate, without numpy warnings."""
     step, _ = kernel
-    total = int(steps.sum())
-    out = []
-    with np.errstate(over="ignore", invalid="ignore"):
+    rows, lo, hi, counts = zip(*((row, b[:-1], b[1:], s) for row, b, s in passes))
+    table = np.stack(rows, axis=1)
+    owner = np.repeat(np.arange(len(passes)), [len(s) for s in counts])
+    lo, hi, counts = (np.concatenate(x) for x in (lo, hi, counts))
+    totals = [int(s.sum()) for _, _, s in passes]
+    slabs, size = [[]], 0
+    for total in totals:
         for first in range(0, total, _CHUNK):
-            start, h = _steps(breaks, steps, np.arange(first, min(first + _CHUNK, total)))
-            out.append(_ordered_product(step(start, h)))
-    return np.stack(out, axis=-1)
+            block = min(_CHUNK, total - first)
+            if size + block > _SLAB:
+                slabs.append([])
+                size = 0
+            slabs[-1].append(block)
+            size += block
+    out, first = [], 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for blocks in slabs:
+            k = np.arange(first, first + sum(blocks))
+            first = k[-1] + 1
+            start, h, seg = _steps(lo, hi, counts, k)
+            cols = table[:, owner[seg]]
+            out.append(_tree(step(lambda t: model(t, cols), start, h, blocks), blocks))
+    ends = np.cumsum([-(-total // _CHUNK) for total in totals])
+    return np.split(np.concatenate(out, axis=-1), ends[:-1], axis=-1)
 
 
-def _integrate(kernel, pulses, t_span, rtol, atol, margin=1.0, guard=None) -> np.ndarray:
-    """U(t_f, t_i) of i dU/dt = H(t) U by the kernel of H, order p (see
-    _chunk_products); t_span defaults to the support window of `pulses`.
+class _Job(NamedTuple):
+    """One point's integration: its kernel and generator model(t, cols),
+    its _row, breakpoints, first step counts per segment, and tolerance,
+    with rtol and atol as given for its messages."""
+    kernel: tuple
+    model: Callable
+    row: np.ndarray
+    breaks: np.ndarray
+    steps: np.ndarray
+    tol: float
+    rtol: float
+    atol: float
+
+
+def _plan(kernel, model, train: PulseTrain, row, t_span, rtol, atol, margin=1.0,
+          guard=None) -> _Job:
+    """The job that integrates U(t_f, t_i) of i dU/dt = H(t) U by the kernel
+    of H (see _ladder); t_span defaults to the support window of `train`.
 
     A guard (bound, fallback) holds an upper bound of ||H|| and a second
     kernel. Each segment's first pass then takes steps of h * bound <= 3,
     inside the Magnus convergence radius pi (Moan and Niesen, Found.
     Comput. Math. 8, 291 (2008)). Where the fine pass of those steps would
     pass _MAX_STEPS, the point is integrated as without the guard, by the
-    fallback kernel instead.
-
-    Passes at n and 2n steps per segment give the Richardson estimate
-    max|U_2n - U_n| / (2^p - 1), but never less than the round-off
-    eps sqrt(2n) of U_2n. Until it is within
-    (atol + rtol) / margin, the step counts jump by the doublings that the
-    2^p-fold drop per doubling predicts. The point fails at once when a
-    jump would pass _MAX_STEPS, or when an estimate at round-off level is
-    not at least 4x below the one before it: stalled there, the estimate
-    would otherwise creep up the ladder one doubling at a time. An
-    IntegrationError quotes rtol and atol as given.
+    fallback kernel instead. A first pass beyond _MAX_STEPS raises
+    IntegrationError here, and a t_span that is not increasing ValueError.
     """
-    train = _train(pulses)
     t_i, t_f = train_window(train) if t_span is None else t_span
     if not t_i < t_f:
         raise ValueError("need t_i < t_f")
@@ -334,56 +426,176 @@ def _integrate(kernel, pulses, t_span, rtol, atol, margin=1.0, guard=None) -> np
             steps = guarded
         else:
             kernel = fallback
-    order, last = kernel[1], math.inf
     if not 2 * steps.sum() <= _MAX_STEPS:
         raise IntegrationError(
-            f"Magnus stepping of order {order} needs over {_MAX_STEPS} steps for a "
+            f"Magnus stepping of order {kernel[1]} needs over {_MAX_STEPS} steps for a "
             f"window of {t_f - t_i:g} with pulses {_min_width(train):g} wide", float(t_i),
             steps=float(2 * steps.sum()))
-    steps = steps.astype(np.int64)
-    tol = (atol + rtol) / margin
-    coarse = _chunk_products(kernel, breaks, steps)
-    while True:
-        fine = _chunk_products(kernel, breaks, 2 * steps)
-        u = _ordered_product(fine)
+    return _Job(kernel, model, row, breaks, steps.astype(np.int64), (atol + rtol) / margin,
+                rtol, atol)
+
+
+def _ladder(jobs) -> list:
+    """Per job its bare ordered product of steps, or the IntegrationError
+    that ends it.
+
+    Passes at n and 2n steps per segment give the Richardson estimate
+    max|U_2n - U_n| / (2^p - 1), but never less than the round-off
+    eps sqrt(2n) of U_2n. Until it is within the job's tolerance, the step
+    counts jump by the doublings that the 2^p-fold drop per doubling
+    predicts. A job fails at once when a jump would pass _MAX_STEPS, or
+    when an estimate at round-off level is not at least 4x below the one
+    before it: stalled there, the estimate would otherwise creep up the
+    ladder one doubling at a time. An IntegrationError quotes rtol and atol
+    as given.
+
+    Jobs of one kernel and generator climb together: each rung makes one
+    _chunk_products call over the passes of all those still climbing.
+    """
+    out = [None] * len(jobs)
+    groups = {}
+    for i, job in enumerate(jobs):
+        groups.setdefault((job.kernel, job.model, len(job.row)), []).append(i)
+    for (kernel, model, _), members in groups.items():
+        for i, u in zip(members, _rungs(kernel, model, [jobs[i] for i in members])):
+            out[i] = u
+    return out
+
+
+def _rungs(kernel, model, jobs) -> list:
+    """_ladder for jobs of one kernel and model."""
+    order, eps = kernel[1], np.finfo(float).eps
+    out = [None] * len(jobs)
+    steps = [job.steps for job in jobs]
+    last = [math.inf] * len(jobs)
+    coarse = [None] * len(jobs)
+    active = list(range(len(jobs)))
+    while active:
+        passes = [(jobs[i].row, jobs[i].breaks, s) for i in active
+                  for s in ((2 * steps[i],) if coarse[i] is not None
+                            else (steps[i], 2 * steps[i]))]
+        products = iter(_chunk_products(kernel, model, passes))
+        fine = []
+        for i in active:
+            if coarse[i] is None:
+                coarse[i] = next(products)
+            fine.append(next(products))
+        both = fine + [coarse[i] for i in active]
+        u = _tree(np.concatenate(both, axis=-1), [x.shape[-1] for x in both])
+        n = len(active)
+        totals = [int(steps[i].sum()) for i in active]
         # The divisor shrinks the truncation error of U_2n, not its
         # round-off, which adds up like eps sqrt(steps). Without the floor,
         # a difference at round-off passes for 63 times less at p = 6.
         # (np.maximum keeps a NaN difference NaN.)
-        err = float(np.maximum(np.max(np.abs(u - _ordered_product(coarse))) / (2.0 ** order - 1.0),
-                               np.finfo(float).eps * math.sqrt(2 * int(steps.sum()))))
-        if err <= tol:
-            return u
-        # At most 64 doublings, which overshoot _MAX_STEPS anyway (err / tol
-        # is inf for a subnormal tol; err may be inf or NaN, and tol 0 when
-        # the margin takes a subnormal one below the smallest float). The
-        # check is made in Python ints: 2 ** 64 times an int64 overflows.
-        ratio = err / tol if tol > 0 else math.inf
-        jump = math.ceil(min(math.log(ratio, 2.0 ** order), 64.0)) if ratio < math.inf else 64
-        # Only a stall at round-off, which grows with the step count, ends
-        # the point: above it the drop can be slow before the 2^p rate sets in.
-        stalled = last / 4.0 < err < np.finfo(float).eps * 2 * int(steps.sum())
-        if stalled or 2 ** (jump + 1) * int(steps.sum()) > _MAX_STEPS:
-            # Report the start of the block that disagrees most with its halves.
-            local = np.abs(_pairwise(fine) - coarse).max(axis=(0, 1))
-            block = int(np.argmax(np.nan_to_num(local, nan=np.inf)))
-            where = _steps(breaks, steps, block * _CHUNK)[0]
-            note = "" if math.isfinite(err) else ": the propagator is not finite"
-            raise IntegrationError(
-                f"Magnus stepping of order {order} missed rtol={rtol:g}, atol={atol:g} with "
-                f"{2 * int(steps.sum())} steps{note} (error estimate {err:.3g}"
-                + (f", stalled after {last:.3g})" if stalled else ")"), float(where),
-                steps=2 * int(steps.sum()), estimate=err)
-        last = err
-        steps = steps * 2 ** jump
-        coarse = fine if jump == 1 else _chunk_products(kernel, breaks, steps)
+        errs = np.maximum(np.max(np.abs(u[..., :n] - u[..., n:]), axis=(0, 1))
+                          / (2.0 ** order - 1.0), eps * np.sqrt(2 * np.array(totals)))
+        climbing = []
+        for j, i in enumerate(active):
+            err, tol, total = float(errs[j]), jobs[i].tol, totals[j]
+            if err <= tol:
+                out[i] = u[..., j].copy()
+                continue
+            # At most 64 doublings, which overshoot _MAX_STEPS anyway (err / tol
+            # is inf for a subnormal tol; err may be inf or NaN, and tol 0 when
+            # the margin takes a subnormal one below the smallest float). The
+            # check is made in Python ints: 2 ** 64 times an int64 overflows.
+            ratio = err / tol if tol > 0 else math.inf
+            jump = math.ceil(min(math.log(ratio, 2.0 ** order), 64.0)) if ratio < math.inf else 64
+            # Only a stall at round-off, which grows with the step count, ends
+            # the point: above it the drop can be slow before the 2^p rate sets in.
+            stalled = last[i] / 4.0 < err < eps * 2 * total
+            if stalled or 2 ** (jump + 1) * total > _MAX_STEPS:
+                out[i] = _failure(jobs[i], order, steps[i], fine[j], coarse[i], err,
+                                  last[i] if stalled else None)
+                continue
+            last[i] = err
+            steps[i] = steps[i] * 2 ** jump
+            coarse[i] = fine[j] if jump == 1 else None
+            climbing.append(i)
+        active = climbing
+    return out
+
+
+def _failure(job: _Job, order, steps, fine, coarse, err, stalled_after) -> IntegrationError:
+    """The IntegrationError of a job that gives up at these passes, at the
+    start of the block that disagrees most with its halves."""
+    local = np.abs(_pairwise(fine) - coarse).max(axis=(0, 1))
+    block = int(np.argmax(np.nan_to_num(local, nan=np.inf)))
+    where = _steps(job.breaks[:-1], job.breaks[1:], steps, block * _CHUNK)[0]
+    note = "" if math.isfinite(err) else ": the propagator is not finite"
+    stalled = "" if stalled_after is None else f", stalled after {stalled_after:.3g}"
+    return IntegrationError(
+        f"Magnus stepping of order {order} missed rtol={job.rtol:g}, atol={job.atol:g} with "
+        f"{2 * int(steps.sum())} steps{note} (error estimate {err:.3g}{stalled})",
+        float(where), steps=2 * int(steps.sum()), estimate=err)
+
+
+def _raised(u):
+    """u, unless it is the exception that ended its point: then raise it."""
+    if isinstance(u, Exception):
+        raise u
+    return u
+
+
+def _integrate(kernel, model, pulses, row, t_span, rtol, atol, margin=1.0,
+               guard=None) -> np.ndarray:
+    """The bare product of one job (see _plan and _ladder), a batch of one."""
+    return _raised(_ladder([_plan(kernel, model, _train(pulses), row, t_span, rtol, atol,
+                                  margin, guard)])[0])
+
+
+def _polar(u: np.ndarray) -> np.ndarray:
+    """The nearest unitary matrix: the defects of the Taylor step
+    exponentials add up to about 1e-11 over thousands of steps; the polar
+    factor removes them and moves u far less than the tolerance. Products
+    of su(2) steps need none."""
+    w, _, vh = np.linalg.svd(u)
+    return w @ vh
+
+
+def _propagation(train: PulseTrain, sys: SystemParams, t_span, rtol, atol):
+    """The job of propagate for one point, and the map from its product to U."""
+    row = _row(train, sys)
+    if sys.delta == 0 and sys.gamma == 0 and _real_envelopes(train):
+        return (_plan(_MAGNUS6_SU2, _route_parts, train, row, t_span, rtol, atol, margin=2.0),
+                lambda u: lift_to_three(extract_ck(u)))
+    # An upper bound of ||H||: |Delta - i gamma/2| bounds the diagonal, and
+    # the largest peak Rabi frequency bounds the couplings Wp/2 and Ws/2.
+    guard = (abs(sys.delta) + 0.5 * sys.gamma + _peak(train), _MAGNUS4)
+    unitary = _polar if sys.gamma == 0 else lambda u: u
+    if t_span is None and _mirrored(train):
+        t_i, t_f = train_window(train)
+        # S U_h^T S U_h, where S swaps states 1 and 3.
+        return (_plan(_MAGNUS6, _hamiltonian, train, row, (t_i, 0.5 * (t_i + t_f)), rtol,
+                      atol, margin=2.0, guard=guard),
+                lambda uh: unitary(uh.T[::-1, ::-1] @ uh))
+    return _plan(_MAGNUS6, _hamiltonian, train, row, t_span, rtol, atol, guard=guard), unitary
+
+
+def propagate_many(points, rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> list:
+    """propagate for every (pulses, sys, t_span) of `points` in one batch:
+    per point its propagator, bit for bit as propagate gives it, or the
+    ValueError or IntegrationError that ends that point alone."""
+    plans = []
+    for pulses, sys, t_span in points:
+        try:
+            plans.append(_propagation(_train(pulses), sys, t_span, rtol, atol))
+        except (ValueError, IntegrationError) as exc:
+            plans.append(exc)
+    done = iter(_ladder([p[0] for p in plans if not isinstance(p, Exception)]))
+    out = []
+    for p in plans:
+        u = p if isinstance(p, Exception) else next(done)
+        out.append(u if isinstance(u, Exception) else p[1](u))
+    return out
 
 
 def propagate(pulses, sys: SystemParams, t_span=None,
               rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> Propagator3:
     """Propagator U(t_f, t_i) of i dU/dt = H(t) U for a pair or a train,
     over t_span (by default the pulse support window); unitary to round-off
-    when gamma = 0.
+    when gamma = 0. It is the batch of one of propagate_many.
 
     At Delta = 0 and gamma = 0, real envelopes (every phase a multiple of
     2 pi) take the paper's route over any t_span: the two-state propagator
@@ -395,7 +607,7 @@ def propagate(pulses, sys: SystemParams, t_span=None,
     moves an entry of the lift by up to 2 sqrt(2) d, about 1.4 times the
     tolerance in the worst case. An IntegrationError from the route quotes
     rtol and atol as given. Any other case takes the sixth-order 3x3 kernel
-    behind the first-pass guard of _integrate, projected onto the nearest
+    behind the first-pass guard of _plan, projected onto the nearest
     unitary matrix at gamma = 0.
 
     On that path one pair, without t_span, with pump and Stokes of equal
@@ -405,30 +617,7 @@ def propagate(pulses, sys: SystemParams, t_span=None,
     half is integrated, to half of rtol + atol (its error enters twice); an
     IntegrationError quotes rtol and atol as given, and the half's steps.
     """
-    train = _train(pulses)
-    if sys.delta == 0 and sys.gamma == 0 and _real_envelopes(train):
-        return lift_to_three(extract_ck(_integrate(_two_state_kernel(train), train, t_span,
-                                                   rtol, atol, margin=2.0)))
-    generator = lambda t: hamiltonian(train, sys, t)
-    # An upper bound of ||H||: |Delta - i gamma/2| bounds the diagonal, and
-    # the largest peak Rabi frequency bounds the couplings Wp/2 and Ws/2.
-    bound = abs(sys.delta) + 0.5 * sys.gamma + _peak(train)
-    kernel, guard = _magnus6(generator), (bound, _magnus4(generator))
-    if t_span is None and _mirrored(train):
-        t_i, t_f = train_window(train)
-        uh = _integrate(kernel, train, (t_i, 0.5 * (t_i + t_f)), rtol, atol, margin=2.0,
-                        guard=guard)
-        # S U_h^T S U_h, where S swaps states 1 and 3.
-        u = uh.T[::-1, ::-1] @ uh
-    else:
-        u = _integrate(kernel, train, t_span, rtol, atol, guard=guard)
-    if sys.gamma == 0:
-        # The defects of the Taylor step exponentials add up to about 1e-11
-        # over thousands of steps; the polar factor removes them and moves u
-        # far less than the tolerance. Products of su(2) steps need none.
-        w, _, vh = np.linalg.svd(u)
-        u = w @ vh
-    return u
+    return _raised(propagate_many([(pulses, sys, t_span)], rtol, atol)[0])
 
 
 def propagate_state(initial, pulses, sys: SystemParams, t_span=None,
@@ -453,13 +642,24 @@ def _real_envelopes(train: PulseTrain) -> bool:
     return all(x % (2 * np.pi) == 0.0 for p in train.pairs for x in (p.pump_phase, p.stokes_phase))
 
 
-def _resonant_parts(train: PulseTrain, t) -> np.ndarray:
-    """(trace, x, y, z) of the resonant two-state matrix: (0, Wp/2, 0, -Ws/2)."""
+def _two_state(pulses) -> tuple[PulseTrain, np.ndarray]:
+    """The train and _row of the resonant two-state problem of `pulses`."""
+    train = _train(pulses)
     if not _real_envelopes(train):
         raise ValueError("the two-state mapping assumes real envelopes (phases of whole turns)")
-    wp, ws = train_envelopes(train, t)
+    return train, _row(train, SystemParams())
+
+
+def _resonant_parts(t, cols) -> np.ndarray:
+    """(trace, x, y, z) of the resonant two-state matrix: (0, Wp/2, 0, -Ws/2)."""
+    wp, ws = table_envelopes(cols[:-2], t)
     zero = np.zeros(np.shape(wp))
     return np.array([zero, 0.5 * wp.real, zero, -0.5 * ws.real])
+
+
+def _route_parts(t, cols) -> np.ndarray:
+    """The generator of propagate_two_state: half of _resonant_parts."""
+    return 0.5 * _resonant_parts(t, cols)
 
 
 def resonant_two_state_hamiltonian(pulses, t) -> np.ndarray:
@@ -468,7 +668,7 @@ def resonant_two_state_hamiltonian(pulses, t) -> np.ndarray:
     Valid on one-photon resonance with gamma = 0 and real envelopes. An
     array t gives a (*t.shape, 2, 2) stack.
     """
-    _, x, _, z = _resonant_parts(_train(pulses), t)
+    _, x, _, z = _resonant_parts(t, _two_state(pulses)[1])
     return _matrix({(0, 0): z, (0, 1): x, (1, 0): x, (1, 1): -z}, 2)
 
 
@@ -480,23 +680,19 @@ def propagate_two_state(pulses, t_span=None,
     resonant_two_state_hamiltonian: the three-state propagator is quadratic
     in the Cayley-Klein parameters, which restores the full rotation angle.
     """
-    train = _train(pulses)
-    return _integrate(_two_state_kernel(train), train, t_span, rtol, atol)
+    train, row = _two_state(pulses)
+    return _integrate(_MAGNUS6_SU2, _route_parts, train, row, t_span, rtol, atol)
 
 
-def _two_state_kernel(train: PulseTrain):
-    return _magnus6_su2(lambda t: 0.5 * _resonant_parts(train, t))
-
-
-def _eliminated_parts(train: PulseTrain, delta: float, t) -> np.ndarray:
+def _eliminated_parts(t, cols) -> np.ndarray:
     """(trace, x, y, z) of the (c1, c3) problem left when c2 is eliminated
     at |Delta| >> Omega0: the light shifts H00 = -|Wp|^2/(4 Delta) and
     H11 = -|Ws|^2/(4 Delta), and the coupling H01 = x - iy = -Wp Ws/(4 Delta).
     Its two-state form (effective_two_state) is W_eff = 2 H01, which couples
     states 1 and 3, and the effective detuning
     D_eff = 2 (H11 - H00) = (|Wp|^2 - |Ws|^2)/(2 Delta)."""
-    wp, ws = train_envelopes(train, t)
-    c = -0.25 / delta
+    wp, ws = table_envelopes(cols[:-2], t)
+    c = -0.25 / cols[-2]
     pump, stokes, h01 = abs(wp) ** 2, abs(ws) ** 2, c * wp * ws
     return np.array([0.5 * c * (pump + stokes), h01.real, -h01.imag,
                      0.5 * c * (pump - stokes)])
@@ -510,13 +706,14 @@ def effective_two_state(pulses, delta: float):
     if abs(delta) < 10.0 * _peak(train):
         warnings.warn("adiabatic elimination is unreliable for |Delta| < 10*Omega0",
                       stacklevel=2)
+    row = _row(train, SystemParams(delta))
 
     def w_eff(t):
-        _, x, y, _ = _eliminated_parts(train, delta, t)
+        _, x, y, _ = _eliminated_parts(t, row)
         return 2.0 * (x - 1j * y)
 
     def d_eff(t):
-        return -4.0 * _eliminated_parts(train, delta, t)[3]    # 2 (H11 - H00)
+        return -4.0 * _eliminated_parts(t, row)[3]    # 2 (H11 - H00)
 
     return w_eff, d_eff
 
@@ -528,5 +725,5 @@ def propagate_effective(pulses, delta: float, t_span=None,
     if delta == 0:
         raise ValueError("adiabatic elimination needs a nonzero detuning")
     train = _train(pulses)
-    return _integrate(_magnus6_su2(lambda t: _eliminated_parts(train, delta, t)), train, t_span,
-                      rtol, atol)
+    return _integrate(_MAGNUS6_SU2, _eliminated_parts, train, _row(train, SystemParams(delta)),
+                      t_span, rtol, atol)

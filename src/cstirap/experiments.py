@@ -1,11 +1,14 @@
 """Parameter scans, phase-noise Monte Carlo, decay studies, phase solving.
 
-Each takes one pair propagator per point (_pair_propagator) and composes
-its sequences from it (_compose). Every grid point is an independent pure
-computation, evaluated in grid order, and the Monte Carlo draws of each
-grid point come from one stream of a counter-based generator keyed on
-(seed, grid index), taken in sample order: results depend on the inputs
-alone.
+Each takes one pair propagator per point and composes its sequences from
+it (_compose). Scans, Monte Carlo and decay scans evaluate their whole
+grid through _evaluate, whose pair propagators come from one batch
+(_pair_propagators, dynamics.propagate_many); the compensation search and
+the phase solver propagate one point at a time, as a batch of one. Every
+grid point is an independent pure computation, bit for bit the same alone
+or in a batch, and the Monte Carlo draws of each grid point come from one
+stream of a counter-based generator keyed on (seed, grid index), taken in
+sample order: results depend on the inputs alone.
 """
 
 from __future__ import annotations
@@ -109,31 +112,58 @@ def _compose(u_pair, sys: dynamics.SystemParams, gap: float, phase_sets,
     return propalg.compose_sequence(props, phase_sets, alternate)
 
 
+def _pair_propagators(spec: ScanSpec, grid) -> list:
+    """Per grid point (coords override spec), (U, system) of its single
+    pair, all propagated in one batch, or the ValueError or
+    IntegrationError that ends that point."""
+    points = []
+    for coords in grid:
+        over = dict(coords)
+        try:
+            sys = dynamics.SystemParams(over.get("delta", spec.system.delta),
+                                        over.get("gamma", spec.system.gamma))
+            points.append((make_pair(spec.shape, over.get("omega0", spec.omega0), spec.width,
+                                     over.get("delay", spec.delay)), sys, None))
+        except ValueError as exc:
+            points.append(exc)
+    props = iter(dynamics.propagate_many([p for p in points if not isinstance(p, Exception)],
+                                         spec.rtol, spec.atol))
+    out = []
+    for p in points:
+        u = p if isinstance(p, Exception) else next(props)
+        out.append(u if isinstance(u, Exception) else (u, p[1]))
+    return out
+
+
 def _pair_propagator(spec: ScanSpec, coords) -> tuple[np.ndarray, dynamics.SystemParams]:
-    """The single-pair propagator at one grid point (coords override spec)."""
-    over = dict(coords)
-    sys = dynamics.SystemParams(over.get("delta", spec.system.delta),
-                                over.get("gamma", spec.system.gamma))
-    pair = make_pair(spec.shape, over.get("omega0", spec.omega0), spec.width,
-                     over.get("delay", spec.delay))
-    return dynamics.propagate(pair, sys, rtol=spec.rtol, atol=spec.atol), sys
+    """(U, system) of the single pair at one grid point, a batch of one."""
+    prop, = _pair_propagators(spec, [coords])
+    if isinstance(prop, Exception):
+        raise prop
+    return prop
 
 
 _NOT_FINITE = "composed populations are not finite (the gap or the phase noise overflows)"
 
 
-def _evaluate(spec: ScanSpec, coords, requests) -> list[FidelityResult]:
+def _evaluate(spec: ScanSpec, grid, requests) -> list[list[FidelityResult]]:
+    """Per grid point i, the rows of _point_rows for the requests of
+    requests(i), with all the grid's pairs propagated in one batch."""
+    return [_point_rows(spec, coords, prop, requests(i))
+            for i, (coords, prop) in enumerate(zip(grid, _pair_propagators(spec, grid)))]
+
+
+def _point_rows(spec: ScanSpec, coords, prop, requests) -> list[FidelityResult]:
     """One FidelityResult per request (blocks, alternate) at one grid point,
-    all from one pair propagation. `blocks` iterates over phase-set stacks
-    of shape (k, N, 2); the populations are averaged over all their phase
-    sets, summed block by block in order. A failed propagation gives every
-    request a NaN row that carries the reason, and so does a request whose
-    populations are not finite."""
-    try:
-        u, sys = _pair_propagator(spec, coords)
-    except (dynamics.IntegrationError, ValueError) as exc:
+    from prop, its (U, system) or the error that ended it. `blocks`
+    iterates over phase-set stacks of shape (k, N, 2); the populations are
+    averaged over all their phase sets, summed block by block in order. A
+    failed propagation gives every request a NaN row that carries the
+    reason, and so does a request whose populations are not finite."""
+    if isinstance(prop, Exception):
         nan = float("nan")
-        return [FidelityResult(coords, nan, nan, nan, nan, nan, str(exc))] * len(requests)
+        return [FidelityResult(coords, nan, nan, nan, nan, nan, str(prop))] * len(requests)
+    u, sys = prop
     rows = []
     for blocks, alternate in requests:
         acc, count = np.zeros(3), 0
@@ -164,8 +194,8 @@ def run_scan(spec: ScanSpec) -> list[FidelityResult]:
     Integration failures are recorded on the affected point (error field,
     NaN populations) and the scan continues.
     """
-    request = _request(spec.sequence)
-    return [_evaluate(spec, c, [request])[0] for c in grid_coords(spec.axes)]
+    requests = [_request(spec.sequence)]
+    return [rows[0] for rows in _evaluate(spec, grid_coords(spec.axes), lambda i: requests)]
 
 
 # Monte Carlo samples composed per compose_sequence call: enough to amortize
@@ -197,10 +227,10 @@ def monte_carlo_phase_noise(spec: ScanSpec, sigma: float, samples: int,
     if not phases.is_count(samples, 1):
         raise ValueError("need an integer count of at least one sample")
     seq = spec.sequence
-    return [_evaluate(spec, coords,
-                      [(_noisy_phase_blocks(seq, sigma, samples, seed, i),
-                        seq.alternate_ordering)])[0]
-            for i, coords in enumerate(grid_coords(spec.axes))]
+    rows = _evaluate(spec, grid_coords(spec.axes),
+                     lambda i: [(_noisy_phase_blocks(seq, sigma, samples, seed, i),
+                                 seq.alternate_ordering)])
+    return [r[0] for r in rows]
 
 
 def _decay_rates(gammas) -> np.ndarray:
@@ -219,7 +249,7 @@ def decay_scan(spec: ScanSpec, gammas) -> dict[str, list[FidelityResult]]:
     """
     gammas = _decay_rates(gammas)
     requests = [_request(phases.resonant_phases(1)), _request(spec.sequence)]
-    rows = [_evaluate(spec, (("gamma", float(g)),), requests) for g in gammas]
+    rows = _evaluate(spec, [(("gamma", float(g)),) for g in gammas], lambda i: requests)
     return {"single": [r[0] for r in rows], "composite": [r[1] for r in rows]}
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from sys import float_info
 
 import numpy as np
 
@@ -34,6 +35,10 @@ class PulseShape:
     center_or_start: float = 0.0
 
     def __post_init__(self):
+        # Exact for integers, where np.isfinite fails on one beyond float range.
+        if not all(abs(x) <= float_info.max
+                   for x in (self.peak, self.width, self.center_or_start)):
+            raise ValueError("pulse peak, width and position must be finite")
         if self.peak < 0:
             raise ValueError("peak Rabi frequency must be >= 0")
         if not self.width > 0:
@@ -57,17 +62,27 @@ class PulsePair:
     reversed: bool = False
 
     def __post_init__(self):
+        if not all(abs(x) <= float_info.max
+                   for x in (self.delay, self.pump_phase, self.stokes_phase)):
+            raise ValueError("delay and phases must be finite")
         if not self.delay > 0:
             raise ValueError("delay must be > 0")
 
 
 def envelope(shape: PulseShape, t):
     """Real envelope value(s) at time t (scalar or array)."""
-    x = (t - shape.center_or_start) / shape.width
-    if shape.kind is ShapeKind.GAUSSIAN:
-        return shape.peak * np.exp(-x * x)
-    inside = (x >= 0.0) & (x <= 1.0)
-    return np.where(inside, shape.peak * np.sin(np.pi * np.clip(x, 0.0, 1.0)) ** 2, 0.0)
+    return _envelope(shape.kind is ShapeKind.GAUSSIAN, shape.peak, shape.width,
+                     shape.center_or_start, t)
+
+
+def _envelope(gaussian, peak, width, start, t):
+    """Envelope values at t of pulses given by their parameters, scalars or
+    arrays that broadcast with t; `gaussian` is true for a Gaussian pulse."""
+    x = (t - start) / width
+    if np.all(gaussian):
+        return peak * np.exp(-x * x)
+    hump = np.where((x >= 0.0) & (x <= 1.0), np.sin(np.pi * np.clip(x, 0.0, 1.0)) ** 2, 0.0)
+    return peak * (hump if not np.any(gaussian) else np.where(gaussian, np.exp(-x * x), hump))
 
 
 def pair_envelopes(pair: PulsePair, t):
@@ -76,9 +91,7 @@ def pair_envelopes(pair: PulsePair, t):
     Reversal swaps which envelope each field takes; the phase factors
     e^{i alpha}, e^{i beta} are applied per field, never swapped.
     """
-    ep = envelope(pair.stokes if pair.reversed else pair.pump, t)
-    es = envelope(pair.pump if pair.reversed else pair.stokes, t)
-    return ep * np.exp(1j * pair.pump_phase), es * np.exp(1j * pair.stokes_phase)
+    return train_envelopes(PulseTrain((pair,)), t)
 
 
 def default_delay(kind: ShapeKind, width: float = 1.0) -> float:
@@ -159,14 +172,34 @@ def build_train(base: PulsePair, pump_phases, stokes_phases, alternate: bool,
     return PulseTrain(tuple(pairs))
 
 
-def train_envelopes(train: PulseTrain, t):
-    """Complex (pump, Stokes) amplitudes of the whole train at time t."""
-    ep, es = pair_envelopes(train.pairs[0], t)
-    for p in train.pairs[1:]:
-        a, b = pair_envelopes(p, t)
+def train_table(train: PulseTrain) -> np.ndarray:
+    """A train's pulse parameters as one row of floats: per pair, the pump
+    then the Stokes field, each as (gaussian, peak, width, center_or_start,
+    phase), with the envelopes of a reversed pair swapped."""
+    row = []
+    for p in train.pairs:
+        pump, stokes = (p.stokes, p.pump) if p.reversed else (p.pump, p.stokes)
+        for shape, phase in ((pump, p.pump_phase), (stokes, p.stokes_phase)):
+            row += [shape.kind is ShapeKind.GAUSSIAN, shape.peak, shape.width,
+                    shape.center_or_start, phase]
+    return np.array(row, dtype=float)
+
+
+def table_envelopes(cols, t):
+    """Complex (pump, Stokes) amplitudes at time t of the trains whose
+    train_table entries are cols[k], scalars or arrays that broadcast with t."""
+    fields = [_envelope(*cols[k:k + 4], t) * np.exp(1j * cols[k + 4])
+              for k in range(0, len(cols), 5)]
+    ep, es = fields[:2]
+    for a, b in zip(fields[2::2], fields[3::2]):
         ep = ep + a
         es = es + b
     return ep, es
+
+
+def train_envelopes(train: PulseTrain, t):
+    """Complex (pump, Stokes) amplitudes of the whole train at time t."""
+    return table_envelopes(train_table(train), t)
 
 
 def train_window(train: PulseTrain) -> tuple[float, float]:

@@ -140,9 +140,10 @@ def test_eliminated_model_views_agree(monkeypatch, kind, phases, delta):
     # and both are -Wp Ws/(2 Delta) and (|Wp|^2 - |Ws|^2)/(2 Delta).
     pair = make_pair(kind, 4.0, pump_phase=phases[0], stokes_phase=phases[1])
     generators = []
-    kernel = dynamics._magnus6_su2
-    monkeypatch.setattr(dynamics, "_magnus6_su2",
-                        lambda parts: generators.append(parts) or kernel(parts))
+    chunk_products = dynamics._chunk_products
+    monkeypatch.setattr(dynamics, "_chunk_products", lambda kernel, model, passes:
+                        generators.append(lambda t: model(t, passes[0][0]))
+                        or chunk_products(kernel, model, passes))
     propagate_effective(pair, delta, rtol=1e-6, atol=1e-8)
     w_eff, d_eff = effective_two_state(pair, delta)
     t = np.linspace(*window(pair), 41)

@@ -37,6 +37,17 @@ def _unitarity(u):
     return np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
 
 
+def _blocks(kernel, model, row, breaks, steps):
+    """The block products of one pass of one point."""
+    return dynamics._chunk_products(kernel, model, [(row, breaks, steps)])[0]
+
+
+def _three_state(kernel, pair, sys, t_span, rtol, atol):
+    """The bare product of the 3x3 kernel, unguarded, over t_span."""
+    return dynamics._integrate(kernel, dynamics._hamiltonian, pair, dynamics._row(pair, sys),
+                               t_span, rtol, atol)
+
+
 @settings(max_examples=8, deadline=None, derandomize=True)
 @given(shapes, omegas, delays, st.floats(-20.0, 20.0), st.floats(0.0, 2.0))
 def test_propagate_matches_oracle(kind, omega0, delay, delta, gamma):
@@ -110,8 +121,8 @@ def test_fourth_order_convergence(gamma):
     breaks = dynamics._breakpoints(pair, window(pair))
     errs = []
     for n in (8, 16, 32):
-        blocks = dynamics._chunk_products(dynamics._magnus4(lambda t: hamiltonian(pair, sys, t)),
-                                          breaks, np.full(len(breaks) - 1, n))
+        blocks = _blocks(dynamics._MAGNUS4, dynamics._hamiltonian, dynamics._row(pair, sys),
+                         breaks, np.full(len(breaks) - 1, n))
         errs.append(_dev(dynamics._ordered_product(np.array(blocks)), ref))
     assert errs[0] / errs[1] > 12 and errs[1] / errs[2] > 12
 
@@ -127,8 +138,8 @@ def test_sixth_order_convergence(gamma):
     breaks = dynamics._breakpoints(pair, window(pair))
     errs = []
     for n in (8, 16, 32):
-        blocks = dynamics._chunk_products(dynamics._magnus6(lambda t: hamiltonian(pair, sys, t)),
-                                          breaks, np.full(len(breaks) - 1, n))
+        blocks = _blocks(dynamics._MAGNUS6, dynamics._hamiltonian, dynamics._row(pair, sys),
+                         breaks, np.full(len(breaks) - 1, n))
         errs.append(_dev(dynamics._ordered_product(blocks), ref))
     assert errs[0] / errs[1] > 40 and errs[1] / errs[2] > 40, errs
 
@@ -144,8 +155,7 @@ def test_far_detuned_first_pass_does_not_falsely_converge(omega0, delta):
     sys = SystemParams(delta)
     got = propagate(pair, sys, **MAGNUS)
     for ref in (propagate(pair, sys, rtol=1e-11, atol=1e-13),
-                dynamics._integrate(dynamics._magnus4(lambda t: hamiltonian(pair, sys, t)), pair,
-                                    None, 1e-11, 1e-13)):
+                _three_state(dynamics._MAGNUS4, pair, sys, None, 1e-11, 1e-13)):
         assert _dev(got, ref) < 10 * MAGNUS["rtol"]
 
 
@@ -153,8 +163,12 @@ def _record_passes(monkeypatch):
     """The (order, step counts) of every stepping pass made from here on."""
     passes = []
     chunk_products = dynamics._chunk_products
-    monkeypatch.setattr(dynamics, "_chunk_products", lambda kernel, breaks, steps: passes.append(
-        (kernel[1], steps)) or chunk_products(kernel, breaks, steps))
+
+    def recorded(kernel, model, batch):
+        passes.extend((kernel[1], steps) for _, _, steps in batch)
+        return chunk_products(kernel, model, batch)
+
+    monkeypatch.setattr(dynamics, "_chunk_products", recorded)
     return passes
 
 
@@ -178,8 +192,7 @@ def test_first_pass_guard_and_its_fallback(monkeypatch, delta, guarded):
     assert 2 * np.ceil(lengths * (delta + 80.0) / 3.0).sum() > dynamics._MAX_STEPS
     assert order == 4
     np.testing.assert_array_equal(first, np.ceil(lengths / 0.5))
-    want = dynamics._integrate(dynamics._magnus4(lambda t: hamiltonian(pair, sys, t)), pair,
-                               span, **MAGNUS)
+    want = _three_state(dynamics._MAGNUS4, pair, sys, span, **MAGNUS)
     # propagate's polar factor at gamma = 0.
     w, _, vh = np.linalg.svd(want)
     np.testing.assert_array_equal(got, w @ vh)
@@ -211,8 +224,8 @@ def test_fallback_meets_its_tolerance(monkeypatch):
     breaks = dynamics._breakpoints(pair, span)
     guarded = np.ceil(np.diff(breaks) * (sys.delta + 10.0) / 3.0).astype(np.int64)
     assert guarded.sum() == 549_302 and 2 * guarded.sum() > dynamics._MAX_STEPS
-    blocks = dynamics._chunk_products(dynamics._magnus6(lambda t: hamiltonian(pair, sys, t)),
-                                      breaks, guarded)
+    blocks = _blocks(dynamics._MAGNUS6, dynamics._hamiltonian, dynamics._row(pair, sys), breaks,
+                     guarded)
     w, _, vh = np.linalg.svd(dynamics._ordered_product(blocks))
     passes = _record_passes(monkeypatch)
     got = propagate(pair, sys, span, **MAGNUS)
@@ -230,7 +243,7 @@ def test_sixth_order_convergence_two_state(monkeypatch, problem):
     generators = []
     integrate = dynamics._integrate
     monkeypatch.setattr(dynamics, "_integrate",
-                        lambda gen, *a, **kw: generators.append(gen) or integrate(gen, *a, **kw))
+                        lambda *a, **kw: generators.append(a) or integrate(*a, **kw))
     if problem == "two_state":
         propagate_two_state(pair)
         ref = rk45_oracle.propagate_two_state(pair)
@@ -240,30 +253,37 @@ def test_sixth_order_convergence_two_state(monkeypatch, problem):
     breaks = dynamics._breakpoints(pair, window(pair))
     errs = []
     for n in (4, 8, 16):
-        blocks = dynamics._chunk_products(generators[0], breaks, np.full(len(breaks) - 1, n))
+        kernel, model, _, row = generators[0][:4]
+        blocks = _blocks(kernel, model, row, breaks, np.full(len(breaks) - 1, n))
         errs.append(_dev(dynamics._ordered_product(blocks), ref))
     assert errs[0] / errs[1] > 40 and errs[1] / errs[2] > 40, errs
 
 
-@pytest.mark.parametrize("kernel,nodes,dim", [(dynamics._magnus4, 3, 3),
-                                              (dynamics._magnus6, 3, 3),
-                                              (dynamics._magnus6_su2, 3, 2)],
+@pytest.mark.parametrize("kernel,nodes,dim", [(dynamics._MAGNUS4, 3, 3),
+                                              (dynamics._MAGNUS6, 3, 3),
+                                              (dynamics._MAGNUS6_SU2, 3, 2)],
                          ids=["magnus4", "magnus6", "magnus6_su2"])
 @pytest.mark.parametrize("blocks", [1, 2, 3])
 def test_kernel_evaluates_generator_once_per_block(kernel, nodes, dim, blocks):
-    # One call per block, on all nodes of its steps at once: no probe call
-    # to learn the generator's dimension or the step's node count.
+    # Each block's steps are evaluated once, on all their nodes at once, in
+    # the one call of the slab that holds the block: no probe call to learn
+    # the generator's dimension or the step's node count. A slab holds
+    # whole blocks, _SLAB steps at most.
     calls = []
 
-    def generator(t):
+    def generator(t, cols):
         calls.append(t.shape)
         return np.zeros((4,) + t.shape) if dim == 2 else np.zeros(t.shape + (dim, dim))
 
     last = 7
     total = (blocks - 1) * dynamics._CHUNK + last
     steps = np.array([total // 2, total - total // 2])
-    got = dynamics._chunk_products(kernel(generator), np.array([0.0, 0.4, 1.0]), steps)
-    assert calls == [(nodes, dynamics._CHUNK)] * (blocks - 1) + [(nodes, last)]
+    got = _blocks(kernel, generator, np.zeros(1), np.array([0.0, 0.4, 1.0]), steps)
+    per_slab = dynamics._SLAB // dynamics._CHUNK
+    full, rest = divmod(blocks - 1, per_slab)
+    slabs = [per_slab * dynamics._CHUNK] * full + [rest * dynamics._CHUNK + last]
+    assert calls == [(nodes, m) for m in slabs]
+    assert got.shape[-1] == blocks
     np.testing.assert_array_equal(got, np.broadcast_to(np.eye(dim)[:, :, None], got.shape))
 
 
@@ -324,15 +344,7 @@ def test_unreachable_tolerance_raises(monkeypatch, tol):
 def test_unmeetable_tolerance_fails_after_two_passes(monkeypatch):
     # The passes at n and 2n steps already show that rtol = atol = 1e-300
     # needs far more than _MAX_STEPS, so the point fails without a third.
-    passes = []
-    chunk_products = dynamics._chunk_products
-
-    def counted(*args):
-        passes.append(args)
-        assert len(passes) <= 2, "a third stepping pass"
-        return chunk_products(*args)
-
-    monkeypatch.setattr(dynamics, "_chunk_products", counted)
+    passes = _record_passes(monkeypatch)
     with pytest.raises(IntegrationError, match="missed"):
         propagate(make_pair(ShapeKind.SINE_SQUARED, 30.0), SystemParams(),
                   rtol=1e-300, atol=1e-300)
@@ -345,14 +357,7 @@ def test_stalled_estimate_fails_within_three_estimates(monkeypatch, tol):
     # fail at the first such estimate that is not 4x below the one before,
     # instead of doubling on towards _MAX_STEPS. Three estimates take at
     # most two stepping passes each.
-    passes = []
-    chunk_products = dynamics._chunk_products
-
-    def counted(*args):
-        passes.append(int(args[2].sum()))
-        return chunk_products(*args)
-
-    monkeypatch.setattr(dynamics, "_chunk_products", counted)
+    passes = _record_passes(monkeypatch)
     with pytest.raises(IntegrationError, match=r"error estimate \S+, stalled after \S+\)"):
         propagate(make_pair(ShapeKind.SINE_SQUARED, 30.0), SystemParams(), rtol=tol, atol=tol)
     assert len(passes) <= 6, passes
@@ -364,8 +369,7 @@ def test_slow_drop_above_round_off_is_no_stall():
     # 4,096 steps (7.1e-6 to 3.1e-6) before its rate sets in; the point
     # converges at 32,768 steps.
     pair, sys = make_pair(ShapeKind.SINE_SQUARED, 30.0), SystemParams(1e4)
-    u = dynamics._integrate(dynamics._magnus4(lambda t: hamiltonian(pair, sys, t)), pair, None,
-                            **MAGNUS)
+    u = _three_state(dynamics._MAGNUS4, pair, sys, None, **MAGNUS)
     assert _unitarity(u) < 1e-12
 
 
@@ -393,7 +397,7 @@ def test_expm_matches_scipy(hermitian):
     for norm in np.geomspace(1e-4, 60.0, 12):
         a = -1j * _random_stack(rng, 16, hermitian)
         a *= norm / np.abs(a).sum(axis=-2).max()
-        got = np.moveaxis(dynamics._expm(np.moveaxis(a, 0, -1)), -1, 0)
+        got = np.moveaxis(dynamics._expm(np.moveaxis(a, 0, -1), [len(a)]), -1, 0)
         want = scipy.linalg.expm(a)
         rel = np.abs(got - want).max(axis=(1, 2)) / np.abs(want).max(axis=(1, 2))
         assert rel.max() < 1e-13, (norm, rel.max())
@@ -414,7 +418,7 @@ def test_expm_branches_match_scipy(hermitian, dim):
     for norm in _expm_branch_norms():
         a = -1j * _random_stack(rng, 16, hermitian, dim)
         a *= norm / np.abs(a).sum(axis=-2).max()
-        got = np.moveaxis(dynamics._expm(np.moveaxis(a, 0, -1)), -1, 0)
+        got = np.moveaxis(dynamics._expm(np.moveaxis(a, 0, -1), [len(a)]), -1, 0)
         want = scipy.linalg.expm(a)
         rel = np.abs(got - want).max(axis=(1, 2)) / np.abs(want).max(axis=(1, 2))
         assert rel.max() < 1e-13, (norm, rel.max())
@@ -427,8 +431,8 @@ def test_three_state_kernel_matches_resonant_route(kind, omega0):
     # 4 no longer sees the 3x3 kernel at resonance; this test forces it.
     pair = make_pair(kind, omega0)
     sys = SystemParams()
-    direct = dynamics._integrate(dynamics._magnus4(lambda t: hamiltonian(pair, sys, t)), pair,
-                                 None, dynamics.DEFAULT_RTOL, dynamics.DEFAULT_ATOL)
+    direct = _three_state(dynamics._MAGNUS4, pair, sys, None, dynamics.DEFAULT_RTOL,
+                          dynamics.DEFAULT_ATOL)
     assert _dev(direct, propagate(pair, sys)) < 1e-9
 
 
@@ -459,8 +463,8 @@ def test_resonant_route_condition(monkeypatch, case, routed):
     # Real envelopes at Delta = gamma = 0 skip the three-state Hamiltonian,
     # for a pair or a train and over any t_span.
     calls = []
-    three_state = dynamics.hamiltonian
-    monkeypatch.setattr(dynamics, "hamiltonian", lambda *a: calls.append(1) or three_state(*a))
+    three_state = dynamics._hamiltonian
+    monkeypatch.setattr(dynamics, "_hamiltonian", lambda *a: calls.append(1) or three_state(*a))
     pair = make_pair(ShapeKind.SINE_SQUARED, 12.0, pump_phase=case.get("pump_phase", 0.0),
                      stokes_phase=case.get("stokes_phase", 0.0))
     pulses = build_train(pair, [0.0], [0.0], False) if case.get("train") else pair
@@ -473,8 +477,8 @@ def test_resonant_train_takes_the_route(monkeypatch, kind):
     # A zero-phase three-pair train, alternating as the resonant protocol
     # does, is lifted from its two-state propagator like a single pair.
     calls = []
-    three_state = dynamics.hamiltonian
-    monkeypatch.setattr(dynamics, "hamiltonian", lambda *a: calls.append(1) or three_state(*a))
+    three_state = dynamics._hamiltonian
+    monkeypatch.setattr(dynamics, "_hamiltonian", lambda *a: calls.append(1) or three_state(*a))
     train = build_train(make_pair(kind, 12.0), [0.0] * 3, [0.0] * 3, True)
     got = propagate(train, SystemParams(), **MAGNUS)
     assert not calls
@@ -488,8 +492,8 @@ def test_resonant_route_takes_phases_modulo_two_pi(monkeypatch, phase):
     # propagate_two_state accepts them: the pair takes the route and gives
     # the bits of the zero-phase pair.
     calls = []
-    three_state = dynamics.hamiltonian
-    monkeypatch.setattr(dynamics, "hamiltonian", lambda *a: calls.append(1) or three_state(*a))
+    three_state = dynamics._hamiltonian
+    monkeypatch.setattr(dynamics, "_hamiltonian", lambda *a: calls.append(1) or three_state(*a))
     want = propagate(make_pair(ShapeKind.SINE_SQUARED, 12.0), SystemParams(), **MAGNUS)
     for pump_phase, stokes_phase in [(phase, 0.0), (0.0, phase), (phase, phase)]:
         pair = make_pair(ShapeKind.SINE_SQUARED, 12.0, pump_phase=pump_phase,
@@ -542,10 +546,10 @@ def test_half_window_condition(monkeypatch, kind, case, half):
     # envelopes and no t_span, takes the half window on the 3x3 path, to
     # half of rtol + atol.
     spans = []
-    integrate = dynamics._integrate
-    monkeypatch.setattr(dynamics, "_integrate", lambda kernel, pulses, t_span, *a, **kw:
+    plan = dynamics._plan
+    monkeypatch.setattr(dynamics, "_plan", lambda kernel, model, train, row, t_span, *a, **kw:
                         spans.append((t_span, kw.get("margin", 1.0)))
-                        or integrate(kernel, pulses, t_span, *a, **kw))
+                        or plan(kernel, model, train, row, t_span, *a, **kw))
     pair = make_pair(kind, 12.0, reversed=case == "reversed",
                      pump_phase=0.3 if case == "phase" else 0.0)
     pulses = {"one_pair_train": PulseTrain((pair,)),
@@ -568,19 +572,16 @@ def test_integration_error_carries_steps_and_estimate(monkeypatch, case, route):
     # limit, two for an unmeetable tolerance and at most six for a stall.
     # Pulses 1e-7 wide, 1.0 apart, need 2e7 steps from the start; there the
     # guard falls back, and the message names the fourth order.
-    passes = []
-    chunk_products = dynamics._chunk_products
-    monkeypatch.setattr(dynamics, "_chunk_products",
-                        lambda *args: passes.append(1) or chunk_products(*args))
+    passes = _record_passes(monkeypatch)
     shape = dict(width=1e-7, delay=1.0) if case == "over_limit" else {}
     pair = make_pair(ShapeKind.SINE_SQUARED, 30.0, **shape)
     sys = SystemParams(delta=1.0 if route == "detuned" else 0.0)
     tol = {"unmeetable": 1e-300, "stalled": 1e-16, "over_limit": 1e-10}[case]
     with pytest.raises(IntegrationError) as info:
         if route == "three_state":
-            generator = lambda t: hamiltonian(pair, sys, t)
-            dynamics._integrate(dynamics._magnus6(generator), pair, None, tol, tol,
-                                guard=(30.0, dynamics._magnus4(generator)))
+            dynamics._integrate(dynamics._MAGNUS6, dynamics._hamiltonian, pair,
+                                dynamics._row(pair, sys), None, tol, tol,
+                                guard=(30.0, dynamics._MAGNUS4))
         else:
             propagate(pair, sys, rtol=tol, atol=tol)
     err = info.value

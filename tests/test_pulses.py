@@ -43,6 +43,35 @@ def test_pair_validation():
         PulsePair(s, s, 0.0)
 
 
+_NON_FINITE = pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10 ** 400],
+                                      ids=["nan", "inf", "-inf", "int-beyond-float"])
+
+
+@_NON_FINITE
+@pytest.mark.parametrize("field", ["peak", "width", "center_or_start"])
+def test_shape_rejects_non_finite_values(field, bad):
+    # A NaN peak once failed only in propagation, and an infinite width
+    # warned from numpy there before it failed on the step limit.
+    values = dict(kind=ShapeKind.SINE_SQUARED, peak=1.0, width=1.0, center_or_start=0.0)
+    with pytest.raises(ValueError, match="must be finite"):
+        PulseShape(**dict(values, **{field: bad}))
+
+
+@_NON_FINITE
+@pytest.mark.parametrize("field", ["delay", "pump_phase", "stokes_phase"])
+def test_pair_rejects_non_finite_values(field, bad):
+    s = PulseShape(ShapeKind.SINE_SQUARED, 1.0, 1.0)
+    values = dict(pump=s, stokes=s, delay=0.5, pump_phase=0.0, stokes_phase=0.0)
+    with pytest.raises(ValueError, match="must be finite"):
+        PulsePair(**dict(values, **{field: bad}))
+
+
+@pytest.mark.parametrize("kind", list(ShapeKind))
+def test_make_pair_rejects_an_infinite_delay(kind):
+    with pytest.raises(ValueError, match="must be finite"):
+        make_pair(kind, 10.0, delay=math.inf)
+
+
 def test_default_delays():
     assert default_delay(ShapeKind.GAUSSIAN) == 1.0
     assert default_delay(ShapeKind.SINE_SQUARED) == pytest.approx(1.0 / math.pi)

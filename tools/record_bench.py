@@ -2,9 +2,11 @@
 
     python3 tools/record_bench.py <n>
 
-Runs the unmodified perfbench/run.py on each workload at the fixed SEED
-and SECONDS, once with --trace 0 (end-to-end metrics) and once with
---trace 1 (per-layer metrics), then the tier-1 suite with --durations=10, and writes
+Runs the unmodified perfbench/run.py on each workload for SECONDS, once
+with --trace 0 at SEED (end-to-end metrics) and TRACED times with
+--trace 1, at seeds SEED..SEED + TRACED - 1 (per-layer metrics: each the
+median of the traced runs, since one traced run is too noisy to show a
+layer's saving), then the tier-1 suite with --durations=10, and writes
 BENCH_<n>.json at the root of the checkout with the git SHA, nproc, the
 numpy and scipy versions and every metric key that BENCHMARK.json
 declares. A key that a run does not report is written as null. Run it
@@ -22,8 +24,8 @@ change won. Ten pairs is the fewest on which a gain is claimed: the change
 must win nine tenths of them, and its median must differ from the
 parent's by more than the parent's interquartile range.
 
-SEED, SECONDS and PAIRS are constants, not options, so that every BENCH
-file is comparable with the one before it.
+SEED, SECONDS, TRACED and PAIRS are constants, not options, so that every
+BENCH file is comparable with the one before it.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 SEED = 0
 SECONDS = 10.0
+TRACED = 3
 PAIRS = 10
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider", "--durations=10"]
@@ -74,8 +77,14 @@ def _run(tree: Path, workload: str, seed: int, trace: int) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def _perfbench(trace: int) -> dict:
-    return {w["name"]: _run(ROOT, w["name"], SEED, trace) for w in SPEC["workloads"]}
+def _perfbench(seed: int, trace: int) -> dict:
+    return {w["name"]: _run(ROOT, w["name"], seed, trace) for w in SPEC["workloads"]}
+
+
+def _medians(runs: list) -> dict:
+    """Per key, the median over the runs, or null when a run lacks it."""
+    return {key: None if any(r[key] is None for r in runs)
+            else statistics.median(r[key] for r in runs) for key in runs[0]}
 
 
 def _parent_sha(n: int) -> str:
@@ -157,18 +166,18 @@ def main() -> int:
     args = parser.parse_args()
 
     parent_sha = _parent_sha(args.n)
-    plain = _perfbench(0)
-    traced = _perfbench(1)
+    plain = _perfbench(SEED, 0)
+    traced = [_perfbench(SEED + k, 1) for k in range(TRACED)]
     workloads = {}
     for w in SPEC["workloads"]:
         name = w["name"]
-        runs = [r for r in (plain.get(name), traced.get(name)) if r]
+        runs = [r for r in [plain.get(name)] + [t.get(name) for t in traced] if r]
         workloads[name] = {
-            "correct": len(runs) == 2 and all(r["correct"] for r in runs),
+            "correct": len(runs) == 1 + TRACED and all(r["correct"] for r in runs),
             "attempted": sum(r["attempted"] for r in runs),
             "failed": sum(r["failed"] for r in runs),
             "end_to_end": _values(plain.get(name), "end_to_end"),
-            "per_layer": _values(traced.get(name), "per_layer"),
+            "per_layer": _medians([_values(t.get(name), "per_layer") for t in traced]),
         }
     record = {
         "n": args.n,
@@ -178,7 +187,7 @@ def main() -> int:
         "python": sys.version.split()[0],
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
-        "perfbench": {"seed": SEED, "seconds": SECONDS},
+        "perfbench": {"seed": SEED, "seconds": SECONDS, "traced_runs": TRACED},
         "workloads": workloads,
         "tier1": _tier1(),
         "versus_parent": _versus_parent(parent_sha),
