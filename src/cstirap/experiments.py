@@ -1,10 +1,10 @@
 """Parameter scans, phase-noise Monte Carlo, decay studies, phase solving.
 
 Each takes one pair propagator per point and composes its sequences from
-it (_compose). Scans, Monte Carlo and decay scans evaluate their whole
-grid through _evaluate, whose pair propagators come from one batch
-(_pair_propagators, dynamics.propagate_many); the compensation search and
-the phase solver propagate one point at a time, as a batch of one. Every
+it (_compose). Scans, Monte Carlo and decay scans evaluate their grid
+through _evaluate, which propagates up to _BATCH points per batch
+(_pair_propagators, dynamics.propagate_many); the compensation search
+and the phase solver propagate one point at a time, a batch of one. Every
 grid point is an independent pure computation, bit for bit the same alone
 or in a batch, and the Monte Carlo draws of each grid point come from one
 stream of a counter-based generator keyed on (seed, grid index), taken in
@@ -146,11 +146,20 @@ def _pair_propagator(spec: ScanSpec, coords) -> tuple[np.ndarray, dynamics.Syste
 _NOT_FINITE = "composed populations are not finite (the gap or the phase noise overflows)"
 
 
+# Grid points propagated per batch: enough to share each pass's fixed cost,
+# few enough to keep the memory of a batch flat for any grid size.
+_BATCH = 256
+
+
 def _evaluate(spec: ScanSpec, grid, requests) -> list[list[FidelityResult]]:
     """Per grid point i, the rows of _point_rows for the requests of
-    requests(i), with all the grid's pairs propagated in one batch."""
-    return [_point_rows(spec, coords, prop, requests(i))
-            for i, (coords, prop) in enumerate(zip(grid, _pair_propagators(spec, grid)))]
+    requests(i), with the grid's pairs propagated in batches of _BATCH."""
+    rows = []
+    for first in range(0, len(grid), _BATCH):
+        batch = grid[first:first + _BATCH]
+        rows += [_point_rows(spec, coords, prop, requests(first + i))
+                 for i, (coords, prop) in enumerate(zip(batch, _pair_propagators(spec, batch)))]
+    return rows
 
 
 def _point_rows(spec: ScanSpec, coords, prop, requests) -> list[FidelityResult]:

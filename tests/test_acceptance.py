@@ -144,7 +144,7 @@ def test_criterion_05_plateaus_beyond_single_pair():
 
 
 def _contour_areas(delta, omegas, seq):
-    # The whole 40x40 grid propagates in one batch, as a contour scan does.
+    # The whole 40x40 grid propagates as one batch.
     delays = np.linspace(0.1, 1.0, 40)
     points = [(make_pair(ShapeKind.SINE_SQUARED, w, 1.0, d), SystemParams(delta=delta), None)
               for d in delays for w in omegas]

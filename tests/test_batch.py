@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cstirap import dynamics
+from cstirap import dynamics, experiments
 from cstirap.dynamics import IntegrationError, SystemParams, propagate, propagate_many
-from cstirap.experiments import ScanSpec, decay_scan
+from cstirap.experiments import (ScanSpec, SweepAxis, decay_scan, monte_carlo_phase_noise,
+                                 run_scan)
 from cstirap.phases import resonant_phases
 from cstirap.pulses import ShapeKind, make_pair, window
 
@@ -119,3 +120,16 @@ def test_no_kernel_call_exceeds_the_slab(monkeypatch):
     assert len(sizes) > 1 and max(sizes) > 1
     monkeypatch.undo()
     assert [u.tobytes() for u in got] == [_alone(*point, **TOL) for point in batch]
+
+
+def test_grids_split_into_batches_give_the_same_rows(monkeypatch):
+    # Grids propagate in batches of _BATCH points; the rows, and the Monte
+    # Carlo noise stream of each grid index, do not depend on the split.
+    spec = ScanSpec(axes=(SweepAxis("omega0", 5.0, 40.0, 7),), shape=ShapeKind.GAUSSIAN,
+                    omega0=30.0, system=SystemParams(2.0), sequence=resonant_phases(3), **TOL)
+    runs = (lambda: run_scan(spec),
+            lambda: monte_carlo_phase_noise(spec, 0.05, 20, 4),
+            lambda: decay_scan(spec, [0.0, 0.3, 0.9, 2.0]))
+    whole = [run() for run in runs]
+    monkeypatch.setattr(experiments, "_BATCH", 3)
+    assert [run() for run in runs] == whole
