@@ -85,10 +85,7 @@ class RunConfig:
 
 
 def _is_number(x) -> bool:
-    # Exact for integers: one beyond float range fails (math.isfinite would
-    # raise OverflowError on it), and so do NaN and the infinities.
-    return (isinstance(x, (int, float)) and not isinstance(x, bool)
-            and abs(x) <= sys.float_info.max)
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and phases.is_finite(x)
 
 
 def _positive(x) -> bool:

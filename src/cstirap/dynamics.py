@@ -15,13 +15,13 @@ train. On resonance, without decay, real envelopes take the paper's
 route: the two-state propagator, lifted to three states. Off it, a
 mirrored pair is integrated over half its window (see propagate).
 
-The integrator runs a batch of points at once: propagate_many takes many,
-and propagate is the batch of one. Each rung of the step-doubling ladder
-(_ladder) evaluates the kernel once per slab of whole blocks over every
-pass that the batch's active points make; the generator reads each
-step's parameters from its point's row (_row). Every point keeps its own
-breakpoints, step counts, tolerance, Taylor degrees and product tree, so
-its bits do not depend on the batch it runs in.
+The integrator runs a batch of points at once: propagate_many reads any
+number, _BATCH at a time, and propagate is the batch of one. Each rung of
+the step-doubling ladder (_ladder) evaluates the kernel once per slab of
+whole blocks over every pass that the batch's active points make; the
+generator reads each step's parameters from its point's row (_row). Every
+point keeps its own breakpoints, step counts, tolerance, Taylor degrees,
+product tree and result map (_Job), so its bits do not depend on the batch.
 """
 
 from __future__ import annotations
@@ -29,11 +29,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from sys import float_info
+from itertools import islice
 from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .phases import is_finite
 from .propalg import extract_ck, lift_to_three
 from .pulses import PulseTrain, ShapeKind, table_envelopes, train_table, train_window
 
@@ -52,6 +53,9 @@ _CHUNK = 512
 # Time steps per kernel call, in whole blocks of any points of a batch. A
 # constant, not a setting: it bounds the memory of a call.
 _SLAB = 2 * _CHUNK
+# Points per batch of propagate_many: enough to share each pass's fixed
+# cost, few enough to keep the memory of a batch flat for any grid size.
+_BATCH = 256
 # Step doubling gives up beyond this many steps per propagator.
 _MAX_STEPS = 1 << 20
 # The three Gauss-Legendre nodes on [0, 1] of the Magnus kernels, and
@@ -90,8 +94,7 @@ class SystemParams:
     gamma: float = 0.0
 
     def __post_init__(self):
-        # Exact for integers, where np.isfinite fails on one beyond float range.
-        if not (abs(self.delta) <= float_info.max and abs(self.gamma) <= float_info.max):
+        if not is_finite(self.delta, self.gamma):
             raise ValueError("detuning and decay must be finite")
         if self.gamma < 0:
             raise ValueError("decay rate must be >= 0")
@@ -254,11 +257,6 @@ def _tree(u: np.ndarray, runs) -> np.ndarray:
         u, runs = _pairwise(u), runs // 2
 
 
-def _ordered_product(u: np.ndarray) -> np.ndarray:
-    """u[..., -1] @ ... @ u[..., 0], multiplied pairwise in a fixed tree."""
-    return _tree(u, [u.shape[-1]])[..., 0]
-
-
 def _steps(lo, hi, steps, k):
     """Start, length and segment of global step(s) k when segment s,
     [lo[s], hi[s]], is cut into steps[s] equal steps."""
@@ -386,8 +384,9 @@ def _chunk_products(kernel, model, passes) -> list:
 
 class _Job(NamedTuple):
     """One point's integration: its kernel and generator model(t, cols),
-    its _row, breakpoints, first step counts per segment, and tolerance,
-    with rtol and atol as given for its messages."""
+    its _row, breakpoints, first step counts per segment, tolerance, rtol
+    and atol as given for its messages, and the map `result` of its bare
+    ordered product to the point's result."""
     kernel: tuple
     model: Callable
     row: np.ndarray
@@ -396,10 +395,11 @@ class _Job(NamedTuple):
     tol: float
     rtol: float
     atol: float
+    result: Callable
 
 
 def _plan(kernel, model, train: PulseTrain, row, t_span, rtol, atol, margin=1.0,
-          guard=None) -> _Job:
+          guard=None, result=lambda u: u) -> _Job:
     """The job that integrates U(t_f, t_i) of i dU/dt = H(t) U by the kernel
     of H (see _ladder); t_span defaults to the support window of `train`.
 
@@ -432,12 +432,12 @@ def _plan(kernel, model, train: PulseTrain, row, t_span, rtol, atol, margin=1.0,
             f"window of {t_f - t_i:g} with pulses {_min_width(train):g} wide", float(t_i),
             steps=float(2 * steps.sum()))
     return _Job(kernel, model, row, breaks, steps.astype(np.int64), (atol + rtol) / margin,
-                rtol, atol)
+                rtol, atol, result)
 
 
 def _ladder(jobs) -> list:
-    """Per job its bare ordered product of steps, or the IntegrationError
-    that ends it.
+    """Per job its result (see _Job) or the IntegrationError that ends it;
+    an exception in place of a job comes back as it is.
 
     Passes at n and 2n steps per segment give the Richardson estimate
     max|U_2n - U_n| / (2^p - 1), but never less than the round-off
@@ -452,10 +452,11 @@ def _ladder(jobs) -> list:
     Jobs of one kernel and generator climb together: each rung makes one
     _chunk_products call over the passes of all those still climbing.
     """
-    out = [None] * len(jobs)
+    out = list(jobs)
     groups = {}
     for i, job in enumerate(jobs):
-        groups.setdefault((job.kernel, job.model, len(job.row)), []).append(i)
+        if not isinstance(job, Exception):
+            groups.setdefault((job.kernel, job.model, len(job.row)), []).append(i)
     for (kernel, model, _), members in groups.items():
         for i, u in zip(members, _rungs(kernel, model, [jobs[i] for i in members])):
             out[i] = u
@@ -494,7 +495,7 @@ def _rungs(kernel, model, jobs) -> list:
         for j, i in enumerate(active):
             err, tol, total = float(errs[j]), jobs[i].tol, totals[j]
             if err <= tol:
-                out[i] = u[..., j].copy()
+                out[i] = jobs[i].result(u[..., j].copy())
                 continue
             # At most 64 doublings, which overshoot _MAX_STEPS anyway (err / tol
             # is inf for a subnormal tol; err may be inf or NaN, and tol 0 when
@@ -538,11 +539,10 @@ def _raised(u):
     return u
 
 
-def _integrate(kernel, model, pulses, row, t_span, rtol, atol, margin=1.0,
-               guard=None) -> np.ndarray:
+def _integrate(kernel, model, pulses, row, t_span, rtol, atol, guard=None) -> np.ndarray:
     """The bare product of one job (see _plan and _ladder), a batch of one."""
     return _raised(_ladder([_plan(kernel, model, _train(pulses), row, t_span, rtol, atol,
-                                  margin, guard)])[0])
+                                  guard=guard)])[0])
 
 
 def _polar(u: np.ndarray) -> np.ndarray:
@@ -555,39 +555,38 @@ def _polar(u: np.ndarray) -> np.ndarray:
 
 
 def _propagation(train: PulseTrain, sys: SystemParams, t_span, rtol, atol):
-    """The job of propagate for one point, and the map from its product to U."""
+    """The job of propagate for one point, or the ValueError or
+    IntegrationError that ends it before its ladder."""
     row = _row(train, sys)
-    if sys.delta == 0 and sys.gamma == 0 and _real_envelopes(train):
-        return (_plan(_MAGNUS6_SU2, _route_parts, train, row, t_span, rtol, atol, margin=2.0),
-                lambda u: lift_to_three(extract_ck(u)))
-    # An upper bound of ||H||: |Delta - i gamma/2| bounds the diagonal, and
-    # the largest peak Rabi frequency bounds the couplings Wp/2 and Ws/2.
-    guard = (abs(sys.delta) + 0.5 * sys.gamma + _peak(train), _MAGNUS4)
-    unitary = _polar if sys.gamma == 0 else lambda u: u
-    if t_span is None and _mirrored(train):
-        t_i, t_f = train_window(train)
-        # S U_h^T S U_h, where S swaps states 1 and 3.
-        return (_plan(_MAGNUS6, _hamiltonian, train, row, (t_i, 0.5 * (t_i + t_f)), rtol,
-                      atol, margin=2.0, guard=guard),
-                lambda uh: unitary(uh.T[::-1, ::-1] @ uh))
-    return _plan(_MAGNUS6, _hamiltonian, train, row, t_span, rtol, atol, guard=guard), unitary
+    try:
+        if sys.delta == 0 and sys.gamma == 0 and _real_envelopes(train):
+            return _plan(_MAGNUS6_SU2, _route_parts, train, row, t_span, rtol, atol, margin=2.0,
+                         result=lambda u: lift_to_three(extract_ck(u)))
+        # An upper bound of ||H||: |Delta - i gamma/2| bounds the diagonal, and
+        # the largest peak Rabi frequency bounds the couplings Wp/2 and Ws/2.
+        guard = (abs(sys.delta) + 0.5 * sys.gamma + _peak(train), _MAGNUS4)
+        unitary = _polar if sys.gamma == 0 else lambda u: u
+        if t_span is None and _mirrored(train):
+            t_i, t_f = train_window(train)
+            # S U_h^T S U_h, where S swaps states 1 and 3.
+            return _plan(_MAGNUS6, _hamiltonian, train, row, (t_i, 0.5 * (t_i + t_f)), rtol,
+                         atol, margin=2.0, guard=guard,
+                         result=lambda uh: unitary(uh.T[::-1, ::-1] @ uh))
+        return _plan(_MAGNUS6, _hamiltonian, train, row, t_span, rtol, atol, guard=guard,
+                     result=unitary)
+    except (ValueError, IntegrationError) as exc:
+        return exc
 
 
 def propagate_many(points, rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> list:
-    """propagate for every (pulses, sys, t_span) of `points` in one batch:
-    per point its propagator, bit for bit as propagate gives it, or the
-    ValueError or IntegrationError that ends that point alone."""
-    plans = []
-    for pulses, sys, t_span in points:
-        try:
-            plans.append(_propagation(_train(pulses), sys, t_span, rtol, atol))
-        except (ValueError, IntegrationError) as exc:
-            plans.append(exc)
-    done = iter(_ladder([p[0] for p in plans if not isinstance(p, Exception)]))
-    out = []
-    for p in plans:
-        u = p if isinstance(p, Exception) else next(done)
-        out.append(u if isinstance(u, Exception) else p[1](u))
+    """propagate for every (pulses, sys, t_span) of `points`, any iterable,
+    read and laddered _BATCH points at a time: per point its propagator, bit
+    for bit as propagate gives it, or the ValueError or IntegrationError
+    that ends that point alone. An exception given as a point is its result."""
+    points, out = iter(points), []
+    while batch := list(islice(points, _BATCH)):
+        out += _ladder([p if isinstance(p, Exception)
+                        else _propagation(_train(p[0]), *p[1:], rtol, atol) for p in batch])
     return out
 
 
@@ -650,16 +649,12 @@ def _two_state(pulses) -> tuple[PulseTrain, np.ndarray]:
     return train, _row(train, SystemParams())
 
 
-def _resonant_parts(t, cols) -> np.ndarray:
-    """(trace, x, y, z) of the resonant two-state matrix: (0, Wp/2, 0, -Ws/2)."""
+def _route_parts(t, cols) -> np.ndarray:
+    """(trace, x, y, z) of the generator of propagate_two_state, (0, Wp/4,
+    0, -Ws/4): half of resonant_two_state_hamiltonian's, bit for bit."""
     wp, ws = table_envelopes(cols[:-2], t)
     zero = np.zeros(np.shape(wp))
-    return np.array([zero, 0.5 * wp.real, zero, -0.5 * ws.real])
-
-
-def _route_parts(t, cols) -> np.ndarray:
-    """The generator of propagate_two_state: half of _resonant_parts."""
-    return 0.5 * _resonant_parts(t, cols)
+    return np.array([zero, 0.25 * wp.real, zero, -0.25 * ws.real])
 
 
 def resonant_two_state_hamiltonian(pulses, t) -> np.ndarray:
@@ -668,7 +663,7 @@ def resonant_two_state_hamiltonian(pulses, t) -> np.ndarray:
     Valid on one-photon resonance with gamma = 0 and real envelopes. An
     array t gives a (*t.shape, 2, 2) stack.
     """
-    _, x, _, z = _resonant_parts(t, _two_state(pulses)[1])
+    _, x, _, z = 2.0 * _route_parts(t, _two_state(pulses)[1])
     return _matrix({(0, 0): z, (0, 1): x, (1, 0): x, (1, 1): -z}, 2)
 
 
@@ -698,15 +693,20 @@ def _eliminated_parts(t, cols) -> np.ndarray:
                      0.5 * c * (pump - stokes)])
 
 
-def effective_two_state(pulses, delta: float):
-    """Far-off-resonance reduction: (W_eff(t), D_eff(t)) of _eliminated_parts."""
+def _eliminated(pulses, delta: float) -> tuple[PulseTrain, np.ndarray]:
+    """The train and _row of the eliminated problem of `pulses` at delta."""
     if delta == 0:
         raise ValueError("adiabatic elimination needs a nonzero detuning")
     train = _train(pulses)
+    return train, _row(train, SystemParams(delta))
+
+
+def effective_two_state(pulses, delta: float):
+    """Far-off-resonance reduction: (W_eff(t), D_eff(t)) of _eliminated_parts."""
+    train, row = _eliminated(pulses, delta)
     if abs(delta) < 10.0 * _peak(train):
         warnings.warn("adiabatic elimination is unreliable for |Delta| < 10*Omega0",
                       stacklevel=2)
-    row = _row(train, SystemParams(delta))
 
     def w_eff(t):
         _, x, y, _ = _eliminated_parts(t, row)
@@ -722,8 +722,5 @@ def propagate_effective(pulses, delta: float, t_span=None,
                         rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> np.ndarray:
     """2x2 propagator of the adiabatically eliminated (c1, c3) problem of
     _eliminated_parts, light-shift trace included."""
-    if delta == 0:
-        raise ValueError("adiabatic elimination needs a nonzero detuning")
-    train = _train(pulses)
-    return _integrate(_MAGNUS6_SU2, _eliminated_parts, train, _row(train, SystemParams(delta)),
-                      t_span, rtol, atol)
+    train, row = _eliminated(pulses, delta)
+    return _integrate(_MAGNUS6_SU2, _eliminated_parts, train, row, t_span, rtol, atol)

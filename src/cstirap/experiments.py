@@ -2,9 +2,9 @@
 
 Each takes one pair propagator per point and composes its sequences from
 it (_compose). Scans, Monte Carlo and decay scans evaluate their grid
-through _evaluate, which propagates up to _BATCH points per batch
-(_pair_propagators, dynamics.propagate_many); the compensation search
-and the phase solver propagate one point at a time, a batch of one. Every
+through _evaluate, which hands the whole grid, built point by point as it
+is read, to one dynamics.propagate_many call; the compensation search and
+the phase solver propagate one point at a time (dynamics.propagate). Every
 grid point is an independent pure computation, bit for bit the same alone
 or in a batch, and the Monte Carlo draws of each grid point come from one
 stream of a counter-based generator keyed on (seed, grid index), taken in
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from sys import float_info
 
 import numpy as np
 
@@ -36,8 +35,7 @@ class SweepAxis:
     def __post_init__(self):
         if self.name not in AXIS_NAMES:
             raise ValueError(f"unknown axis {self.name!r}; choose from {AXIS_NAMES}")
-        # Exact for integers: one beyond float range fails, as NaN does.
-        if not (abs(self.start) <= float_info.max and abs(self.stop) <= float_info.max):
+        if not phases.is_finite(self.start, self.stop):
             raise ValueError("axis ends must be finite")
         if not phases.is_count(self.points, 2):
             raise ValueError("an axis needs an integer count of at least 2 points")
@@ -112,67 +110,56 @@ def _compose(u_pair, sys: dynamics.SystemParams, gap: float, phase_sets,
     return propalg.compose_sequence(props, phase_sets, alternate)
 
 
-def _pair_propagators(spec: ScanSpec, grid) -> list:
-    """Per grid point (coords override spec), (U, system) of its single
-    pair, all propagated in one batch, or the ValueError or
-    IntegrationError that ends that point."""
-    points = []
-    for coords in grid:
-        over = dict(coords)
-        try:
-            sys = dynamics.SystemParams(over.get("delta", spec.system.delta),
-                                        over.get("gamma", spec.system.gamma))
-            points.append((make_pair(spec.shape, over.get("omega0", spec.omega0), spec.width,
-                                     over.get("delay", spec.delay)), sys, None))
-        except ValueError as exc:
-            points.append(exc)
-    props = iter(dynamics.propagate_many([p for p in points if not isinstance(p, Exception)],
-                                         spec.rtol, spec.atol))
-    out = []
-    for p in points:
-        u = p if isinstance(p, Exception) else next(props)
-        out.append(u if isinstance(u, Exception) else (u, p[1]))
-    return out
+def _system(spec: ScanSpec, coords) -> dynamics.SystemParams:
+    """The system at one grid point: its coords override spec."""
+    over = dict(coords)
+    return dynamics.SystemParams(over.get("delta", spec.system.delta),
+                                 over.get("gamma", spec.system.gamma))
+
+
+def _point(spec: ScanSpec, coords):
+    """The (pair, system, t_span) of dynamics.propagate at one grid point."""
+    sys, over = _system(spec, coords), dict(coords)
+    return make_pair(spec.shape, over.get("omega0", spec.omega0), spec.width,
+                     over.get("delay", spec.delay)), sys, None
 
 
 def _pair_propagator(spec: ScanSpec, coords) -> tuple[np.ndarray, dynamics.SystemParams]:
-    """(U, system) of the single pair at one grid point, a batch of one."""
-    prop, = _pair_propagators(spec, [coords])
-    if isinstance(prop, Exception):
-        raise prop
-    return prop
+    """(U, system) of the single pair at one grid point."""
+    pair, sys, t_span = _point(spec, coords)
+    return dynamics.propagate(pair, sys, t_span, spec.rtol, spec.atol), sys
 
 
 _NOT_FINITE = "composed populations are not finite (the gap or the phase noise overflows)"
 
 
-# Grid points propagated per batch: enough to share each pass's fixed cost,
-# few enough to keep the memory of a batch flat for any grid size.
-_BATCH = 256
-
-
 def _evaluate(spec: ScanSpec, grid, requests) -> list[list[FidelityResult]]:
     """Per grid point i, the rows of _point_rows for the requests of
-    requests(i), with the grid's pairs propagated in batches of _BATCH."""
-    rows = []
-    for first in range(0, len(grid), _BATCH):
-        batch = grid[first:first + _BATCH]
-        rows += [_point_rows(spec, coords, prop, requests(first + i))
-                 for i, (coords, prop) in enumerate(zip(batch, _pair_propagators(spec, batch)))]
-    return rows
+    requests(i). Each point is built as dynamics.propagate_many reads it;
+    one whose system or pair is invalid goes to it as its ValueError."""
+    def points():
+        for coords in grid:
+            try:
+                yield _point(spec, coords)
+            except ValueError as exc:
+                yield exc
+
+    props = dynamics.propagate_many(points(), spec.rtol, spec.atol)
+    return [_point_rows(spec, coords, u, requests(i))
+            for i, (coords, u) in enumerate(zip(grid, props))]
 
 
-def _point_rows(spec: ScanSpec, coords, prop, requests) -> list[FidelityResult]:
+def _point_rows(spec: ScanSpec, coords, u, requests) -> list[FidelityResult]:
     """One FidelityResult per request (blocks, alternate) at one grid point,
-    from prop, its (U, system) or the error that ended it. `blocks`
+    from u, its pair propagator or the error that ended it. `blocks`
     iterates over phase-set stacks of shape (k, N, 2); the populations are
     averaged over all their phase sets, summed block by block in order. A
-    failed propagation gives every request a NaN row that carries the
-    reason, and so does a request whose populations are not finite."""
-    if isinstance(prop, Exception):
+    failed point gives every request a NaN row that carries the reason, and
+    so does a request whose populations are not finite."""
+    if isinstance(u, Exception):
         nan = float("nan")
-        return [FidelityResult(coords, nan, nan, nan, nan, nan, str(prop))] * len(requests)
-    u, sys = prop
+        return [FidelityResult(coords, nan, nan, nan, nan, nan, str(u))] * len(requests)
+    sys = _system(spec, coords)
     rows = []
     for blocks, alternate in requests:
         acc, count = np.zeros(3), 0
@@ -282,6 +269,8 @@ def decay_compensation_check(spec: ScanSpec, gammas, threshold: float,
         raise ValueError("threshold must be > 0")
     if not phases.is_count(iters, 0):
         raise ValueError("iters must be an integer >= 0")
+    if not (phases.is_finite(omega_max) and omega_max > 0):
+        raise ValueError("omega_max must be a finite number > 0")
     gammas = _decay_rates(gammas)
     seq = spec.sequence
 
@@ -342,6 +331,10 @@ def solve_phases(spec: ScanSpec, budget: int = 2000, xatol: float = 1e-6,
     sequence never has higher infidelity than the seed. A seed whose
     infidelity is not finite raises ValueError.
     """
+    if not phases.is_count(budget, 1):
+        raise ValueError("budget must be an integer >= 1")
+    if not (phases.is_finite(xatol, simplex_step) and xatol > 0 and simplex_step > 0):
+        raise ValueError("xatol and simplex_step must be finite numbers > 0")
     if spec.system.gamma != 0:
         raise ValueError("phase optimization assumes gamma = 0")
     seed = spec.sequence

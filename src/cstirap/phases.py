@@ -19,6 +19,12 @@ def is_count(n, least: int) -> bool:
     return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= least
 
 
+def is_finite(*xs) -> bool:
+    """Whether every x is finite. Exact for integers: one beyond float range
+    fails, as NaN does (math.isfinite raises OverflowError on it)."""
+    return all(abs(x) <= float_info.max for x in xs)
+
+
 @dataclass(frozen=True)
 class CompositeSequence:
     """N pulse pairs with per-pair pump/Stokes phases.
@@ -37,8 +43,7 @@ class CompositeSequence:
             raise ValueError("the number of pulse pairs must be odd and positive")
         if len(self.pump_phases) != self.n_pairs or len(self.stokes_phases) != self.n_pairs:
             raise ValueError("phase lists must have length N")
-        # Exact for integers: one beyond float range fails, as NaN does.
-        if not all(abs(x) <= float_info.max for x in (*self.pump_phases, *self.stokes_phases)):
+        if not is_finite(*self.pump_phases, *self.stokes_phases):
             raise ValueError("phases must be finite")
 
     def phase_pairs(self):

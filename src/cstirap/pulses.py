@@ -10,9 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from sys import float_info
 
 import numpy as np
+
+from .phases import is_finite
 
 # Gaussian tails below peak*e^-25 are dynamically negligible, so each
 # Gaussian is integrated on [center - 5T, center + 5T].
@@ -35,9 +36,7 @@ class PulseShape:
     center_or_start: float = 0.0
 
     def __post_init__(self):
-        # Exact for integers, where np.isfinite fails on one beyond float range.
-        if not all(abs(x) <= float_info.max
-                   for x in (self.peak, self.width, self.center_or_start)):
+        if not is_finite(self.peak, self.width, self.center_or_start):
             raise ValueError("pulse peak, width and position must be finite")
         if self.peak < 0:
             raise ValueError("peak Rabi frequency must be >= 0")
@@ -62,8 +61,7 @@ class PulsePair:
     reversed: bool = False
 
     def __post_init__(self):
-        if not all(abs(x) <= float_info.max
-                   for x in (self.delay, self.pump_phase, self.stokes_phase)):
+        if not is_finite(self.delay, self.pump_phase, self.stokes_phase):
             raise ValueError("delay and phases must be finite")
         if not self.delay > 0:
             raise ValueError("delay must be > 0")

@@ -1,6 +1,8 @@
 """The batched pass ladder: every point of a batch gets the bits that it
 gets when it is propagated alone, and a point that fails fails alone."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,8 +53,8 @@ def test_batch_gives_each_point_its_bits_alone(draws):
     batch.insert(len(batch) // 2, (fallback, SystemParams(1e5), window(fallback)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "_MAX_STEPS", 1 << 16)
-        job, _ = dynamics._propagation(dynamics._train(fallback), SystemParams(1e5),
-                                       window(fallback), **TOL)
+        job = dynamics._propagation(dynamics._train(fallback), SystemParams(1e5),
+                                    window(fallback), **TOL)
         assert job.kernel == dynamics._MAGNUS4
         got = [_outcome(u) for u in propagate_many(batch, **TOL)]
         assert got == [_alone(*point, **TOL) for point in batch]
@@ -66,7 +68,7 @@ def test_failing_points_fail_alone():
     cases = [(SystemParams(), 1e-8), (SystemParams(), 1e-300), (SystemParams(), 1e-16),
              (SystemParams(), 1e-10), (SystemParams(2.0, 0.3), 1e-8),
              (SystemParams(2.0, 0.3), 1e-300), (SystemParams(2.0, 0.3), 1e-9)]
-    jobs = [dynamics._propagation(dynamics._train(pair), sys, None, tol, tol)[0]
+    jobs = [dynamics._propagation(dynamics._train(pair), sys, None, tol, tol)
             for sys, tol in cases]
     batched = [_outcome(u) for u in dynamics._ladder(jobs)]
     assert batched == [_outcome(dynamics._ladder([job])[0]) for job in jobs]
@@ -124,12 +126,49 @@ def test_no_kernel_call_exceeds_the_slab(monkeypatch):
 
 def test_grids_split_into_batches_give_the_same_rows(monkeypatch):
     # Grids propagate in batches of _BATCH points; the rows, and the Monte
-    # Carlo noise stream of each grid index, do not depend on the split.
+    # Carlo noise stream of each grid index, do not depend on the split,
+    # nor on a point that fails before propagation (a delay <= 0).
     spec = ScanSpec(axes=(SweepAxis("omega0", 5.0, 40.0, 7),), shape=ShapeKind.GAUSSIAN,
                     omega0=30.0, system=SystemParams(2.0), sequence=resonant_phases(3), **TOL)
+    delays = replace(spec, axes=(SweepAxis("delay", -0.3, 0.9, 7),))
     runs = (lambda: run_scan(spec),
+            lambda: run_scan(delays),
             lambda: monte_carlo_phase_noise(spec, 0.05, 20, 4),
             lambda: decay_scan(spec, [0.0, 0.3, 0.9, 2.0]))
-    whole = [run() for run in runs]
-    monkeypatch.setattr(experiments, "_BATCH", 3)
-    assert [run() for run in runs] == whole
+    # As reprs: the NaN rows of the failed points compare unequal to themselves.
+    whole = [repr(run()) for run in runs]
+    monkeypatch.setattr(dynamics, "_BATCH", 3)
+    assert [repr(run()) for run in runs] == whole
+
+
+def test_points_are_read_one_batch_ahead_of_the_ladder(monkeypatch):
+    # propagate_many reads a generator at most _BATCH points ahead of the
+    # ladder that takes them, so a grid's pairs are never all alive at once.
+    monkeypatch.setattr(dynamics, "_BATCH", 3)
+    points = [(make_pair(ShapeKind.GAUSSIAN, omega0), SystemParams(2.0), None)
+              for omega0 in (4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0)]
+    read, laddered = [0], []
+    ladder = dynamics._ladder
+
+    def recorded(jobs):
+        laddered.append((read[0], len(jobs)))
+        return ladder(jobs)
+
+    def generator():
+        for point in points:
+            read[0] += 1
+            yield point
+
+    monkeypatch.setattr(dynamics, "_ladder", recorded)
+    got = propagate_many(generator(), **TOL)
+    assert laddered == [(3, 3), (6, 3), (7, 1)]
+    monkeypatch.undo()
+    assert [u.tobytes() for u in got] == [_alone(*point, **TOL) for point in points]
+
+
+def test_a_point_given_as_an_exception_comes_back_as_it_is():
+    pair = make_pair(ShapeKind.SINE_SQUARED, 30.0)
+    exc = ValueError("delay must be > 0")
+    got = propagate_many([exc, (pair, SystemParams(), None), exc], **TOL)
+    assert got[0] is exc and got[2] is exc
+    assert got[1].tobytes() == _alone(pair, SystemParams(), None, **TOL)

@@ -292,6 +292,14 @@ def test_compensation_iters_must_be_a_count(iters):
         decay_compensation_check(_spec(), [0.2], threshold=2e-2, iters=iters)
 
 
+@pytest.mark.parametrize("omega_max", [float("nan"), float("inf"), -1.0, 0.0])
+def test_compensation_omega_max_must_be_positive_and_finite(omega_max):
+    # NaN and -1.0 once returned rows of None, as if no drive reached the
+    # threshold.
+    with pytest.raises(ValueError, match="omega_max must be a finite number > 0"):
+        decay_compensation_check(_spec(), [0.1], threshold=2e-2, omega_max=omega_max)
+
+
 def test_compensation_overflow_is_an_error():
     # A gap phase that overflows makes every composed infidelity NaN; that
     # must not pass for a threshold no drive reaches.

@@ -123,7 +123,7 @@ def test_fourth_order_convergence(gamma):
     for n in (8, 16, 32):
         blocks = _blocks(dynamics._MAGNUS4, dynamics._hamiltonian, dynamics._row(pair, sys),
                          breaks, np.full(len(breaks) - 1, n))
-        errs.append(_dev(dynamics._ordered_product(np.array(blocks)), ref))
+        errs.append(_dev(dynamics._tree(blocks, [blocks.shape[-1]])[..., 0], ref))
     assert errs[0] / errs[1] > 12 and errs[1] / errs[2] > 12
 
 
@@ -140,7 +140,7 @@ def test_sixth_order_convergence(gamma):
     for n in (8, 16, 32):
         blocks = _blocks(dynamics._MAGNUS6, dynamics._hamiltonian, dynamics._row(pair, sys),
                          breaks, np.full(len(breaks) - 1, n))
-        errs.append(_dev(dynamics._ordered_product(blocks), ref))
+        errs.append(_dev(dynamics._tree(blocks, [blocks.shape[-1]])[..., 0], ref))
     assert errs[0] / errs[1] > 40 and errs[1] / errs[2] > 40, errs
 
 
@@ -226,7 +226,7 @@ def test_fallback_meets_its_tolerance(monkeypatch):
     assert guarded.sum() == 549_302 and 2 * guarded.sum() > dynamics._MAX_STEPS
     blocks = _blocks(dynamics._MAGNUS6, dynamics._hamiltonian, dynamics._row(pair, sys), breaks,
                      guarded)
-    w, _, vh = np.linalg.svd(dynamics._ordered_product(blocks))
+    w, _, vh = np.linalg.svd(dynamics._tree(blocks, [blocks.shape[-1]])[..., 0])
     passes = _record_passes(monkeypatch)
     got = propagate(pair, sys, span, **MAGNUS)
     assert {order for order, _ in passes} == {4}
@@ -255,7 +255,7 @@ def test_sixth_order_convergence_two_state(monkeypatch, problem):
     for n in (4, 8, 16):
         kernel, model, _, row = generators[0][:4]
         blocks = _blocks(kernel, model, row, breaks, np.full(len(breaks) - 1, n))
-        errs.append(_dev(dynamics._ordered_product(blocks), ref))
+        errs.append(_dev(dynamics._tree(blocks, [blocks.shape[-1]])[..., 0], ref))
     assert errs[0] / errs[1] > 40 and errs[1] / errs[2] > 40, errs
 
 
@@ -602,10 +602,16 @@ def test_integration_error_carries_steps_and_estimate(monkeypatch, case, route):
 
 @pytest.mark.parametrize("count", [1, 2, 3, 8, 13])
 def test_ordered_product_matches_loop(count):
+    # Ragged runs in one _tree call, each against its own Python loop: a
+    # run of one, odd runs whose ends are carried by I, and runs that
+    # finish at different levels of the tree.
+    runs = [count, 1, 2 * count + 1, count + 2]
     rng = np.random.default_rng(count)
-    u = scipy.linalg.expm(-1j * _random_stack(rng, count, True))
-    want = u[0]
-    for factor in u[1:]:
-        want = factor @ want
-    got = dynamics._ordered_product(np.moveaxis(u, 0, -1))
-    assert _dev(got, want) < 1e-13
+    u = scipy.linalg.expm(-1j * _random_stack(rng, sum(runs), True))
+    got = dynamics._tree(np.moveaxis(u, 0, -1), runs)
+    assert got.shape == (3, 3, len(runs))
+    for k, end in enumerate(np.cumsum(runs)):
+        want = u[end - runs[k]]
+        for factor in u[end - runs[k] + 1:end]:
+            want = factor @ want
+        assert _dev(got[..., k], want) < 1e-13

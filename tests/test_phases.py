@@ -116,6 +116,19 @@ def test_solver_guards():
         solve_phases(_spec(20.0, resonant_phases(3), SystemParams(gamma=0.1)))
 
 
+@pytest.mark.parametrize("options,problem", [
+    (dict(budget=2.5), "budget"), (dict(budget=True), "budget"), (dict(budget=-1), "budget"),
+    (dict(budget=0), "budget"), (dict(xatol=-1.0), "xatol"), (dict(xatol=float("nan")), "xatol"),
+    (dict(xatol=0.0), "xatol"), (dict(simplex_step=float("nan")), "simplex_step"),
+    (dict(simplex_step=float("inf")), "simplex_step"), (dict(simplex_step=-0.01), "simplex_step"),
+])
+def test_solver_options_are_checked(options, problem):
+    # The checks the CLI makes on its solver section: each bad value once
+    # ran 1 to 789 iterations instead of failing.
+    with pytest.raises(ValueError, match=problem):
+        solve_phases(_spec(20.0, resonant_phases(3)), **options)
+
+
 def test_solver_trivial_for_single_pair():
     res = solve_phases(_spec(20.0, resonant_phases(1)))
     assert res.converged
