@@ -1,14 +1,14 @@
 """Parameter scans, phase-noise Monte Carlo, decay studies, phase solving.
 
 Each takes one pair propagator per point and composes its sequences from
-it (_compose). Scans, Monte Carlo and decay scans evaluate their grid
-through _evaluate, which hands the whole grid, built point by point as it
-is read, to one dynamics.propagate_many call; the compensation search and
-the phase solver propagate one point at a time (dynamics.propagate). Every
-grid point is an independent pure computation, bit for bit the same alone
-or in a batch, and the Monte Carlo draws of each grid point come from one
-stream of a counter-based generator keyed on (seed, grid index), taken in
-sample order: results depend on the inputs alone.
+it on state 1 (_compose). Scans, Monte Carlo and decay scans evaluate their
+grid through _evaluate, which hands the whole grid, built point by point as
+it is read, to one dynamics.propagate_many call; the compensation search
+and the phase solver propagate one point at a time (dynamics.propagate).
+Every grid point is an independent pure computation, bit for bit the same
+alone or in a batch, and the Monte Carlo draws of each grid point come from
+one stream of a counter-based generator keyed on (seed, grid index), taken
+in sample order: results depend on the inputs alone.
 """
 
 from __future__ import annotations
@@ -97,17 +97,14 @@ def _gap_propagator(sys: dynamics.SystemParams, gap: float) -> np.ndarray:
 
 
 def _compose(u_pair, sys: dynamics.SystemParams, gap: float, phase_sets,
-             alternate: bool) -> np.ndarray:
-    """Composite propagators, shape (..., 3, 3), for phase sets of shape
-    (..., N, 2) that all reuse one pair propagator."""
-    n = np.shape(phase_sets)[-2]
-    props = [u_pair] * n
-    if gap > 0 and n > 1:
-        # Fold the inter-pair evolution into all but the last factor; it
-        # commutes with the phase imprint and with the reversal.
-        g = _gap_propagator(sys, gap)
-        props = [g @ u_pair] * (n - 1) + [u_pair]
-    return propalg.compose_sequence(props, phase_sets, alternate)
+             alternate: bool, initial=None) -> np.ndarray:
+    """Composite propagators, shape (..., 3, 3), or their action on `initial`,
+    for phase sets of shape (..., N, 2) that all reuse one pair propagator."""
+    # Fold the inter-pair evolution into all but the last factor; it
+    # commutes with the phase imprint and with the reversal.
+    first = _gap_propagator(sys, gap) @ u_pair if gap > 0 else u_pair
+    props = [first] * (np.shape(phase_sets)[-2] - 1) + [u_pair]
+    return propalg.compose_sequence(props, phase_sets, alternate, initial)
 
 
 def _system(spec: ScanSpec, coords) -> dynamics.SystemParams:
@@ -130,6 +127,7 @@ def _pair_propagator(spec: ScanSpec, coords) -> tuple[np.ndarray, dynamics.Syste
     return dynamics.propagate(pair, sys, t_span, spec.rtol, spec.atol), sys
 
 
+_START = np.array([1.0, 0.0, 0.0])   # every study reads only where state 1 ends
 _NOT_FINITE = "composed populations are not finite (the gap or the phase noise overflows)"
 
 
@@ -164,8 +162,8 @@ def _point_rows(spec: ScanSpec, coords, u, requests) -> list[FidelityResult]:
     for blocks, alternate in requests:
         acc, count = np.zeros(3), 0
         for phase_sets in blocks:
-            m = _compose(u, sys, spec.gap, phase_sets, alternate)
-            acc += np.sum(np.abs(m[:, :, 0]) ** 2, axis=0)
+            v = _compose(u, sys, spec.gap, phase_sets, alternate, _START)
+            acc += np.sum(np.abs(v) ** 2, axis=0)
             count += len(phase_sets)
         error = None if np.isfinite(acc).all() else _NOT_FINITE
         p1, p2, p3 = acc / count if error is None else (float("nan"),) * 3
@@ -194,9 +192,10 @@ def run_scan(spec: ScanSpec) -> list[FidelityResult]:
     return [rows[0] for rows in _evaluate(spec, grid_coords(spec.axes), lambda i: requests)]
 
 
-# Monte Carlo samples composed per compose_sequence call: enough to amortize
-# the call, few enough to keep memory flat for any sample count.
-_MC_BLOCK = 256
+# Monte Carlo samples per compose_sequence call (a point's shipped 1,000 in one),
+# and at most _MC_PAIRS phased pairs (120 bytes each), so memory stays flat.
+_MC_BLOCK = 4096
+_MC_PAIRS = 2 ** 18
 
 
 def _noise_rng(seed: int, point: int) -> np.random.Generator:
@@ -205,13 +204,14 @@ def _noise_rng(seed: int, point: int) -> np.random.Generator:
 
 def _noisy_phase_blocks(seq: phases.CompositeSequence, sigma: float, samples: int,
                         seed: int, point: int):
-    """The phase sets of `seq` with Gaussian noise, _MC_BLOCK samples at a
-    time, from the one stream _noise_rng(seed, point): sample s takes the
-    next 2N draws, the pump then the Stokes noise."""
+    """The phase sets of `seq` with Gaussian noise, in blocks of _MC_BLOCK
+    samples or _MC_PAIRS pairs, from the one stream _noise_rng(seed, point):
+    sample s takes the next 2N draws, the pump then the Stokes noise."""
     base = np.array(seq.phase_pairs(), dtype=float)
     rng = _noise_rng(seed, point)
-    for start in range(0, samples, _MC_BLOCK):
-        k = min(_MC_BLOCK, samples - start)
+    block = min(_MC_BLOCK, max(1, _MC_PAIRS // seq.n_pairs))
+    for start in range(0, samples, block):
+        k = min(block, samples - start)
         yield base + rng.normal(0.0, sigma, (k, 2, seq.n_pairs)).swapaxes(1, 2)
 
 
@@ -276,15 +276,15 @@ def decay_compensation_check(spec: ScanSpec, gammas, threshold: float,
 
     def infid(omega0, g):
         u, sys = _pair_propagator(spec, (("omega0", omega0), ("gamma", float(g))))
-        m = _compose(u, sys, spec.gap, seq.phase_pairs(), seq.alternate_ordering)
-        f = 1.0 - abs(m[2, 0]) ** 2
+        v = _compose(u, sys, spec.gap, seq.phase_pairs(), seq.alternate_ordering, _START)
+        f = 1.0 - abs(v[2]) ** 2
         if not np.isfinite(f):
             raise ValueError(_NOT_FINITE)
         return f
 
     rows = []
     for g in gammas:
-        lo, hi, omega = 0.0, None, 5.0
+        lo, hi, omega = 0.0, None, min(5.0, omega_max)
         while omega <= omega_max:
             if infid(omega, g) < threshold:
                 hi = omega
@@ -342,8 +342,8 @@ def solve_phases(spec: ScanSpec, budget: int = 2000, xatol: float = 1e-6,
     u, sys = _pair_propagator(spec, ())
 
     def infidelity(phase_sets):
-        m = _compose(u, sys, spec.gap, phase_sets, seed.alternate_ordering)
-        return 1.0 - abs(m[2, 0]) ** 2
+        v = _compose(u, sys, spec.gap, phase_sets, seed.alternate_ordering, _START)
+        return 1.0 - abs(v[2]) ** 2
 
     f_seed = infidelity(seed.phase_pairs())
     if not np.isfinite(f_seed):

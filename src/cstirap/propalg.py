@@ -3,8 +3,8 @@
 The resonant three-state propagator is quadratic in the Cayley-Klein
 parameters (a, b) of the equivalent two-state problem; this module holds
 that lift, the backward-ordering reversal R U R, the phase imprint
-Phi U Phi*, and the N-fold sequence composition, batched over stacks of
-phase sets.
+Phi U Phi*, and the N-fold sequence composition, a recursion through the
+phase ratios of neighbouring pairs, batched over stacks of phase sets.
 """
 
 from __future__ import annotations
@@ -101,26 +101,36 @@ def phase_imprint(u: np.ndarray, alpha, beta) -> np.ndarray:
     return (phi[..., :, None] * np.asarray(u, dtype=complex)) * np.conj(phi)[..., None, :]
 
 
-def compose_sequence(propagators, phases, alternate: bool) -> np.ndarray:
+def compose_sequence(propagators, phases, alternate: bool, initial=None) -> np.ndarray:
     """U^(N) for a sequence of N phased pairs; rightmost factor = first pair.
 
     `propagators` holds the N pair propagators and `phases` one
     (alpha, beta) per pair, shape (..., N, 2): any leading axes stack phase
-    sets that share the propagators, and the result has shape (..., 3, 3).
-    With alternate=True every even pair (second, fourth, ...) enters as its
+    sets that share the propagators, and the result has shape (..., 3, 3),
+    or (..., 3) for U^(N) applied to a state `initial` of shape (3,). With
+    alternate=True every even pair (second, fourth, ...) enters as its
     reversed propagator R U R, the resonant protocol; with alternate=False
-    all pairs enter forward, the far-off-resonant protocol.
+    all pairs enter forward, the far-off-resonant protocol. The states take
+    one recursion v <- U_k D_k v, D_k = Phi_k* Phi_{k-1}, Phi_0 = Phi_{N+1} = 1.
     """
-    props = np.asarray([reverse(u) if alternate and k % 2 else u
-                        for k, u in enumerate(propagators)], dtype=complex)
+    props = [reverse(u) if alternate and k % 2 else u for k, u in enumerate(propagators)]
     n = len(props)
     if n < 1 or n % 2 == 0:
         raise ValueError("sequence length must be odd")
     phases = np.asarray(phases, dtype=float)
     if phases.shape[-2:] != (n, 2):
         raise ValueError("need one (alpha, beta) per pair")
-    factors = phase_imprint(props, phases[..., 0], phases[..., 1])
-    total = factors[..., 0, :, :]
-    for k in range(1, n):
-        total = factors[..., k, :, :] @ total
-    return total
+    if initial is not None and np.shape(initial) != (3,):
+        raise ValueError("the initial state must have shape (3,)")
+    states = np.eye(3, dtype=complex) if initial is None else np.asarray(initial, dtype=complex)
+    # Phi_k's outer entries per phase set, flat; an overflowing angle gives NaN.
+    phi = np.ones((math.prod(phases.shape[:-2]), n + 2, 2), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi[:, 1:-1] = np.exp(1j * (phases.reshape(-1, n, 2) * (1.0, -1.0)))
+        ratios = phi[:, 1:].conj() * phi[:, :-1]
+    v = np.repeat(states.T.reshape(1, -1, 3), len(phi), axis=0)   # the states as rows
+    for k, u in enumerate(props):
+        v[..., ::2] *= ratios[:, None, k]
+        v = (v.reshape(-1, 3) @ np.transpose(u)).reshape(v.shape)
+    v[..., ::2] *= ratios[:, None, n]
+    return v.swapaxes(1, 2).reshape(phases.shape[:-2] + states.shape)

@@ -212,6 +212,35 @@ def test_monte_carlo_blocks_match_per_sample_loop():
                                rtol=0, atol=1e-14)
 
 
+def _counting_compose(monkeypatch):
+    """The initial states of every propalg.compose_sequence call."""
+    calls, compose = [], experiments.propalg.compose_sequence
+
+    def counted(*args, **kwargs):
+        calls.append(args[3] if len(args) > 3 else kwargs.get("initial"))
+        return compose(*args, **kwargs)
+
+    monkeypatch.setattr(experiments.propalg, "compose_sequence", counted)
+    return calls
+
+
+def test_monte_carlo_composes_each_point_once(monkeypatch):
+    # The shipped 1,000 samples of a point are one block, composed on state
+    # 1 alone: one call per point, never a full matrix.
+    calls = _counting_compose(monkeypatch)
+    spec = _spec(axes=(SweepAxis("omega0", 20.0, 24.0, 3),), sequence=resonant_phases(3))
+    rows = monte_carlo_phase_noise(spec, 0.01, 1000, seed=0)
+    assert len(rows) == 3 and len(calls) == 3
+    assert all(initial is not None for initial in calls)
+
+
+def test_decay_scan_composes_twice_per_point(monkeypatch):
+    calls = _counting_compose(monkeypatch)
+    curves = decay_scan(_spec(sequence=resonant_phases(3)), [0.0, 0.5, 1.0])
+    assert len(curves["composite"]) == 3 and len(calls) == 6
+    assert all(initial is not None for initial in calls)
+
+
 def test_monte_carlo_samples_share_no_draw():
     # Zero phases, so the phase sets are the draws themselves. Every
     # sample takes fresh draws from its point's stream, across the block
@@ -278,6 +307,37 @@ def test_compensation_keeps_a_zero_decay_row_out_of_the_fit():
     ref = decay_compensation_check(spec, [0.2, 0.6], threshold=2e-2, iters=12)
     assert res.rows[0][0] == 0.0
     assert res.rows[1:] == ref.rows and res.exponent == ref.exponent
+
+
+def test_compensation_search_starts_at_or_below_omega_max():
+    # The ascent once started at 5 whatever omega_max was, so a limit below
+    # 5 reported every threshold unreachable. Both searches bracket the
+    # same crossing, so they agree within the wider bisection width.
+    spec = _spec(sequence=resonant_phases(3))
+    low = decay_compensation_check(spec, [0.1], threshold=0.99, omega_max=4.0)
+    high = decay_compensation_check(spec, [0.1], threshold=0.99, omega_max=40.0)
+    (_, o_low), = low.rows
+    (_, o_high), = high.rows
+    assert o_low is not None and o_high is not None
+    assert abs(o_low - o_high) <= 5.0 / 2 ** 20
+
+
+@pytest.mark.parametrize("gammas,threshold,omega_max,iters,rows", [
+    ([0.2, 0.6], 2e-2, 400.0, 12, ((0.2, 24.294899352661137), (0.6, 40.73598182487794))),
+    ([0.2, 0.6], 2e-2, 5.0, 12, ((0.2, None), (0.6, None))),
+    ([0.1], 0.99, 5.0, 20, ((0.1, 2.954893112182617),)),
+    ([0.1], 0.99, 40.0, 20, ((0.1, 2.954893112182617),)),
+])
+def test_compensation_search_from_five_is_unchanged(gammas, threshold, omega_max, iters, rows):
+    # With omega_max >= 5 the ascent still starts at 5: these are the rows
+    # the search gave when it started there for any omega_max.
+    spec = _spec(sequence=resonant_phases(3))
+    res = decay_compensation_check(spec, gammas, threshold=threshold,
+                                   omega_max=omega_max, iters=iters)
+    assert len(res.rows) == len(rows)
+    for (g, o), (g_want, o_want) in zip(res.rows, rows):
+        assert g == g_want
+        assert o == (None if o_want is None else pytest.approx(o_want, rel=1e-12))
 
 
 def test_compensation_rejects_negative_decay():

@@ -220,3 +220,32 @@ def test_batched_compose_equals_per_row_calls(seed, n, samples, alternate, gap_f
 def test_compose_rejects_wrong_phase_shape(phases):
     with pytest.raises(ValueError):
         compose_sequence([np.eye(3)] * 3, phases, alternate=True)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seeds, st.sampled_from([1, 3, 5, 9]), st.booleans(), st.booleans(),
+       st.sampled_from([(), (4,), (1, 4)]))
+def test_composed_state_is_a_column_of_the_composite(seed, n, alternate, gap_folded, lead):
+    # Applied to e_j, the sequence gives column j of U^(N), also with
+    # non-unitary factors: free evolution with decay folded into all but the
+    # last pair.
+    rng = np.random.default_rng(seed)
+    u = _unitaries(seed)
+    props = [u] * n
+    if gap_folded:
+        decay = np.exp(-rng.uniform(0, 3)) * np.exp(-1j * rng.uniform(0, 3))
+        props = [np.diag([1.0, decay, 1.0]) @ u] * (n - 1) + [u]
+    phase_sets = rng.uniform(-np.pi, np.pi, lead + (n, 2))
+    full = compose_sequence(props, phase_sets, alternate)
+    for j, state in enumerate(np.eye(3)):
+        got = compose_sequence(props, phase_sets, alternate, initial=state)
+        assert got.shape == lead + (3,)
+        np.testing.assert_allclose(got, full[..., :, j], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("initial", [
+    np.zeros(2), np.zeros(4), np.zeros((3, 1)), np.zeros((1, 3)), np.eye(3), 1.0,
+])
+def test_compose_rejects_wrong_initial_shape(initial):
+    with pytest.raises(ValueError, match="initial state"):
+        compose_sequence([np.eye(3)] * 3, np.zeros((3, 2)), True, initial=initial)
