@@ -285,12 +285,11 @@ def decay_compensation_check(spec: ScanSpec, gammas, threshold: float,
     rows = []
     for g in gammas:
         lo, hi, omega = 0.0, None, min(5.0, omega_max)
-        while omega <= omega_max:
+        while lo < omega_max:   # the last probe is omega_max itself
             if infid(omega, g) < threshold:
                 hi = omega
                 break
-            lo = omega
-            omega *= 1.3
+            lo, omega = omega, min(omega * 1.3, omega_max)
         if hi is None:
             rows.append((float(g), None))
             continue

@@ -221,6 +221,28 @@ def test_main_scan_roundtrip(tmp_path):
     assert len(lines) == 5 and lines[-1].startswith("# sha256=")
 
 
+@pytest.mark.parametrize("experiment,over", [
+    ("decay", {"grid": [{"name": "gamma", "min": 0.2, "max": 0.6, "points": 2}]}),
+    ("montecarlo", {"grid": [{"name": "omega0", "min": 20.0, "max": 24.0, "points": 2}],
+                    "noise": {"sigma": 0.02, "samples": 20}}),
+], ids=["decay-3x3", "montecarlo"])
+def test_blas_threads_leave_the_bits_alone(tmp_path, experiment, over):
+    # The package sets OPENBLAS_NUM_THREADS=1 only where it is unset; a
+    # user's own setting must give the same table.
+    cfg = _scan_config(experiment=experiment, **over)
+    path = _write(tmp_path, "c.json", cfg)
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONPATH"] = os.pathsep.join(sys.path)
+    outs = []
+    for env in (base, dict(base, OPENBLAS_NUM_THREADS="2")):
+        out = tmp_path / f"{len(outs)}.csv"
+        argv = [sys.executable, "-m", "cstirap.cli", experiment, "--config", path,
+                "--out", str(out)]
+        assert subprocess.run(argv, env=env).returncode == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_main_phases_stdout(tmp_path, capsys):
     path = _write(tmp_path, "p.json",
                   {"experiment": "phases", "sequence": {"source": "cap", "n": 5}})

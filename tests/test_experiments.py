@@ -322,9 +322,23 @@ def test_compensation_search_starts_at_or_below_omega_max():
     assert abs(o_low - o_high) <= 5.0 / 2 ** 20
 
 
+def test_compensation_search_probes_omega_max():
+    # The ascent probes 5 * 1.3**6 = 24.13, then steps past omega_max = 30
+    # (31.37); the crossing at 24.29 lies between, so omega_max itself must
+    # be probed. The searches bracket it in [24.13, 30] and [24.13, 31.37].
+    spec = _spec(sequence=resonant_phases(3))
+    capped = decay_compensation_check(spec, [0.2], threshold=2e-2, omega_max=30.0)
+    free = decay_compensation_check(spec, [0.2], threshold=2e-2, omega_max=400.0)
+    (_, o_capped), = capped.rows
+    (_, o_free), = free.rows
+    assert o_capped is not None and o_capped <= 30.0
+    assert abs(o_capped - o_free) <= 5 * 1.3 ** 6 * 0.3 / 2 ** 20
+
+
 @pytest.mark.parametrize("gammas,threshold,omega_max,iters,rows", [
     ([0.2, 0.6], 2e-2, 400.0, 12, ((0.2, 24.294899352661137), (0.6, 40.73598182487794))),
     ([0.2, 0.6], 2e-2, 5.0, 12, ((0.2, None), (0.6, None))),
+    ([0.2], 2e-2, 31.4, 12, ((0.2, 24.294899352661137),)),   # brackets at 31.37
     ([0.1], 0.99, 5.0, 20, ((0.1, 2.954893112182617),)),
     ([0.1], 0.99, 40.0, 20, ((0.1, 2.954893112182617),)),
 ])
