@@ -10,8 +10,8 @@ BLAS thread pool starts; a program that imports numpy first bypasses this.
 
 import os
 
-# Only 2x2 and 3x3 products run here, and the unused pool was a third of
-# the start-up: import numpy took 214 -> 140 ms wall, 195 -> 120 ms CPU.
+# Only 2x2 and 3x3 products run here; starting the unused pool was a third
+# of `import numpy`: 214 -> 140 ms wall, 195 -> 120 ms user CPU without it.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .dynamics import (DEFAULT_ATOL, DEFAULT_RTOL, IntegrationError, SystemParams,
