@@ -338,9 +338,9 @@ def test_compensation_search_probes_omega_max():
 @pytest.mark.parametrize("gammas,threshold,omega_max,iters,rows", [
     ([0.2, 0.6], 2e-2, 400.0, 12, ((0.2, 24.294899352661137), (0.6, 40.73598182487794))),
     ([0.2, 0.6], 2e-2, 5.0, 12, ((0.2, None), (0.6, None))),
-    ([0.2], 2e-2, 31.4, 12, ((0.2, 24.294899352661137),)),   # brackets at 31.37
     ([0.1], 0.99, 5.0, 20, ((0.1, 2.954893112182617),)),
     ([0.1], 0.99, 40.0, 20, ((0.1, 2.954893112182617),)),
+    ([0.2], 2e-2, 31.4, 12, ((0.2, 24.294899352661137),)),   # brackets at 31.37
 ])
 def test_compensation_search_from_five_is_unchanged(gammas, threshold, omega_max, iters, rows):
     # With omega_max >= 5 the ascent still starts at 5: these are the rows
