@@ -16,7 +16,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .dynamics import (DEFAULT_ATOL, DEFAULT_RTOL, IntegrationError, SystemParams,
                        effective_two_state, hamiltonian, propagate,
-                       propagate_effective, propagate_state, propagate_two_state,
+                       propagate_effective, propagate_two_state,
                        resonant_two_state_hamiltonian)
 from .experiments import (FidelityResult, ScanSpec, SolveResult, SweepAxis,
                           decay_compensation_check, decay_scan,
@@ -24,11 +24,10 @@ from .experiments import (FidelityResult, ScanSpec, SolveResult, SweepAxis,
 from .phases import (CompositeSequence, cap_numerators, cap_phases,
                      resonant_numerators, resonant_phases)
 from .propalg import (CayleyKlein, CKAngles, compose_sequence, extract_ck,
-                      from_angles, lift_to_three, phase_imprint, reverse,
-                      to_angles)
+                      from_angles, lift_to_three, reverse, to_angles)
 from .pulses import (GAUSSIAN_CUTOFF, PulsePair, PulseShape, PulseTrain,
                      ShapeKind, build_train, default_delay, envelope, make_pair,
-                     pair_envelopes, train_envelopes, train_window)
+                     train_envelopes, train_window)
 
 __version__ = "0.1.0"
 
@@ -41,8 +40,8 @@ __all__ = [
     "decay_compensation_check", "decay_scan", "default_delay",
     "effective_two_state", "envelope", "extract_ck", "from_angles",
     "hamiltonian", "lift_to_three", "make_pair", "monte_carlo_phase_noise",
-    "pair_envelopes", "phase_imprint", "propagate", "propagate_effective",
-    "propagate_state", "propagate_two_state", "resonant_numerators",
-    "resonant_phases", "resonant_two_state_hamiltonian", "reverse", "run_scan",
-    "solve_phases", "to_angles", "train_envelopes", "train_window",
+    "propagate", "propagate_effective", "propagate_two_state",
+    "resonant_numerators", "resonant_phases", "resonant_two_state_hamiltonian",
+    "reverse", "run_scan", "solve_phases", "to_angles", "train_envelopes",
+    "train_window",
 ]

@@ -41,10 +41,6 @@ from .pulses import PulseTrain, ShapeKind, table_envelopes, train_table, train_w
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
 
-# Aliases for readability; both are plain complex ndarrays.
-StateVector = np.ndarray    # shape (3,), amplitudes (c1, c2, c3)
-Propagator3 = np.ndarray    # shape (3, 3), unitary when gamma = 0
-
 # Time steps per block. A constant, not a setting: each block's step
 # exponentials take the Taylor degree that the block's own largest norm
 # picks and are multiplied in a fixed tree, so every output bit depends on
@@ -591,7 +587,7 @@ def propagate_many(points, rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATO
 
 
 def propagate(pulses, sys: SystemParams, t_span=None,
-              rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> Propagator3:
+              rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> np.ndarray:
     """Propagator U(t_f, t_i) of i dU/dt = H(t) U for a pair or a train,
     over t_span (by default the pulse support window); unitary to round-off
     when gamma = 0. It is the batch of one of propagate_many.
@@ -617,15 +613,6 @@ def propagate(pulses, sys: SystemParams, t_span=None,
     IntegrationError quotes rtol and atol as given, and the half's steps.
     """
     return _raised(propagate_many([(pulses, sys, t_span)], rtol, atol)[0])
-
-
-def propagate_state(initial, pulses, sys: SystemParams, t_span=None,
-                    rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> StateVector:
-    """Evolve an amplitude vector: c(t_f) = U(t_f, t_i) c(t_i)."""
-    c = np.asarray(initial, dtype=complex)
-    if c.shape != (3,):
-        raise ValueError("state must have three amplitudes")
-    return propagate(pulses, sys, t_span, rtol, atol) @ c
 
 
 def _mirrored(train: PulseTrain) -> bool:

@@ -77,6 +77,9 @@ class ScanSpec:
 
 @dataclass(frozen=True)
 class FidelityResult:
+    """One table row. A failed row (`error` set) holds NaN populations, so it is
+    unequal to every row, itself included: compare `coords` and `error`, or reprs."""
+
     coords: tuple[tuple[str, float], ...]
     p1: float
     p2: float

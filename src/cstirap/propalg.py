@@ -2,9 +2,9 @@
 
 The resonant three-state propagator is quadratic in the Cayley-Klein
 parameters (a, b) of the equivalent two-state problem; this module holds
-that lift, the backward-ordering reversal R U R, the phase imprint
-Phi U Phi*, and the N-fold sequence composition, a recursion through the
-phase ratios of neighbouring pairs, batched over stacks of phase sets.
+that lift, the backward-ordering reversal R U R, and the N-fold sequence
+composition (at N = 1, the phase imprint Phi U Phi*), a recursion through
+the phase ratios of neighbouring pairs, batched over stacks of phase sets.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 NORM_TOL = 1e-10
+SU2_TOL = 1e-8       # extract_ck: the largest deviation from SU(2) form let in
+MIRROR_TOL = 1e-6    # to_angles: the largest |Im a + Im b| read as mirror-symmetric
 
 
 @dataclass(frozen=True)
@@ -48,7 +50,7 @@ def lift_to_three(ck: CayleyKlein) -> np.ndarray:
     ], dtype=complex)
 
 
-def extract_ck(u2: np.ndarray, tol: float = 1e-8) -> CayleyKlein:
+def extract_ck(u2: np.ndarray) -> CayleyKlein:
     """Read (a, b) off a 2x2 matrix of the form [[a, b], [-b*, a*]]."""
     u2 = np.asarray(u2, dtype=complex)
     if u2.shape != (2, 2):
@@ -56,22 +58,22 @@ def extract_ck(u2: np.ndarray, tol: float = 1e-8) -> CayleyKlein:
     a, b = u2[0, 0], u2[0, 1]
     dev = max(abs(u2[1, 0] + np.conj(b)), abs(u2[1, 1] - np.conj(a)),
               abs(abs(a) ** 2 + abs(b) ** 2 - 1.0))
-    if dev > tol:
+    if dev > SU2_TOL:
         raise ValueError(f"matrix is not SU(2) to tolerance (max deviation {dev:.3e})")
-    # Integration noise up to `tol` is allowed in; project back onto the
+    # Integration noise up to SU2_TOL is allowed in; project back onto the
     # exact constraint surface so CayleyKlein's strict norm check holds.
     scale = 1.0 / np.sqrt(abs(a) ** 2 + abs(b) ** 2)
     return CayleyKlein(complex(a) * scale, complex(b) * scale)
 
 
-def to_angles(ck: CayleyKlein, mirror_tol: float = 1e-6) -> CKAngles:
+def to_angles(ck: CayleyKlein) -> CKAngles:
     """Invert the angle parameterization.
 
     Only defined on the mirror-symmetric class Im a = -Im b. The principal
     arcsin branch (cos theta >= 0) together with phi = atan2(Re b, Re a)
     always satisfies the reconstruction identity.
     """
-    if abs(ck.a.imag + ck.b.imag) > mirror_tol:
+    if abs(ck.a.imag + ck.b.imag) > MIRROR_TOL:
         raise ValueError("angle form needs the mirror-symmetry property Im a = -Im b")
     theta = math.asin(min(1.0, max(-1.0, math.sqrt(2.0) * ck.a.imag)))
     phi = math.atan2(ck.b.real, ck.a.real)
@@ -89,16 +91,6 @@ def reverse(u: np.ndarray) -> np.ndarray:
     """Propagator of the same pair with pump and Stokes exchanged: R U R,
     where R exchanges states 1 and 3, so both matrix indices flip."""
     return np.asarray(u, dtype=complex)[..., ::-1, ::-1]
-
-
-def phase_imprint(u: np.ndarray, alpha, beta) -> np.ndarray:
-    """Phi U Phi* with Phi = diag(e^{i alpha}, 1, e^{-i beta}); array angles
-    broadcast against each other and against the leading axes of `u`."""
-    alpha, beta = np.broadcast_arrays(np.asarray(alpha, float), np.asarray(beta, float))
-    # An overflowing angle gives a NaN factor, which its caller reports.
-    with np.errstate(over="ignore", invalid="ignore"):
-        phi = np.exp(1j * np.stack([alpha, np.zeros_like(alpha), -beta], axis=-1))
-    return (phi[..., :, None] * np.asarray(u, dtype=complex)) * np.conj(phi)[..., None, :]
 
 
 def compose_sequence(propagators, phases, alternate: bool, initial=None) -> np.ndarray:

@@ -83,36 +83,27 @@ def _envelope(gaussian, peak, width, start, t):
     return peak * (hump if not np.any(gaussian) else np.where(gaussian, np.exp(-x * x), hump))
 
 
-def pair_envelopes(pair: PulsePair, t):
-    """Complex (pump, Stokes) amplitudes at time t.
-
-    Reversal swaps which envelope each field takes; the phase factors
-    e^{i alpha}, e^{i beta} are applied per field, never swapped.
-    """
-    return train_envelopes(PulseTrain((pair,)), t)
-
-
 def default_delay(kind: ShapeKind, width: float = 1.0) -> float:
     """tau = T for Gaussian pairs and T/pi for sin^2 pairs."""
     return width if kind is ShapeKind.GAUSSIAN else width / math.pi
 
 
 def make_pair(kind: ShapeKind, peak: float, width: float = 1.0, delay: float | None = None,
-              pump_phase: float = 0.0, stokes_phase: float = 0.0, reversed: bool = False,
-              start: float = 0.0) -> PulsePair:
-    """Build a pair in the standard geometry.
+              pump_phase: float = 0.0, stokes_phase: float = 0.0,
+              reversed: bool = False) -> PulsePair:
+    """Build a pair in the standard geometry from t = 0 (`translate` moves it).
 
-    sin^2: Stokes on [start, start+T], pump on [start+tau, start+T+tau].
+    sin^2: Stokes on [0, T], pump on [tau, T + tau].
     Gaussian: Stokes and pump centered at -tau/2 and +tau/2 around the
-    midpoint of a [start, start + 2*cutoff*T + tau] window.
+    midpoint of a [0, 2*cutoff*T + tau] window.
     """
     if delay is None:
         delay = default_delay(kind, width)
     if kind is ShapeKind.SINE_SQUARED:
-        stokes = PulseShape(kind, peak, width, start)
-        pump = PulseShape(kind, peak, width, start + delay)
+        stokes = PulseShape(kind, peak, width, 0.0)
+        pump = PulseShape(kind, peak, width, delay)
     else:
-        mid = start + GAUSSIAN_CUTOFF * width + delay / 2.0
+        mid = GAUSSIAN_CUTOFF * width + delay / 2.0
         stokes = PulseShape(kind, peak, width, mid - delay / 2.0)
         pump = PulseShape(kind, peak, width, mid + delay / 2.0)
     return PulsePair(pump, stokes, delay, pump_phase, stokes_phase, reversed)

@@ -11,7 +11,7 @@ the tests only.
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from cstirap.pulses import PulseTrain, pair_envelopes, train_envelopes, train_window, window
+from cstirap.pulses import PulseTrain, train_envelopes, train_window, window
 
 
 def _min_width(pulses):
@@ -32,12 +32,12 @@ def _solve(rhs, dim, t_span, pulses, rtol, atol):
 
 def propagate(pulses, sys, t_span=None, rtol=1e-11, atol=1e-13):
     """U(t_f, t_i) of the three-state problem for a pair or a train."""
-    train = isinstance(pulses, PulseTrain)
+    train = pulses if isinstance(pulses, PulseTrain) else PulseTrain((pulses,))
     if t_span is None:
-        t_span = train_window(pulses) if train else window(pulses)
+        t_span = train_window(train)
 
     def matrix(t):
-        wp, ws = (train_envelopes if train else pair_envelopes)(pulses, t)
+        wp, ws = train_envelopes(train, t)
         return 0.5 * np.array([
             [0.0, wp, 0.0],
             [np.conj(wp), 2.0 * sys.delta - 1j * sys.gamma, ws],
@@ -50,9 +50,10 @@ def propagate(pulses, sys, t_span=None, rtol=1e-11, atol=1e-13):
 def propagate_two_state(pair, t_span=None, rtol=1e-11, atol=1e-13):
     """SU(2) propagator under half the resonant two-state couplings
     (1/4)[[-Ws, Wp], [Wp, Ws]], for a pair with real envelopes."""
+    train = PulseTrain((pair,))
 
     def matrix(t):
-        wp, ws = pair_envelopes(pair, t)
+        wp, ws = train_envelopes(train, t)
         return 0.25 * np.array([[-ws.real, wp.real], [wp.real, ws.real]])
 
     return _solve(matrix, 2, window(pair) if t_span is None else t_span, pair, rtol, atol)
@@ -60,9 +61,10 @@ def propagate_two_state(pair, t_span=None, rtol=1e-11, atol=1e-13):
 
 def propagate_effective(pair, delta, t_span=None, rtol=1e-11, atol=1e-13):
     """2x2 propagator of the adiabatically eliminated (c1, c3) problem."""
+    train = PulseTrain((pair,))
 
     def matrix(t):
-        wp, ws = pair_envelopes(pair, t)
+        wp, ws = train_envelopes(train, t)
         return np.array([[-abs(wp) ** 2, -wp * ws],
                          [-np.conj(wp * ws), -abs(ws) ** 2]], dtype=complex) / (4.0 * delta)
 

@@ -6,10 +6,9 @@ import pytest
 from cstirap import dynamics
 from cstirap.dynamics import (IntegrationError, SystemParams, effective_two_state,
                               hamiltonian, propagate, propagate_effective,
-                              propagate_state, propagate_two_state,
-                              resonant_two_state_hamiltonian)
-from cstirap.pulses import (PulsePair, PulseShape, ShapeKind, make_pair, pair_envelopes,
-                            window)
+                              propagate_two_state, resonant_two_state_hamiltonian)
+from cstirap.pulses import (PulsePair, PulseShape, PulseTrain, ShapeKind, make_pair,
+                            train_envelopes, window)
 
 
 def _unitarity(u):
@@ -73,15 +72,9 @@ def test_contraction_with_decay():
     assert np.max(np.linalg.svdvals(u)) <= 1.0 + 1e-9
 
 
-def test_propagate_state():
-    pair = make_pair(ShapeKind.SINE_SQUARED, 25.0)
-    sys = SystemParams()
-    u = propagate(pair, sys)
-    c = propagate_state([1.0, 0.0, 0.0], pair, sys)
-    np.testing.assert_allclose(c, u[:, 0], atol=1e-12)
+def test_propagated_state_1_transfers_to_3():
+    c = propagate(make_pair(ShapeKind.SINE_SQUARED, 25.0), SystemParams())[:, 0]
     assert abs(c[2]) ** 2 > 0.95      # counterintuitive pair transfers 1 -> 3
-    with pytest.raises(ValueError):
-        propagate_state([1.0, 0.0], pair, sys)
 
 
 def test_bad_time_span():
@@ -151,7 +144,7 @@ def test_eliminated_model_views_agree(monkeypatch, kind, phases, delta):
     h00, h01, h11 = trace + z, x - 1j * y, trace - z
     np.testing.assert_allclose(w_eff(t), 2.0 * h01, rtol=1e-15, atol=1e-17)
     np.testing.assert_allclose(d_eff(t), 2.0 * (h11 - h00), rtol=1e-15, atol=1e-16)
-    wp, ws = pair_envelopes(pair, t)
+    wp, ws = train_envelopes(PulseTrain((pair,)), t)
     np.testing.assert_allclose(w_eff(t), -wp * ws / (2.0 * delta), rtol=1e-15, atol=1e-17)
     np.testing.assert_allclose(d_eff(t), (abs(wp) ** 2 - abs(ws) ** 2) / (2.0 * delta),
                                rtol=1e-15, atol=1e-16)

@@ -13,6 +13,25 @@ def test_public_names_resolve():
         assert hasattr(cstirap, name), name
 
 
+def test_public_surface_is_pinned():
+    # A name added to or removed from the package changes this list, the
+    # README and CHANGES.md together.
+    assert sorted(cstirap.__all__) == [
+        "CKAngles", "CayleyKlein", "CompositeSequence", "DEFAULT_ATOL",
+        "DEFAULT_RTOL", "FidelityResult", "GAUSSIAN_CUTOFF", "IntegrationError",
+        "PulsePair", "PulseShape", "PulseTrain", "ScanSpec", "ShapeKind",
+        "SolveResult", "SweepAxis", "SystemParams", "build_train",
+        "cap_numerators", "cap_phases", "compose_sequence",
+        "decay_compensation_check", "decay_scan", "default_delay",
+        "effective_two_state", "envelope", "extract_ck", "from_angles",
+        "hamiltonian", "lift_to_three", "make_pair", "monte_carlo_phase_noise",
+        "propagate", "propagate_effective", "propagate_two_state",
+        "resonant_numerators", "resonant_phases",
+        "resonant_two_state_hamiltonian", "reverse", "run_scan", "solve_phases",
+        "to_angles", "train_envelopes", "train_window",
+    ]
+
+
 def _import_cstirap(code, **env):
     """Run `code` after `import cstirap` in a fresh process whose
     environment has no OPENBLAS_NUM_THREADS but for `env`."""

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from cstirap.dynamics import SystemParams, propagate
 from cstirap.propalg import (CayleyKlein, CKAngles, compose_sequence, extract_ck,
-                             from_angles, lift_to_three, phase_imprint, reverse,
-                             to_angles)
+                             from_angles, lift_to_three, reverse, to_angles)
 from cstirap.pulses import ShapeKind, make_pair
 
 _R3 = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=complex)
@@ -98,13 +97,19 @@ def test_reverse_is_exchange_conjugation():
     np.testing.assert_allclose(reverse(reverse(u)), u, atol=1e-15)
 
 
-def test_phase_imprint_matches_explicit_conjugation():
+def _imprint(u, alpha, beta, alternate=False):
+    """Phi U Phi* with Phi = diag(e^{i alpha}, 1, e^{-i beta}): the
+    composition of one pair."""
+    return compose_sequence([u], [(alpha, beta)], alternate)
+
+
+def test_imprint_matches_explicit_conjugation():
     rng = np.random.default_rng(6)
     u = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     phi = np.diag([np.exp(0.7j), 1.0, np.exp(1.3j)])
-    np.testing.assert_allclose(phase_imprint(u, 0.7, -1.3),
+    np.testing.assert_allclose(_imprint(u, 0.7, -1.3),
                                phi @ u @ phi.conj().T, atol=1e-13)
-    np.testing.assert_allclose(phase_imprint(u, 0.0, 0.0), u, atol=1e-15)
+    np.testing.assert_allclose(_imprint(u, 0.0, 0.0), u, atol=1e-15)
 
 
 def test_compose_sequence_validation():
@@ -138,7 +143,7 @@ def test_imprint_equals_integrating_phased_pair():
                        stokes_phase=-0.4)
     u0 = propagate(plain, sys)
     u1 = propagate(phased, sys)
-    assert np.max(np.abs(phase_imprint(u0, 1.1, -0.4) - u1)) < 1e-8
+    assert np.max(np.abs(_imprint(u0, 1.1, -0.4) - u1)) < 1e-8
 
 
 def test_reversal_equals_integrating_swapped_pair():
@@ -173,23 +178,20 @@ def test_reverse_is_an_involution_and_exchange_conjugation(seed, shape):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(seeds, angles, angles, angles, angles)
-def test_phase_imprints_compose_additively(seed, a1, b1, a2, b2):
+def test_imprints_compose_additively(seed, a1, b1, a2, b2):
     u = _unitaries(seed)
-    twice = phase_imprint(phase_imprint(u, a1, b1), a2, b2)
-    np.testing.assert_allclose(twice, phase_imprint(u, a1 + a2, b1 + b2),
+    twice = _imprint(_imprint(u, a1, b1), a2, b2)
+    np.testing.assert_allclose(twice, _imprint(u, a1 + a2, b1 + b2),
                                rtol=0, atol=1e-13)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(seeds, batch_shapes)
-def test_phase_imprint_broadcasts_over_angle_arrays(seed, shape):
-    rng = np.random.default_rng(seed)
-    u = _unitaries(seed, shape)
-    alpha, beta = rng.uniform(-4, 4, shape), rng.uniform(-4, 4, shape)
-    got = phase_imprint(u, alpha, beta)
-    assert got.shape == shape + (3, 3)
-    for idx in np.ndindex(shape):
-        np.testing.assert_array_equal(got[idx], phase_imprint(u[idx], alpha[idx], beta[idx]))
+@given(seeds, angles, angles)
+def test_imprint_ignores_alternation(seed, alpha, beta):
+    # Alternation reverses only even pairs, and one pair has none.
+    u = _unitaries(seed)
+    assert np.array_equal(_imprint(u, alpha, beta, alternate=True),
+                          _imprint(u, alpha, beta, alternate=False))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -5,8 +5,8 @@ import pytest
 
 from cstirap.pulses import (GAUSSIAN_CUTOFF, PulsePair, PulseShape, PulseTrain,
                             ShapeKind, build_train, default_delay, duration,
-                            envelope, make_pair, pair_envelopes, train_envelopes,
-                            train_window, translate, window)
+                            envelope, make_pair, train_envelopes, train_window,
+                            translate, window)
 
 
 def test_sin2_support_and_values():
@@ -79,7 +79,7 @@ def test_default_delays():
 
 
 def test_make_pair_sin2_geometry():
-    p = make_pair(ShapeKind.SINE_SQUARED, 10.0, 1.0, 0.4, start=2.0)
+    p = translate(make_pair(ShapeKind.SINE_SQUARED, 10.0, 1.0, 0.4), 2.0)
     assert p.stokes.center_or_start == 2.0
     assert p.pump.center_or_start == pytest.approx(2.4)
     assert window(p) == (2.0, pytest.approx(3.4))
@@ -97,10 +97,10 @@ def test_make_pair_gaussian_geometry():
 
 def test_counterintuitive_ordering_and_reversal():
     p = make_pair(ShapeKind.SINE_SQUARED, 1.0)
-    wp, ws = pair_envelopes(p, 0.15)
+    wp, ws = train_envelopes(PulseTrain((p,)), 0.15)
     assert abs(ws) > abs(wp)    # Stokes leads
     r = make_pair(ShapeKind.SINE_SQUARED, 1.0, reversed=True)
-    wp_r, ws_r = pair_envelopes(r, 0.15)
+    wp_r, ws_r = train_envelopes(PulseTrain((r,)), 0.15)
     assert abs(wp_r) > abs(ws_r)
     assert wp_r == pytest.approx(ws)
     assert ws_r == pytest.approx(wp)
@@ -111,8 +111,8 @@ def test_phases_multiply_fields_not_swap():
                   reversed=True)
     base = make_pair(ShapeKind.SINE_SQUARED, 2.0, reversed=True)
     t = 0.7
-    wp, ws = pair_envelopes(p, t)
-    wp0, ws0 = pair_envelopes(base, t)
+    wp, ws = train_envelopes(PulseTrain((p,)), t)
+    wp0, ws0 = train_envelopes(PulseTrain((base,)), t)
     assert wp == pytest.approx(wp0 * np.exp(0.3j))
     assert ws == pytest.approx(ws0 * np.exp(-1.1j))
 
@@ -120,8 +120,8 @@ def test_phases_multiply_fields_not_swap():
 def test_translate():
     p = make_pair(ShapeKind.SINE_SQUARED, 1.0)
     q = translate(p, 3.0)
-    wp, ws = pair_envelopes(p, 0.4)
-    wq, sq = pair_envelopes(q, 3.4)
+    wp, ws = train_envelopes(PulseTrain((p,)), 0.4)
+    wq, sq = train_envelopes(PulseTrain((q,)), 3.4)
     assert wq == pytest.approx(wp)
     assert sq == pytest.approx(ws)
 
@@ -165,6 +165,6 @@ def test_train_envelopes_isolated_pair():
     slot = duration(base)
     t = 2 * slot + 0.5
     wp, ws = train_envelopes(train, t)
-    wp2, ws2 = pair_envelopes(train.pairs[2], t)
+    wp2, ws2 = train_envelopes(PulseTrain((train.pairs[2],)), t)
     assert wp == pytest.approx(wp2)
     assert ws == pytest.approx(ws2)
