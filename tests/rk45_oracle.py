@@ -11,20 +11,18 @@ the tests only.
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from cstirap.pulses import PulseTrain, train_envelopes, train_window, window
+from cstirap.pulses import PulseTrain, train_envelopes, train_window
 
 
-def _min_width(pulses):
-    pairs = pulses.pairs if isinstance(pulses, PulseTrain) else (pulses,)
-    return min(min(p.pump.width, p.stokes.width) for p in pairs)
-
-
-def _solve(rhs, dim, t_span, pulses, rtol, atol):
+def _solve(rhs, dim, t_span, train, rtol, atol):
+    """Integrate over t_span, by default the train's window."""
     # Cap the step at half a pulse width so the error estimator can never
     # step across an entire envelope unsampled.
+    width = min(min(p.pump.width, p.stokes.width) for p in train.pairs)
     sol = solve_ivp(lambda t, y: (-1j * (rhs(t) @ y.reshape(dim, dim))).ravel(),
-                    t_span, np.eye(dim, dtype=complex).ravel(), method="RK45",
-                    rtol=rtol, atol=atol, max_step=0.5 * _min_width(pulses))
+                    train_window(train) if t_span is None else t_span,
+                    np.eye(dim, dtype=complex).ravel(), method="RK45",
+                    rtol=rtol, atol=atol, max_step=0.5 * width)
     if sol.status != 0:
         raise RuntimeError(sol.message)
     return sol.y[:, -1].reshape(dim, dim)
@@ -33,8 +31,6 @@ def _solve(rhs, dim, t_span, pulses, rtol, atol):
 def propagate(pulses, sys, t_span=None, rtol=1e-11, atol=1e-13):
     """U(t_f, t_i) of the three-state problem for a pair or a train."""
     train = pulses if isinstance(pulses, PulseTrain) else PulseTrain((pulses,))
-    if t_span is None:
-        t_span = train_window(train)
 
     def matrix(t):
         wp, ws = train_envelopes(train, t)
@@ -44,7 +40,7 @@ def propagate(pulses, sys, t_span=None, rtol=1e-11, atol=1e-13):
             [0.0, np.conj(ws), 0.0],
         ], dtype=complex)
 
-    return _solve(matrix, 3, t_span, pulses, rtol, atol)
+    return _solve(matrix, 3, t_span, train, rtol, atol)
 
 
 def propagate_two_state(pair, t_span=None, rtol=1e-11, atol=1e-13):
@@ -56,7 +52,7 @@ def propagate_two_state(pair, t_span=None, rtol=1e-11, atol=1e-13):
         wp, ws = train_envelopes(train, t)
         return 0.25 * np.array([[-ws.real, wp.real], [wp.real, ws.real]])
 
-    return _solve(matrix, 2, window(pair) if t_span is None else t_span, pair, rtol, atol)
+    return _solve(matrix, 2, t_span, train, rtol, atol)
 
 
 def propagate_effective(pair, delta, t_span=None, rtol=1e-11, atol=1e-13):
@@ -68,4 +64,4 @@ def propagate_effective(pair, delta, t_span=None, rtol=1e-11, atol=1e-13):
         return np.array([[-abs(wp) ** 2, -wp * ws],
                          [-np.conj(wp * ws), -abs(ws) ** 2]], dtype=complex) / (4.0 * delta)
 
-    return _solve(matrix, 2, window(pair) if t_span is None else t_span, pair, rtol, atol)
+    return _solve(matrix, 2, t_span, train, rtol, atol)
