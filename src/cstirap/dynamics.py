@@ -224,13 +224,6 @@ def _taylor_exp(a: np.ndarray, row: int, squarings: int) -> np.ndarray:
     return u
 
 
-def _pairwise(u: np.ndarray) -> np.ndarray:
-    """u[..., 2j+1] @ u[..., 2j]; an odd last matrix is carried by a product with I."""
-    if u.shape[-1] % 2:
-        u = np.concatenate([u, np.eye(u.shape[0])[:, :, None]], axis=-1)
-    return _mul(u[..., 1::2], u[..., 0::2])
-
-
 def _tree(u: np.ndarray, runs) -> np.ndarray:
     """The ordered products u[..., last] @ ... @ u[..., first] of the
     consecutive runs of u of the given lengths, as a (d, d, runs) stack:
@@ -250,7 +243,7 @@ def _tree(u: np.ndarray, runs) -> np.ndarray:
         if odd.any():
             u = np.insert(u, np.cumsum(runs)[odd], np.eye(u.shape[0])[:, :, None], axis=-1)
             runs = runs + odd
-        u, runs = _pairwise(u), runs // 2
+        u, runs = _mul(u[..., 1::2], u[..., 0::2]), runs // 2
 
 
 def _steps(lo, hi, steps, k):
@@ -395,17 +388,17 @@ class _Job(NamedTuple):
 
 
 def _plan(kernel, model, train: PulseTrain, row, t_span, rtol, atol, margin=1.0,
-          guard=None, result=lambda u: u) -> _Job:
+          bound=None, result=lambda u: u) -> _Job:
     """The job that integrates U(t_f, t_i) of i dU/dt = H(t) U by the kernel
     of H (see _ladder); t_span defaults to the support window of `train`.
 
-    A guard (bound, fallback) holds an upper bound of ||H|| and a second
-    kernel. Each segment's first pass then takes steps of h * bound <= 3,
-    inside the Magnus convergence radius pi (Moan and Niesen, Found.
-    Comput. Math. 8, 291 (2008)). Where the fine pass of those steps would
-    pass _MAX_STEPS, the point is integrated as without the guard, by the
-    fallback kernel instead. A first pass beyond _MAX_STEPS raises
-    IntegrationError here, and a t_span that is not increasing ValueError.
+    A guard bound is an upper bound of ||H||. Each segment's first pass then
+    takes steps of h * bound <= 3, inside the Magnus convergence radius pi
+    (Moan and Niesen, Found. Comput. Math. 8, 291 (2008)). Where the fine
+    pass of those steps would pass _MAX_STEPS, the point is integrated as
+    without the guard, by the fourth-order kernel instead. A first pass
+    beyond _MAX_STEPS raises IntegrationError here, and a t_span that is not
+    increasing ValueError.
     """
     t_i, t_f = train_window(train) if t_span is None else t_span
     if not t_i < t_f:
@@ -415,13 +408,12 @@ def _plan(kernel, model, train: PulseTrain, row, t_span, rtol, atol, margin=1.0,
     # is stepped over unsampled. The count is checked as a float: cast
     # first, a window of 1e19 widths would wrap around int64.
     steps = np.ceil(np.diff(breaks) / (0.5 * _min_width(train)))
-    if guard is not None:
-        bound, fallback = guard
+    if bound is not None:
         guarded = np.maximum(steps, np.ceil(np.diff(breaks) * (bound / 3.0)))
         if 2 * guarded.sum() <= _MAX_STEPS:
             steps = guarded
         else:
-            kernel = fallback
+            kernel = _MAGNUS4
     if not 2 * steps.sum() <= _MAX_STEPS:
         raise IntegrationError(
             f"Magnus stepping of order {kernel[1]} needs over {_MAX_STEPS} steps for a "
@@ -517,7 +509,8 @@ def _rungs(kernel, model, jobs) -> list:
 def _failure(job: _Job, order, steps, fine, coarse, err, stalled_after) -> IntegrationError:
     """The IntegrationError of a job that gives up at these passes, at the
     start of the block that disagrees most with its halves."""
-    local = np.abs(_pairwise(fine) - coarse).max(axis=(0, 1))
+    k = fine.shape[-1]
+    local = np.abs(_tree(fine, [2] * (k // 2) + [1] * (k % 2)) - coarse).max(axis=(0, 1))
     block = int(np.argmax(np.nan_to_num(local, nan=np.inf)))
     where = _steps(job.breaks[:-1], job.breaks[1:], steps, block * _CHUNK)[0]
     note = "" if math.isfinite(err) else ": the propagator is not finite"
@@ -535,10 +528,10 @@ def _raised(u):
     return u
 
 
-def _integrate(kernel, model, pulses, row, t_span, rtol, atol, guard=None) -> np.ndarray:
+def _integrate(kernel, model, pulses, row, t_span, rtol, atol, bound=None) -> np.ndarray:
     """The bare product of one job (see _plan and _ladder), a batch of one."""
     return _raised(_ladder([_plan(kernel, model, _train(pulses), row, t_span, rtol, atol,
-                                  guard=guard)])[0])
+                                  bound=bound)])[0])
 
 
 def _polar(u: np.ndarray) -> np.ndarray:
@@ -560,15 +553,15 @@ def _propagation(train: PulseTrain, sys: SystemParams, t_span, rtol, atol):
                          result=lambda u: lift_to_three(extract_ck(u)))
         # An upper bound of ||H||: |Delta - i gamma/2| bounds the diagonal, and
         # the largest peak Rabi frequency bounds the couplings Wp/2 and Ws/2.
-        guard = (abs(sys.delta) + 0.5 * sys.gamma + _peak(train), _MAGNUS4)
+        bound = abs(sys.delta) + 0.5 * sys.gamma + _peak(train)
         unitary = _polar if sys.gamma == 0 else lambda u: u
         if t_span is None and _mirrored(train):
             t_i, t_f = train_window(train)
             # S U_h^T S U_h, where S swaps states 1 and 3.
             return _plan(_MAGNUS6, _hamiltonian, train, row, (t_i, 0.5 * (t_i + t_f)), rtol,
-                         atol, margin=2.0, guard=guard,
+                         atol, margin=2.0, bound=bound,
                          result=lambda uh: unitary(uh.T[::-1, ::-1] @ uh))
-        return _plan(_MAGNUS6, _hamiltonian, train, row, t_span, rtol, atol, guard=guard,
+        return _plan(_MAGNUS6, _hamiltonian, train, row, t_span, rtol, atol, bound=bound,
                      result=unitary)
     except (ValueError, IntegrationError) as exc:
         return exc

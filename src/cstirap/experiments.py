@@ -37,6 +37,8 @@ class SweepAxis:
             raise ValueError(f"unknown axis {self.name!r}; choose from {AXIS_NAMES}")
         if not phases.is_finite(self.start, self.stop):
             raise ValueError("axis ends must be finite")
+        if not phases.is_finite(float(self.stop) - float(self.start)):
+            raise ValueError("axis span must be finite")
         if not phases.is_count(self.points, 2):
             raise ValueError("an axis needs an integer count of at least 2 points")
         if not self.start < self.stop:

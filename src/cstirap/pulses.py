@@ -46,25 +46,16 @@ class PulseShape:
 
 @dataclass(frozen=True)
 class PulsePair:
-    """A pump-Stokes pair with per-field phases.
-
-    With reversed=False the Stokes envelope peaks a delay tau before the
-    pump one (counterintuitive STIRAP ordering). reversed=True exchanges
-    the two envelopes in time; the phases stay attached to their fields.
-    """
+    """A pump-Stokes pair with per-field phases; its shapes say where it lies."""
 
     pump: PulseShape
     stokes: PulseShape
-    delay: float
     pump_phase: float = 0.0
     stokes_phase: float = 0.0
-    reversed: bool = False
 
     def __post_init__(self):
-        if not is_finite(self.delay, self.pump_phase, self.stokes_phase):
-            raise ValueError("delay and phases must be finite")
-        if not self.delay > 0:
-            raise ValueError("delay must be > 0")
+        if not is_finite(self.pump_phase, self.stokes_phase):
+            raise ValueError("phases must be finite")
 
 
 def envelope(shape: PulseShape, t):
@@ -95,10 +86,15 @@ def make_pair(kind: ShapeKind, peak: float, width: float = 1.0, delay: float | N
 
     sin^2: Stokes on [0, T], pump on [tau, T + tau].
     Gaussian: Stokes and pump centered at -tau/2 and +tau/2 around the
-    midpoint of a [0, 2*cutoff*T + tau] window.
+    midpoint of a [0, 2*cutoff*T + tau] window. reversed=True exchanges the
+    two shapes (intuitive ordering); the phases stay with their fields.
     """
     if delay is None:
         delay = default_delay(kind, width)
+    if not is_finite(delay):
+        raise ValueError("delay must be finite")
+    if not delay > 0:
+        raise ValueError("delay must be > 0")
     if kind is ShapeKind.SINE_SQUARED:
         stokes = PulseShape(kind, peak, width, 0.0)
         pump = PulseShape(kind, peak, width, delay)
@@ -106,18 +102,23 @@ def make_pair(kind: ShapeKind, peak: float, width: float = 1.0, delay: float | N
         mid = GAUSSIAN_CUTOFF * width + delay / 2.0
         stokes = PulseShape(kind, peak, width, mid - delay / 2.0)
         pump = PulseShape(kind, peak, width, mid + delay / 2.0)
-    return PulsePair(pump, stokes, delay, pump_phase, stokes_phase, reversed)
+    if reversed:
+        pump, stokes = stokes, pump
+    return PulsePair(pump, stokes, pump_phase, stokes_phase)
+
+
+def _support(shape: PulseShape) -> tuple[float, float]:
+    """[start, start + width] of a sin^2 hump, center -/+ cutoff*width of a Gaussian."""
+    if shape.kind is ShapeKind.GAUSSIAN:
+        pad = GAUSSIAN_CUTOFF * shape.width
+        return shape.center_or_start - pad, shape.center_or_start + pad
+    return shape.center_or_start, shape.center_or_start + shape.width
 
 
 def window(pair: PulsePair) -> tuple[float, float]:
     """Integration window covering both envelopes of the pair."""
-    lo = min(pair.pump.center_or_start, pair.stokes.center_or_start)
-    if pair.pump.kind is ShapeKind.GAUSSIAN:
-        hi = max(pair.pump.center_or_start, pair.stokes.center_or_start)
-        pad = GAUSSIAN_CUTOFF * max(pair.pump.width, pair.stokes.width)
-        return lo - pad, hi + pad
-    return lo, max(pair.pump.center_or_start + pair.pump.width,
-                   pair.stokes.center_or_start + pair.stokes.width)
+    (a, b), (c, d) = _support(pair.pump), _support(pair.stokes)
+    return min(a, c), max(b, d)
 
 
 def duration(pair: PulsePair) -> float:
@@ -147,7 +148,7 @@ class PulseTrain:
 def build_train(base: PulsePair, pump_phases, stokes_phases, alternate: bool,
                 gap: float = 0.0) -> PulseTrain:
     """Lay out N phased copies of `base`, each shifted by one pair duration
-    (+gap); with alternate=True every even pair has its envelopes swapped."""
+    (+gap); with alternate=True every even pair has its envelopes exchanged."""
     n = len(pump_phases)
     if len(stokes_phases) != n:
         raise ValueError("phase lists must have equal length")
@@ -155,20 +156,19 @@ def build_train(base: PulsePair, pump_phases, stokes_phases, alternate: bool,
     pairs = []
     for k in range(n):
         p = translate(base, k * slot)
-        p = replace(p, pump_phase=pump_phases[k], stokes_phase=stokes_phases[k],
-                    reversed=base.reversed ^ (alternate and k % 2 == 1))
-        pairs.append(p)
+        if alternate and k % 2 == 1:
+            p = replace(p, pump=p.stokes, stokes=p.pump)
+        pairs.append(replace(p, pump_phase=pump_phases[k], stokes_phase=stokes_phases[k]))
     return PulseTrain(tuple(pairs))
 
 
 def train_table(train: PulseTrain) -> np.ndarray:
     """A train's pulse parameters as one row of floats: per pair, the pump
     then the Stokes field, each as (gaussian, peak, width, center_or_start,
-    phase), with the envelopes of a reversed pair swapped."""
+    phase)."""
     row = []
     for p in train.pairs:
-        pump, stokes = (p.stokes, p.pump) if p.reversed else (p.pump, p.stokes)
-        for shape, phase in ((pump, p.pump_phase), (stokes, p.stokes_phase)):
+        for shape, phase in ((p.pump, p.pump_phase), (p.stokes, p.stokes_phase)):
             row += [shape.kind is ShapeKind.GAUSSIAN, shape.peak, shape.width,
                     shape.center_or_start, phase]
     return np.array(row, dtype=float)

@@ -417,6 +417,19 @@ def test_grid_axis_domain_rejected(tmp_path, capsys, experiment, axis):
     assert "config error: grid[0]: " in capsys.readouterr().err
 
 
+def test_grid_axis_span_beyond_float_range_rejected(tmp_path):
+    # Its values were [nan, inf, 1e308]: two rows labelled nan and inf, and
+    # two numpy warnings with source paths on stderr.
+    cfg = _scan_config(grid=[{"name": "delta", "min": -1e308, "max": 1e308, "points": 3}])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run([sys.executable, "-m", "cstirap.cli", "scan", "--config",
+                          _write(tmp_path, "wide.json", cfg)],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 1
+    assert run.stderr == "config error: grid[0]: axis span must be finite\n"
+    assert run.stdout == ""
+
+
 def test_delay_axis_from_zero_says_why(tmp_path):
     cfg = _scan_config(grid=[{"name": "delay", "min": 0.0, "max": 0.5, "points": 3}])
     out = tmp_path / "zero.csv"
@@ -810,11 +823,11 @@ def test_closed_stdout_exits_1_without_traceback(tmp_path):
     path.write_bytes(_SMALL)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     argv = [sys.executable, "-m", "cstirap.cli", "simulate", "--config", str(path)]
-    run = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                           text=True)
-    run.stdout.close()
-    err = run.stderr.read()
-    assert run.wait() == 1
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True) as run:
+        run.stdout.close()
+        err = run.stderr.read()
+        assert run.wait() == 1
     assert err.startswith("config error: out: ") and err.count("\n") == 1, err
     assert "Traceback" not in err and "Exception ignored" not in err
 

@@ -93,7 +93,7 @@ def test_two_state_matrix_pinned_value():
     # Stokes alone at 2/T makes the matrix diag(-1/T, 1/T).
     stokes = PulseShape(ShapeKind.SINE_SQUARED, 2.0, 1.0, 0.0)
     pump = PulseShape(ShapeKind.SINE_SQUARED, 2.0, 1.0, 5.0)
-    pair = PulsePair(pump, stokes, 5.0)
+    pair = PulsePair(pump, stokes)
     h = resonant_two_state_hamiltonian(pair, 0.5)
     np.testing.assert_allclose(h, [[-1.0, 0.0], [0.0, 1.0]], atol=1e-14)
 

@@ -56,6 +56,14 @@ def test_sweep_axis_rejects_integer_ends_beyond_float_range(start, stop):
         SweepAxis("omega0", start, stop, 3).values()
 
 
+def test_sweep_axis_rejects_a_span_beyond_float_range():
+    # Both ends are finite, but stop - start is not: linspace gave
+    # [nan, inf, 1e308] and warned from numpy.
+    with pytest.raises(ValueError, match="axis span must be finite"):
+        SweepAxis("delta", -1e308, 1e308, 3)
+    assert SweepAxis("delta", -1e307, 1e308, 3).values()[-1] == 1e308
+
+
 @pytest.mark.parametrize("spacing", ["linear", "log"])
 def test_sweep_axis_takes_integer_ends_beyond_int64(spacing):
     # numpy holds such an integer as an object, not as a float.

@@ -581,7 +581,7 @@ def test_integration_error_carries_steps_and_estimate(monkeypatch, case, route):
         if route == "three_state":
             dynamics._integrate(dynamics._MAGNUS6, dynamics._hamiltonian, pair,
                                 dynamics._row(pair, sys), None, tol, tol,
-                                guard=(30.0, dynamics._MAGNUS4))
+                                bound=30.0)
         else:
             propagate(pair, sys, rtol=tol, atol=tol)
     err = info.value

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 
 from cstirap.pulses import (GAUSSIAN_CUTOFF, PulsePair, PulseShape, PulseTrain,
                             ShapeKind, build_train, default_delay, duration,
-                            envelope, make_pair, train_envelopes, train_window,
-                            translate, window)
+                            envelope, make_pair, train_envelopes, train_table,
+                            train_window, translate, window)
 
 
 def test_sin2_support_and_values():
@@ -38,9 +39,9 @@ def test_shape_validation():
 
 
 def test_pair_validation():
-    s = PulseShape(ShapeKind.SINE_SQUARED, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        PulsePair(s, s, 0.0)
+    for delay in (0.0, -0.5):
+        with pytest.raises(ValueError, match="delay must be > 0"):
+            make_pair(ShapeKind.SINE_SQUARED, 1.0, delay=delay)
 
 
 _NON_FINITE = pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10 ** 400],
@@ -58,18 +59,24 @@ def test_shape_rejects_non_finite_values(field, bad):
 
 
 @_NON_FINITE
-@pytest.mark.parametrize("field", ["delay", "pump_phase", "stokes_phase"])
+@pytest.mark.parametrize("field", ["pump_phase", "stokes_phase"])
 def test_pair_rejects_non_finite_values(field, bad):
     s = PulseShape(ShapeKind.SINE_SQUARED, 1.0, 1.0)
-    values = dict(pump=s, stokes=s, delay=0.5, pump_phase=0.0, stokes_phase=0.0)
+    values = dict(pump=s, stokes=s, pump_phase=0.0, stokes_phase=0.0)
     with pytest.raises(ValueError, match="must be finite"):
         PulsePair(**dict(values, **{field: bad}))
 
 
+def test_pair_fields():
+    assert [f.name for f in dataclasses.fields(PulsePair)] == [
+        "pump", "stokes", "pump_phase", "stokes_phase"]
+
+
+@_NON_FINITE
 @pytest.mark.parametrize("kind", list(ShapeKind))
-def test_make_pair_rejects_an_infinite_delay(kind):
-    with pytest.raises(ValueError, match="must be finite"):
-        make_pair(kind, 10.0, delay=math.inf)
+def test_make_pair_rejects_an_infinite_delay(kind, bad):
+    with pytest.raises(ValueError, match="delay must be finite"):
+        make_pair(kind, 10.0, delay=bad)
 
 
 def test_default_delays():
@@ -93,6 +100,40 @@ def test_make_pair_gaussian_geometry():
     lo, hi = window(p)
     assert lo == pytest.approx(0.0)
     assert hi == pytest.approx(2 * GAUSSIAN_CUTOFF + 1.0)
+
+
+@pytest.mark.parametrize("a,b", [(a, b) for a in ShapeKind for b in ShapeKind],
+                         ids=lambda k: k.value)
+def test_window_reads_pump_and_stokes_alike(a, b):
+    # Each shape's own support: [start, start + width] for sin^2 and
+    # centre -/+ GAUSSIAN_CUTOFF widths for a Gaussian, whichever field it
+    # is. The pump's kind once chose the padding: the sin^2 pump with the
+    # Gaussian Stokes got (0.0, 1.3) and lost the Gaussian's left half.
+    pump, stokes = PulseShape(a, 10.0, 1.0, 0.3), PulseShape(b, 10.0, 1.5, 0.0)
+    supports = [(s.center_or_start - GAUSSIAN_CUTOFF * s.width,
+                 s.center_or_start + GAUSSIAN_CUTOFF * s.width)
+                if s.kind is ShapeKind.GAUSSIAN else
+                (s.center_or_start, s.center_or_start + s.width) for s in (pump, stokes)]
+    want = min(lo for lo, _ in supports), max(hi for _, hi in supports)
+    assert window(PulsePair(pump, stokes)) == want
+    assert window(PulsePair(stokes, pump)) == want
+
+
+@pytest.mark.parametrize("kind", list(ShapeKind))
+def test_reversed_pair_exchanges_the_shapes(kind):
+    fwd = make_pair(kind, 7.0, 1.2, 0.4, pump_phase=0.3, stokes_phase=-1.1)
+    rev = make_pair(kind, 7.0, 1.2, 0.4, pump_phase=0.3, stokes_phase=-1.1, reversed=True)
+    assert rev == PulsePair(fwd.stokes, fwd.pump, 0.3, -1.1)
+    assert window(rev) == window(fwd)
+
+
+def test_reversed_pair_train_table_row():
+    # The row of a reversed pair, as written when the pair carried a
+    # `reversed` flag and train_table exchanged the shapes.
+    rev = make_pair(ShapeKind.SINE_SQUARED, 7.0, 1.2, 0.4, pump_phase=0.3,
+                    stokes_phase=-1.1, reversed=True)
+    want = np.array([0.0, 7.0, 1.2, 0.0, 0.3, 0.0, 7.0, 1.2, 0.4, -1.1])
+    assert train_table(PulseTrain((rev,))).tobytes() == want.tobytes()
 
 
 def test_counterintuitive_ordering_and_reversal():
@@ -133,10 +174,12 @@ def test_build_train_layout():
     assert len(train.pairs) == 3
     slot = duration(base) + 0.5
     for k, pair in enumerate(train.pairs):
-        assert pair.stokes.center_or_start == pytest.approx(k * slot)
         assert pair.pump_phase == k * 1.0
         assert pair.stokes_phase == pytest.approx(0.1 + k)
-        assert pair.reversed is (k == 1)
+        # The second pair's envelopes are exchanged: its pump leads.
+        lead, late = (pair.pump, pair.stokes) if k == 1 else (pair.stokes, pair.pump)
+        assert lead.center_or_start == pytest.approx(k * slot)
+        assert late.center_or_start == pytest.approx(k * slot + base.pump.center_or_start)
     lo, hi = train_window(train)
     assert lo == pytest.approx(0.0)
     assert hi == pytest.approx(2 * slot + duration(base))
@@ -145,7 +188,7 @@ def test_build_train_layout():
 def test_build_train_no_alternation():
     base = make_pair(ShapeKind.SINE_SQUARED, 5.0)
     train = build_train(base, [0.0] * 5, [0.0] * 5, alternate=False)
-    assert all(not p.reversed for p in train.pairs)
+    assert train.pairs == tuple(translate(base, k * duration(base)) for k in range(5))
 
 
 def test_build_train_length_mismatch():
