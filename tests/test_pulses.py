@@ -72,11 +72,17 @@ def test_pair_fields():
         "pump", "stokes", "pump_phase", "stokes_phase"]
 
 
-@_NON_FINITE
 @pytest.mark.parametrize("kind", list(ShapeKind))
-def test_make_pair_rejects_an_infinite_delay(kind, bad):
+def test_make_pair_rejects_an_infinite_delay(kind):
     with pytest.raises(ValueError, match="delay must be finite"):
-        make_pair(kind, 10.0, delay=bad)
+        make_pair(kind, 10.0, delay=math.inf)
+
+
+@_NON_FINITE
+def test_make_pair_rejects_a_non_finite_delay(bad):
+    # PulsePair carries no delay; make_pair is where a delay is checked.
+    with pytest.raises(ValueError, match="delay must be finite"):
+        make_pair(ShapeKind.SINE_SQUARED, 10.0, delay=bad)
 
 
 def test_default_delays():
