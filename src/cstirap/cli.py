@@ -24,25 +24,22 @@ from . import dynamics, experiments, phases
 # (perfbench/tracing.py) wraps cstirap.cli.make_pair, so the name stays bound.
 from .pulses import ShapeKind, make_pair
 
-EXPERIMENTS = ("simulate", "scan", "contour", "montecarlo", "decay",
-               "phases", "solve-phases")
-
-_SHAPES = {"sin2": ShapeKind.SINE_SQUARED, "gaussian": ShapeKind.GAUSSIAN}
-
-_BASE_KEYS = {"experiment", "sequence", "seed", "out"}
-_INTEG_KEYS = _BASE_KEYS | {"pulse", "system", "tolerance", "gap"}
-_ALLOWED_KEYS = {
-    "simulate": _INTEG_KEYS | {"grid"},
-    "scan": _INTEG_KEYS | {"grid"},
-    "contour": _INTEG_KEYS | {"grid"},
-    "montecarlo": _INTEG_KEYS | {"grid", "noise"},
-    "decay": _INTEG_KEYS | {"grid"},
-    "solve-phases": _INTEG_KEYS | {"solver"},
-    "phases": _BASE_KEYS,
+# kind -> (the top-level sections it reads besides experiment, sequence,
+# seed and out, in parse order; the grid axis counts it allows). The kinds'
+# order is the subcommands' order.
+_PULSED = ("pulse", "system", "tolerance", "gap")
+_KINDS = {
+    "simulate": (_PULSED + ("grid",), (0,)),
+    "scan": (_PULSED + ("grid",), (1,)),
+    "contour": (_PULSED + ("grid",), (2,)),
+    "montecarlo": (_PULSED + ("grid", "noise"), (0, 1)),
+    "decay": (_PULSED + ("grid",), (1,)),
+    "phases": ((), ()),
+    "solve-phases": (_PULSED + ("solver",), ()),
 }
-
-_GRID_ARITY = {"simulate": (0,), "scan": (1,), "contour": (2,),
-               "montecarlo": (0, 1), "decay": (1,)}
+EXPERIMENTS = tuple(_KINDS)
+_ALLOWED_KEYS = {kind: {"experiment", "sequence", "seed", "out", *sections}
+                 for kind, (sections, _) in _KINDS.items()}
 
 # Swept parameters that are physical only when >= 0. A `delay` axis
 # reaching <= 0 is not rejected here: such points fail one by one, with
@@ -102,7 +99,7 @@ def _nonnegative(x) -> bool:
 # The "grid" table applies to each axis; its keys are in SweepAxis field order.
 _SECTIONS = {
     "pulse": ("required for this experiment", {
-        "shape": (None, lambda x: isinstance(x, str) and x in _SHAPES, str,
+        "shape": (None, lambda x: x in [k.value for k in ShapeKind], str,
                   "must be 'sin2' or 'gaussian'"),
         "omega0": (None, _positive, float, "must be a positive number"),
         "width": (1.0, _positive, float, "must be a positive number"),
@@ -232,7 +229,7 @@ def _parse_grid(data, experiment, problems):
         rows *= points
         entries.append(axis)
     if len(problems) == before:
-        arity = _GRID_ARITY[experiment]
+        arity = _KINDS[experiment][1]
         names = [ax.name for ax in axes]
         if len(axes) not in arity:
             want = " or ".join(str(a) for a in arity)
@@ -256,37 +253,32 @@ def parse_config(data, experiment: str, seed: int | None = None) -> RunConfig:
     if experiment not in EXPERIMENTS:
         raise ConfigError((f"experiment: unknown kind {experiment!r}",))
     problems: list[str] = []
-    allowed = _ALLOWED_KEYS[experiment]
 
     declared = data.get("experiment")
     if declared is not None and declared != experiment:
         problems.append(f"experiment: config says {declared!r} but the "
                         f"{experiment!r} subcommand was invoked")
     for key in data:
-        if key not in allowed:
+        if key not in _ALLOWED_KEYS[experiment]:
             problems.append(f"{key}: not a valid key for {experiment!r}")
 
     # The resolved config: exactly what the hash covers.
     resolved = {"experiment": experiment,
                 "sequence": _parse_sequence(data, experiment, problems)}
-    if experiment != "phases":
-        for name in ("pulse", "system", "tolerance"):
-            resolved[name] = _section(data, name, problems)
-        gap = data.get("gap", 0.0)
-        if not _nonnegative(gap):
-            problems.append("gap: must be a number >= 0")
-            gap = 0.0
-        resolved["gap"] = float(gap)
-        if experiment == "solve-phases" and resolved["system"] and resolved["system"]["gamma"]:
-            problems.append("system.gamma: phase optimization assumes gamma = 0")
-
     axes = ()
-    if "grid" in allowed:
-        resolved["grid"], axes = _parse_grid(data, experiment, problems)
-
-    for name in ("noise", "solver"):
-        if name in allowed:
+    for name in _KINDS[experiment][0]:
+        if name == "grid":
+            resolved["grid"], axes = _parse_grid(data, experiment, problems)
+        elif name == "gap":
+            gap = data.get("gap", 0.0)
+            if not _nonnegative(gap):
+                problems.append("gap: must be a number >= 0")
+                gap = 0.0
+            resolved["gap"] = float(gap)
+        else:
             resolved[name] = _section(data, name, problems)
+    if experiment == "solve-phases" and resolved["system"] and resolved["system"]["gamma"]:
+        problems.append("system.gamma: phase optimization assumes gamma = 0")
     if resolved.get("noise") and resolved["noise"]["samples"] > _MAX_SAMPLES:
         problems.append(f"noise.samples: may be at most {_MAX_SAMPLES}")
 
@@ -312,7 +304,7 @@ def parse_config(data, experiment: str, seed: int | None = None) -> RunConfig:
     scan = None
     if experiment != "phases":
         pulse = resolved["pulse"]
-        scan = experiments.ScanSpec(axes=axes, **dict(pulse, shape=_SHAPES[pulse["shape"]]),
+        scan = experiments.ScanSpec(axes=axes, **dict(pulse, shape=ShapeKind(pulse["shape"])),
                                     system=dynamics.SystemParams(**resolved["system"]),
                                     sequence=sequence, **resolved["tolerance"],
                                     gap=resolved["gap"])
@@ -322,14 +314,11 @@ def parse_config(data, experiment: str, seed: int | None = None) -> RunConfig:
                      config_hash(resolved))
 
 
-def canonical_json(resolved: dict) -> str:
-    return json.dumps(resolved, sort_keys=True, separators=(",", ":"))
-
-
 def config_hash(resolved: dict) -> str:
-    """Identifies the resolved experiment (defaults filled, seed included;
-    output destination and thread count excluded)."""
-    return hashlib.sha256(canonical_json(resolved).encode("utf-8")).hexdigest()
+    """SHA-256 of the resolved experiment as sorted, compact JSON (defaults
+    filled, seed included; output destination and thread count excluded)."""
+    text = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def emit_table(results, axis_names, digest: str) -> str:

@@ -397,9 +397,11 @@ def _plan(kernel, model, train: PulseTrain, row, t_span, rtol, atol, margin=1.0,
     (Moan and Niesen, Found. Comput. Math. 8, 291 (2008)). Where the fine
     pass of those steps would pass _MAX_STEPS, the point is integrated as
     without the guard, by the fourth-order kernel instead. A first pass
-    beyond _MAX_STEPS raises IntegrationError here, and a t_span that is not
-    increasing ValueError.
+    beyond _MAX_STEPS raises IntegrationError here; a t_span that is not
+    increasing, or an rtol or atol that is not finite and > 0, ValueError.
     """
+    if not (is_finite(rtol, atol) and rtol > 0 and atol > 0):
+        raise ValueError("rtol and atol must be finite numbers > 0")
     t_i, t_f = train_window(train) if t_span is None else t_span
     if not t_i < t_f:
         raise ValueError("need t_i < t_f")
@@ -486,10 +488,9 @@ def _rungs(kernel, model, jobs) -> list:
                 out[i] = jobs[i].result(u[..., j].copy())
                 continue
             # At most 64 doublings, which overshoot _MAX_STEPS anyway (err / tol
-            # is inf for a subnormal tol; err may be inf or NaN, and tol 0 when
-            # the margin takes a subnormal one below the smallest float). The
-            # check is made in Python ints: 2 ** 64 times an int64 overflows.
-            ratio = err / tol if tol > 0 else math.inf
+            # is inf for a subnormal tol; err may be inf or NaN). The check
+            # is made in Python ints: 2 ** 64 times an int64 overflows.
+            ratio = err / tol
             jump = math.ceil(min(math.log(ratio, 2.0 ** order), 64.0)) if ratio < math.inf else 64
             # Only a stall at round-off, which grows with the step count, ends
             # the point: above it the drop can be slow before the 2^p rate sets in.

@@ -27,7 +27,7 @@ class CayleyKlein:
     b: complex
 
     def __post_init__(self):
-        if abs(abs(self.a) ** 2 + abs(self.b) ** 2 - 1.0) > NORM_TOL:
+        if not abs(abs(self.a) ** 2 + abs(self.b) ** 2 - 1.0) <= NORM_TOL:
             raise ValueError("Cayley-Klein parameters must satisfy |a|^2+|b|^2 = 1")
 
 
@@ -56,9 +56,10 @@ def extract_ck(u2: np.ndarray) -> CayleyKlein:
     if u2.shape != (2, 2):
         raise ValueError("expected a 2x2 matrix")
     a, b = u2[0, 0], u2[0, 1]
-    dev = max(abs(u2[1, 0] + np.conj(b)), abs(u2[1, 1] - np.conj(a)),
-              abs(abs(a) ** 2 + abs(b) ** 2 - 1.0))
-    if dev > SU2_TOL:
+    # np.max, not max: a NaN deviation must not lose to a finite one.
+    dev = np.max([abs(u2[1, 0] + np.conj(b)), abs(u2[1, 1] - np.conj(a)),
+                  abs(abs(a) ** 2 + abs(b) ** 2 - 1.0)])
+    if not dev <= SU2_TOL:
         raise ValueError(f"matrix is not SU(2) to tolerance (max deviation {dev:.3e})")
     # Integration noise up to SU2_TOL is allowed in; project back onto the
     # exact constraint surface so CayleyKlein's strict norm check holds.

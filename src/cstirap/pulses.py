@@ -152,6 +152,8 @@ def build_train(base: PulsePair, pump_phases, stokes_phases, alternate: bool,
     n = len(pump_phases)
     if len(stokes_phases) != n:
         raise ValueError("phase lists must have equal length")
+    if not (is_finite(gap) and gap >= 0):
+        raise ValueError("inter-pair gap must be a finite number >= 0")
     slot = duration(base) + gap
     pairs = []
     for k in range(n):

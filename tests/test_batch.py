@@ -77,8 +77,6 @@ def test_failing_points_fail_alone():
     assert all(e[0] is IntegrationError and "missed" in e[1] for e in errors)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 def test_points_that_fail_before_or_during_propagation():
     # A reversed t_span (ValueError) and a first pass beyond the step limit
     # fail before propagation, an overflowing generator during it; each
@@ -172,3 +170,16 @@ def test_a_point_given_as_an_exception_comes_back_as_it_is():
     got = propagate_many([exc, (pair, SystemParams(), None), exc], **TOL)
     assert got[0] is exc and got[2] is exc
     assert got[1].tobytes() == _alone(pair, SystemParams(), None, **TOL)
+
+
+@pytest.mark.parametrize("key", ["rtol", "atol"])
+@pytest.mark.parametrize("value", [np.inf, np.nan, 0.0, -1.0])
+def test_bad_tolerance_fails_each_point_with_its_reason(key, value):
+    pair = make_pair(ShapeKind.SINE_SQUARED, 10.0)
+    tol = dict(TOL, **{key: value})
+    [got] = propagate_many([(pair, SystemParams(), None)], **tol)
+    assert isinstance(got, ValueError)
+    assert str(got) == "rtol and atol must be finite numbers > 0"
+    [row] = run_scan(ScanSpec(axes=(), shape=ShapeKind.SINE_SQUARED, omega0=10.0, **tol))
+    assert row.error == "rtol and atol must be finite numbers > 0"
+    assert np.isnan(row.p3)

@@ -141,6 +141,68 @@ def test_solve_phases_config_rules():
     assert parse_config(_scan_config(), "scan").solver is None
 
 
+_TOP_LEVEL_KEYS = {
+    "simulate": {"experiment", "sequence", "seed", "out",
+                 "pulse", "system", "tolerance", "gap", "grid"},
+    "scan": {"experiment", "sequence", "seed", "out",
+             "pulse", "system", "tolerance", "gap", "grid"},
+    "contour": {"experiment", "sequence", "seed", "out",
+                "pulse", "system", "tolerance", "gap", "grid"},
+    "montecarlo": {"experiment", "sequence", "seed", "out",
+                   "pulse", "system", "tolerance", "gap", "grid", "noise"},
+    "decay": {"experiment", "sequence", "seed", "out",
+              "pulse", "system", "tolerance", "gap", "grid"},
+    "phases": {"experiment", "sequence", "seed", "out"},
+    "solve-phases": {"experiment", "sequence", "seed", "out",
+                     "pulse", "system", "tolerance", "gap", "solver"},
+}
+
+
+def test_experiment_kinds_are_pinned_in_order():
+    # The order sets the subcommands' order and the draws of the
+    # derandomized property tests.
+    assert EXPERIMENTS == ("simulate", "scan", "contour", "montecarlo", "decay",
+                           "phases", "solve-phases")
+    assert _ALLOWED_KEYS == _TOP_LEVEL_KEYS
+
+
+@pytest.mark.parametrize("kind", EXPERIMENTS)
+def test_each_kind_reads_exactly_its_top_level_keys(kind):
+    cfg = _valid_config(kind)
+    parse_config(cfg, kind)
+    for key in sorted(set().union(*_TOP_LEVEL_KEYS.values()) - _TOP_LEVEL_KEYS[kind]):
+        with pytest.raises(ConfigError) as err:
+            parse_config(dict(cfg, **{key: {}}), kind)
+        assert err.value.problems == (f"{key}: not a valid key for {kind!r}",)
+
+
+@pytest.mark.parametrize("kind,counts", [("simulate", (0,)), ("scan", (1,)), ("contour", (2,)),
+                                         ("montecarlo", (0, 1)), ("decay", (1,))])
+def test_grid_axis_counts_per_kind(kind, counts):
+    # gamma first: the decay experiment sweeps gamma; contour axes must differ.
+    axes = [{"name": name, "min": 0.5, "max": 1.0, "points": 2}
+            for name in ("gamma", "omega0", "delta")]
+    for count in range(4):
+        cfg = dict(_valid_config(kind), grid=axes[:count])
+        if count in counts:
+            assert len(parse_config(cfg, kind).scan.axes) == count
+            continue
+        with pytest.raises(ConfigError) as err:
+            parse_config(cfg, kind)
+        want = " or ".join(map(str, counts))
+        assert err.value.problems == (f"grid: {kind!r} takes {want} swept axes, got {count}",)
+
+
+def test_solve_phases_reports_solver_and_gamma_problems_together():
+    cfg = _valid_config("solve-phases")
+    cfg["solver"]["budget"] = 0
+    cfg["system"]["gamma"] = 0.2
+    with pytest.raises(ConfigError) as err:
+        parse_config(cfg, "solve-phases")
+    assert sorted(err.value.problems) == ["solver.budget: must be an integer >= 1",
+                                          "system.gamma: phase optimization assumes gamma = 0"]
+
+
 def test_canonical_hash_key_order_invariant():
     a = {"x": 1, "y": {"b": 2, "a": 3}}
     b = {"y": {"a": 3, "b": 2}, "x": 1}
@@ -574,7 +636,7 @@ def _valid_config(kind):
             "stokes_phases": [2.0, 1.0, 0.0], "alternate": True})
     axis = {"name": "gamma", "min": 0.0, "max": 1.0, "points": 3, "spacing": "linear"}
     grid = {"simulate": [], "scan": [axis], "montecarlo": [axis], "decay": [axis],
-            "contour": [axis, dict(axis, name="omega0", min=1.0)]}.get(kind)
+            "contour": [axis, dict(axis, name="omega0", min=1.0, max=2.0)]}.get(kind)
     full = {"experiment": kind, "sequence": seq, "seed": 1, "out": "t.csv",
             "pulse": {"shape": "sin2", "omega0": 30.0, "width": 1.0, "delay": None},
             "system": {"delta": 0.0, "gamma": 0.0},

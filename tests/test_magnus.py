@@ -341,6 +341,24 @@ def test_unreachable_tolerance_raises(monkeypatch, tol):
         propagate(pair, SystemParams(), rtol=tol, atol=tol)
 
 
+_PROPAGATORS = {
+    "propagate": lambda pair, **tol: propagate(pair, SystemParams(), **tol),
+    "propagate_two_state": lambda pair, **tol: propagate_two_state(pair, **tol),
+    "propagate_effective": lambda pair, **tol: propagate_effective(pair, 100.0, **tol),
+}
+
+
+@pytest.mark.parametrize("name", _PROPAGATORS)
+@pytest.mark.parametrize("key", ["rtol", "atol"])
+@pytest.mark.parametrize("value", [np.inf, np.nan, 0.0, -1.0])
+def test_tolerance_that_is_not_finite_and_positive_rejected(name, key, value):
+    # Before any pass: rtol = inf would take the first pass as converged,
+    # and 0, -1 or NaN would fail as if the ladder had missed them.
+    pair = make_pair(ShapeKind.SINE_SQUARED, 10.0)
+    with pytest.raises(ValueError, match=r"^rtol and atol must be finite numbers > 0$"):
+        _PROPAGATORS[name](pair, **{key: value})
+
+
 def test_unmeetable_tolerance_fails_after_two_passes(monkeypatch):
     # The passes at n and 2n steps already show that rtol = atol = 1e-300
     # needs far more than _MAX_STEPS, so the point fails without a third.
@@ -373,8 +391,6 @@ def test_slow_drop_above_round_off_is_no_stall():
     assert _unitarity(u) < 1e-12
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("gamma", [0.0, 0.5])
 def test_overflowing_generator_fails_the_point(gamma):
     # A detuning near the float limit overflows the step generator; the

@@ -67,6 +67,21 @@ def test_extract_ck_roundtrip_and_rejection():
         extract_ck(np.eye(3))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: CayleyKlein(math.nan, 0),
+    lambda: extract_ck(np.array([[0.6, 0.8], [-0.8, math.nan]])),
+    lambda: extract_ck(np.array([[0.6, 0.8], [math.nan, 0.6]])),
+    lambda: extract_ck(np.full((2, 2), math.nan)),
+    lambda: from_angles(CKAngles(math.nan, 0.0)),
+], ids=["cayley-klein", "extract-ck-nan-at-1-1", "extract-ck-nan-at-1-0",
+        "extract-ck-all-nan", "from-angles"])
+def test_nan_fails_the_su2_checks(build):
+    # A NaN deviation compares False with any tolerance; it must not pass
+    # for one within it, nor lose to a finite deviation.
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_angle_roundtrip_on_mirror_class():
     rng = np.random.default_rng(11)
     for _ in range(200):

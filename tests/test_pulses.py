@@ -203,6 +203,14 @@ def test_build_train_length_mismatch():
         build_train(base, [0.0, 0.0], [0.0], alternate=False)
 
 
+@pytest.mark.parametrize("gap", [-0.5, math.nan, math.inf])
+def test_build_train_rejects_a_bad_gap(gap):
+    # A gap of -0.5 would lay the second pair over the first.
+    base = make_pair(ShapeKind.SINE_SQUARED, 10.0)
+    with pytest.raises(ValueError, match="^inter-pair gap must be a finite number >= 0$"):
+        build_train(base, [0.0] * 3, [0.0] * 3, True, gap=gap)
+
+
 def test_empty_train_rejected():
     with pytest.raises(ValueError):
         PulseTrain(())
