@@ -35,8 +35,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .phases import is_finite
-from .propalg import extract_ck, lift_to_three
-from .pulses import PulseTrain, ShapeKind, table_envelopes, train_table, train_window
+from .propalg import extract_ck, lift_to_three, reverse
+from .pulses import PulseTrain, ShapeKind, _support, table_envelopes, train_table, train_window
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
@@ -164,9 +164,7 @@ def _breakpoints(pulses, t_span) -> np.ndarray:
     for pair in _train(pulses).pairs:
         for shape in (pair.pump, pair.stokes):
             if shape.kind is ShapeKind.SINE_SQUARED:
-                points.update(x for x in (shape.center_or_start,
-                                          shape.center_or_start + shape.width)
-                              if t_i < x < t_f)
+                points.update(x for x in _support(shape) if t_i < x < t_f)
     return np.array(sorted(points))
 
 
@@ -561,7 +559,7 @@ def _propagation(train: PulseTrain, sys: SystemParams, t_span, rtol, atol):
             # S U_h^T S U_h, where S swaps states 1 and 3.
             return _plan(_MAGNUS6, _hamiltonian, train, row, (t_i, 0.5 * (t_i + t_f)), rtol,
                          atol, margin=2.0, bound=bound,
-                         result=lambda uh: unitary(uh.T[::-1, ::-1] @ uh))
+                         result=lambda uh: unitary(reverse(uh.T) @ uh))
         return _plan(_MAGNUS6, _hamiltonian, train, row, t_span, rtol, atol, bound=bound,
                      result=unitary)
     except (ValueError, IntegrationError) as exc:

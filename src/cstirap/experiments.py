@@ -73,8 +73,8 @@ class ScanSpec:
         names = [ax.name for ax in self.axes]
         if len(set(names)) != len(names):
             raise ValueError("swept parameters must be distinct")
-        if not self.gap >= 0:
-            raise ValueError("inter-pair gap must be >= 0")
+        if not (phases.is_finite(self.gap) and self.gap >= 0):
+            raise ValueError("inter-pair gap must be a finite number >= 0")
 
 
 @dataclass(frozen=True)
@@ -91,23 +91,20 @@ class FidelityResult:
     error: str | None = None
 
 
-def _gap_propagator(sys: dynamics.SystemParams, gap: float) -> np.ndarray:
-    # Free evolution between pairs touches only state 2 (the other two
-    # diagonal entries of H vanish when the fields are off). A phase that
-    # overflows gives NaN, which fails the point with _NOT_FINITE, so
-    # numpy need not warn about it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        phase = np.exp(-1j * (sys.delta - 0.5j * sys.gamma) * gap)
-    return np.diag([1.0, phase, 1.0]).astype(complex)
-
-
 def _compose(u_pair, sys: dynamics.SystemParams, gap: float, phase_sets,
              alternate: bool, initial=None) -> np.ndarray:
     """Composite propagators, shape (..., 3, 3), or their action on `initial`,
     for phase sets of shape (..., N, 2) that all reuse one pair propagator."""
     # Fold the inter-pair evolution into all but the last factor; it
-    # commutes with the phase imprint and with the reversal.
-    first = _gap_propagator(sys, gap) @ u_pair if gap > 0 else u_pair
+    # commutes with the phase imprint and with the reversal. With the fields
+    # off, H = diag(0, Delta - i gamma/2, 0): the gap scales state 2's row
+    # alone. A phase that overflows gives NaN, which fails the point with
+    # _NOT_FINITE, so numpy need not warn about it.
+    first = u_pair
+    if gap > 0:
+        first = np.array(u_pair, dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            first[1] *= np.exp(-1j * (sys.delta - 0.5j * sys.gamma) * gap)
     props = [first] * (np.shape(phase_sets)[-2] - 1) + [u_pair]
     return propalg.compose_sequence(props, phase_sets, alternate, initial)
 
@@ -223,8 +220,8 @@ def _noisy_phase_blocks(seq: phases.CompositeSequence, sigma: float, samples: in
 def monte_carlo_phase_noise(spec: ScanSpec, sigma: float, samples: int,
                             seed: int) -> list[FidelityResult]:
     """Mean populations over Gaussian phase noise on every alpha_k, beta_k."""
-    if not sigma >= 0:
-        raise ValueError("sigma must be >= 0")
+    if not (phases.is_finite(sigma) and sigma >= 0):
+        raise ValueError("sigma must be a finite number >= 0")
     if not phases.is_count(samples, 1):
         raise ValueError("need an integer count of at least one sample")
     seq = spec.sequence
@@ -235,7 +232,9 @@ def monte_carlo_phase_noise(spec: ScanSpec, sigma: float, samples: int,
 
 
 def _decay_rates(gammas) -> np.ndarray:
-    """The decay rates of a SweepAxis or an array, checked to be >= 0."""
+    """The decay rates of a SweepAxis or an array, checked to be finite and >= 0."""
+    if not isinstance(gammas, SweepAxis) and not phases.is_finite(*gammas):
+        raise ValueError("decay rates must be finite")
     gammas = gammas.values() if isinstance(gammas, SweepAxis) else np.asarray(gammas, float)
     if not np.all(gammas >= 0):
         raise ValueError("decay rates must be >= 0")
@@ -270,8 +269,8 @@ def decay_compensation_check(spec: ScanSpec, gammas, threshold: float,
     that is not finite raises ValueError instead of passing for an
     unreachable threshold.
     """
-    if not threshold > 0:
-        raise ValueError("threshold must be > 0")
+    if not (phases.is_finite(threshold) and threshold > 0):
+        raise ValueError("threshold must be a finite number > 0")
     if not phases.is_count(iters, 0):
         raise ValueError("iters must be an integer >= 0")
     if not (phases.is_finite(omega_max) and omega_max > 0):

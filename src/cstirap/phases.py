@@ -1,4 +1,5 @@
-"""Composite-sequence phases: the sequence type and the analytic formulas.
+"""Composite-sequence phases: the sequence type and the analytic formulas,
+plus the input checks every module shares (is_count, is_finite).
 
 The resonant and far-off-resonant phases are exact integer multiples of
 pi/N; the integer numerators are computed in exact arithmetic so tables

@@ -176,6 +176,26 @@ def test_composition_matches_train_integration(case):
     assert np.max(np.abs(composed - direct)) < 1e-7
 
 
+def test_gap_scales_state_two_row():
+    # With the fields off H = diag(0, Delta - i gamma/2, 0): the folded gap
+    # must equal the explicit diagonal factor on the first N - 1 of N
+    # unitary pair propagators.
+    rng = np.random.default_rng(7)
+    for _ in range(60):
+        sys = SystemParams(rng.uniform(-50.0, 50.0), rng.uniform(0.0, 2.0))
+        gap = 3.0 * (1.0 - rng.random())
+        n, alternate = int(rng.choice([3, 5])), bool(rng.integers(2))
+        u = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+        phase_sets = rng.uniform(0.0, 2 * np.pi, (n, 2))
+        free = np.diag([1.0, np.exp(-1j * (sys.delta - 0.5j * sys.gamma) * gap), 1.0])
+        want = compose_sequence([free @ u] * (n - 1) + [u], phase_sets, alternate)
+        got = experiments._compose(u, sys, gap, phase_sets, alternate)
+        assert np.max(np.abs(got - want)) < 1e-14
+        plain = compose_sequence([u] * n, phase_sets, alternate)
+        at_zero = experiments._compose(u, sys, 0.0, phase_sets, alternate)
+        assert at_zero.tobytes() == plain.tobytes()
+
+
 def test_monte_carlo_zero_noise_reduces_to_scan():
     spec = _spec(axes=(SweepAxis("omega0", 20.0, 24.0, 2),),
                  sequence=resonant_phases(3))
@@ -411,9 +431,26 @@ _NAN, _INF = float("nan"), float("inf")
     lambda: decay_compensation_check(_spec(), [0.2], threshold=_NAN),
     lambda: decay_scan(_spec(), [0.2, _NAN]),
     lambda: monte_carlo_phase_noise(_spec(), _NAN, 10, 0),
+    lambda: _spec(gap=_INF),
+    lambda: _spec(gap=10 ** 400),
+    lambda: monte_carlo_phase_noise(_spec(), _INF, 10, 0),
+    lambda: decay_compensation_check(_spec(), [0.1], threshold=_INF, iters=3),
+    lambda: decay_scan(_spec(), [0.1, _INF]),
+    lambda: decay_compensation_check(_spec(), [0.2, _INF], threshold=2e-2),
 ], ids=["gap", "axis-max-inf", "axis-min-nan", "axis-min-minus-inf", "threshold",
-        "decay-rate", "sigma"])
+        "decay-rate", "sigma", "gap-inf", "gap-int-beyond-float", "sigma-inf",
+        "threshold-inf", "decay-rate-inf", "compensation-rate-inf"])
 def test_range_checks_reject_nan_and_infinity(call):
     # Each check is written so that NaN fails it, as a value out of range.
     with pytest.raises(ValueError):
         call()
+
+
+def test_compensation_checks_rates_before_propagating(monkeypatch):
+    # An infinite rate once failed only after the whole search at gamma = 0.2.
+    calls = []
+    monkeypatch.setattr(experiments.dynamics, "propagate",
+                        lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError, match="^decay rates must be finite$"):
+        decay_compensation_check(_spec(), [0.2, _INF], threshold=2e-2)
+    assert calls == []
