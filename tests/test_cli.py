@@ -574,6 +574,27 @@ def test_cli_import_leaves_scipy_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+@pytest.mark.parametrize("module,frozen", [("cstirap", False), ("cstirap.cli", True)])
+def test_only_the_cli_import_freezes_the_collector(module, frozen):
+    # The library leaves the importer's collector alone; the CLI moves its
+    # import graph to the permanent generation but keeps collecting.
+    code = (f"import gc, sys, {module}; "
+            f"sys.exit((gc.get_freeze_count() > 0) != {frozen} or not gc.isenabled())")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_cli_process_writes_the_whole_table_to_a_pipe(tmp_path):
+    config = _write(tmp_path, "scan.json", _scan_config())
+    out = tmp_path / "scan.csv"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = [sys.executable, "-m", "cstirap.cli", "scan", "--config", config]
+    piped = subprocess.run(run, env=env, capture_output=True)
+    assert piped.returncode == 0, piped.stderr
+    assert subprocess.run(run + ["--out", str(out)], env=env).returncode == 0
+    assert piped.stdout == out.read_bytes()
+
+
 # An integer too large for a float: math.isfinite raises OverflowError on it.
 _HUGE = 10 ** 400
 

@@ -14,9 +14,11 @@ on a committed tree: the file records HEAD and whether the tree was dirty.
 
 The host's speed drifts between recordings, so the files are compared
 through `versus_parent`, not with each other. The parent is the commit
-named by the newest BENCH_<m>.json with m < n. Its committed files are
-unpacked with `git archive` into a temporary directory, and each tree's
-own perfbench/run.py runs PAIRS alternating pairs per workload: pair k
+named by the newest BENCH_<m>.json with m < n. The committed files of
+the parent and of HEAD are unpacked with `git archive` into sibling
+temporary directories whose paths have the same length, since a run's
+peak RSS has been seen to depend on the directory it runs in, and each
+tree's own perfbench/run.py runs PAIRS alternating pairs per workload: pair k
 runs both trees at seed SEED + k, and the tree that runs first alternates
 from pair to pair. Per end-to-end metric the key holds both medians, both
 sides' quartiles, the ratio change/parent and the number of pairs the
@@ -115,18 +117,25 @@ def _quartiles(values: list) -> list:
     return [q1, q3]
 
 
+def _unpack(rev: str, tree: Path) -> Path:
+    """The committed files of `rev`, unpacked into the new directory `tree`."""
+    tree.mkdir()
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, capture_output=True,
+                             check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
+    return tree
+
+
 def _versus_parent(sha: str) -> dict:
-    """PAIRS alternating end-to-end runs of the parent and this tree."""
+    """PAIRS alternating end-to-end runs of the parent and HEAD."""
     workloads = {}
     with tempfile.TemporaryDirectory() as tmp:
-        parent = Path(tmp)
-        archive = subprocess.run(["git", "archive", sha], cwd=ROOT, capture_output=True,
-                                 check=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(parent)], input=archive, check=True)
+        parent = _unpack(sha, Path(tmp) / "parent")
+        change = _unpack("HEAD", Path(tmp) / "change")
         for w in SPEC["workloads"]:
-            runs = {parent: [], ROOT: []}
+            runs = {parent: [], change: []}
             for k in range(PAIRS):
-                for tree in (parent, ROOT) if k % 2 == 0 else (ROOT, parent):
+                for tree in (parent, change) if k % 2 == 0 else (change, parent):
                     runs[tree].append(_run(tree, w["name"], SEED + k, 0))
             values = {tree: [_values(r, "end_to_end") for r in rs]
                       for tree, rs in runs.items()}
@@ -134,7 +143,7 @@ def _versus_parent(sha: str) -> dict:
                 "correct": all(r["correct"] for rs in runs.values() for r in rs),
                 "end_to_end": {
                     m["name"]: _compare(m, [v[m["name"]] for v in values[parent]],
-                                        [v[m["name"]] for v in values[ROOT]])
+                                        [v[m["name"]] for v in values[change]])
                     for m in SPEC["end_to_end"]},
             }
     return {"sha": sha, "pairs": PAIRS, "workloads": workloads}
