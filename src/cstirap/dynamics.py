@@ -11,9 +11,9 @@ picks, all on three Gauss nodes: sixth order for a 3x3 generator
 (_magnus6, behind a first-pass guard, with its fourth-order truncation
 _magnus4 as the fallback), and in closed form for a 2x2 one given as its
 Pauli parts (trace, x, y, z) (_magnus6_su2). Every input is read as a
-train. On resonance, without decay, real envelopes take the paper's
-route: the two-state propagator, lifted to three states. Off it, a
-mirrored pair is integrated over half its window (see propagate).
+train. At Delta = 0 real envelopes mean real arithmetic: the paper's route
+without decay, the 3x3 kernels in a real gauge (_gauged) with it. Off the
+route, a mirrored pair is integrated over half its window (see propagate).
 
 The integrator runs a batch of points at once: propagate_many reads any
 number, _BATCH at a time, and propagate is the batch of one. Each rung of
@@ -140,6 +140,24 @@ def _hamiltonian(t, cols) -> np.ndarray:
                     (1, 2): ws, (2, 1): np.conj(ws)}, 3)
 
 
+def _generator(t, cols) -> np.ndarray:
+    """A = -iH of dU/dt = A U, the 3x3 kernels' complex model."""
+    a = _hamiltonian(t, cols)
+    a *= -1j
+    return a
+
+
+# Entry (j, k) of D* A D, with D = diag(1, -i, 1), is A[j, k] * _GAUGE[j, k].
+_GAUGE = np.array([[1, -1j, 1], [1j, 1, 1j], [1, -1j, 1]])
+
+
+def _gauged(t, cols) -> np.ndarray:
+    """Re(D* A D), D = diag(1, -i, 1): the generator of U_b = D* U D,
+    [[0, -Wp/2, 0], [Wp/2, -i Delta - gamma/2, Ws/2], [0, -Ws/2, 0]], real at
+    Delta = 0 with real envelopes, the only points that take it (propagate)."""
+    return (_generator(t, cols) * _GAUGE).real
+
+
 def hamiltonian(pulses, sys: SystemParams, t) -> np.ndarray:
     """The rotating-wave Hamiltonian at time(s) t (two-photon resonance).
 
@@ -192,7 +210,7 @@ def _expm(a: np.ndarray, blocks) -> np.ndarray:
     kinds = sorted(set(plans))
     if len(kinds) == 1:
         return _taylor_exp(a, *kinds[0])
-    u = np.empty(a.shape, dtype=np.result_type(a, 1j))
+    u = np.empty_like(a)
     step_plan = np.repeat([kinds.index(p) for p in plans], blocks)
     for k, plan in enumerate(kinds):
         steps = np.flatnonzero(step_plan == k)
@@ -204,7 +222,7 @@ def _taylor_exp(a: np.ndarray, row: int, squarings: int) -> np.ndarray:
     """exp(A) by the Taylor polynomial of _TAYLOR[row] of A / 2^squarings,
     squared that many times."""
     _, powers, c = _TAYLOR[row]
-    p = np.empty((powers + 1,) + a.shape, dtype=np.result_type(a, 1j))
+    p = np.empty((powers + 1,) + a.shape, dtype=a.dtype)
     p[0] = np.eye(a.shape[0])[:, :, None]
     p[1] = a * 2.0 ** -squarings
     for i in range(2, powers + 1):
@@ -276,13 +294,15 @@ def _su2_exp(trace, v) -> np.ndarray:
 
 
 def _alphas(generator, start, h):
-    """alpha_1..3 of A = -iH for a 3x3 generator, from H on the nodes: (3, 3, 3, m)."""
+    """alpha_1..3 of a 3x3 generator A of dU/dt = A U, real or complex, from
+    A on the nodes: (3, 3, 3, m)."""
     nodes = generator(start + _NODES6[:, None] * h)
     # One real product of _ALPHA with the node stack, then
-    # component-major in C order: _mul is slower on strided views.
+    # component-major in C order: _mul is slower on strided views. h is cast
+    # first: a casting multiply allocates a buffer, which raised peak RSS.
     flat = nodes.reshape(3, -1).view(float)
     alpha = np.moveaxis((_ALPHA @ flat).view(nodes.dtype).reshape(nodes.shape), 1, -1)
-    return np.multiply(alpha, -1j * h, order="C")
+    return np.multiply(alpha, h.astype(alpha.dtype), order="C")
 
 
 # A step kernel is (step, order): step(generator, start, h, blocks) gives
@@ -370,10 +390,11 @@ def _chunk_products(kernel, model, passes) -> list:
 
 
 class _Job(NamedTuple):
-    """One point's integration: its kernel and generator model(t, cols),
-    its _row, breakpoints, first step counts per segment, tolerance, rtol
-    and atol as given for its messages, and the map `result` of its bare
-    ordered product to the point's result."""
+    """One point's integration: its kernel and generator model(t, cols) (A
+    of dU/dt = A U for a 3x3 kernel, H's parts for the su(2) one), its _row,
+    breakpoints, first step counts per segment, tolerance, rtol and atol as
+    given for its messages, and the map `result` of its bare ordered
+    product to the point's result."""
     kernel: tuple
     model: Callable
     row: np.ndarray
@@ -387,8 +408,8 @@ class _Job(NamedTuple):
 
 def _plan(kernel, model, train: PulseTrain, row, t_span, rtol, atol, margin=1.0,
           bound=None, result=lambda u: u) -> _Job:
-    """The job that integrates U(t_f, t_i) of i dU/dt = H(t) U by the kernel
-    of H (see _ladder); t_span defaults to the support window of `train`.
+    """The job that integrates U(t_f, t_i) by the kernel of `model` (see
+    _Job and _ladder); t_span defaults to the support window of `train`.
 
     A guard bound is an upper bound of ||H||. Each segment's first pass then
     takes steps of h * bound <= 3, inside the Magnus convergence radius pi
@@ -547,21 +568,25 @@ def _propagation(train: PulseTrain, sys: SystemParams, t_span, rtol, atol):
     IntegrationError that ends it before its ladder."""
     row = _row(train, sys)
     try:
-        if sys.delta == 0 and sys.gamma == 0 and _real_envelopes(train):
+        real = sys.delta == 0 and _real_envelopes(train)
+        if real and sys.gamma == 0:
             return _plan(_MAGNUS6_SU2, _route_parts, train, row, t_span, rtol, atol, margin=2.0,
                          result=lambda u: lift_to_three(extract_ck(u)))
         # An upper bound of ||H||: |Delta - i gamma/2| bounds the diagonal, and
         # the largest peak Rabi frequency bounds the couplings Wp/2 and Ws/2.
         bound = abs(sys.delta) + 0.5 * sys.gamma + _peak(train)
+        model = _gauged if real else _generator
+        # U = D U_b D* of a product U_b of _gauged steps, before all else.
+        back = (lambda u: u * _GAUGE.conj()) if real else lambda u: u
         unitary = _polar if sys.gamma == 0 else lambda u: u
         if t_span is None and _mirrored(train):
             t_i, t_f = train_window(train)
             # S U_h^T S U_h, where S swaps states 1 and 3.
-            return _plan(_MAGNUS6, _hamiltonian, train, row, (t_i, 0.5 * (t_i + t_f)), rtol,
+            return _plan(_MAGNUS6, model, train, row, (t_i, 0.5 * (t_i + t_f)), rtol,
                          atol, margin=2.0, bound=bound,
-                         result=lambda uh: unitary(reverse(uh.T) @ uh))
-        return _plan(_MAGNUS6, _hamiltonian, train, row, t_span, rtol, atol, bound=bound,
-                     result=unitary)
+                         result=lambda uh: unitary(reverse(back(uh).T) @ back(uh)))
+        return _plan(_MAGNUS6, model, train, row, t_span, rtol, atol, bound=bound,
+                     result=lambda u: unitary(back(u)))
     except (ValueError, IntegrationError) as exc:
         return exc
 
@@ -595,7 +620,9 @@ def propagate(pulses, sys: SystemParams, t_span=None,
     tolerance in the worst case. An IntegrationError from the route quotes
     rtol and atol as given. Any other case takes the sixth-order 3x3 kernel
     behind the first-pass guard of _plan, projected onto the nearest
-    unitary matrix at gamma = 0.
+    unitary matrix at gamma = 0. At Delta = 0 with real envelopes it runs in
+    real arithmetic on K = D* A D, A = -iH, D = diag(1, -i, 1) (_gauged), and
+    maps its product back by D U_b D*, which moves no modulus, no step count.
 
     On that path one pair, without t_span, with pump and Stokes of equal
     kind, peak and width and phases of whole turns is mirrored: with S the
@@ -616,7 +643,7 @@ def _mirrored(train: PulseTrain) -> bool:
 
 
 def _real_envelopes(train: PulseTrain) -> bool:
-    """Whether every phase is a multiple of 2 pi, as the two-state mapping needs."""
+    """Whether every phase is a multiple of 2 pi, as real arithmetic needs."""
     return all(x % (2 * np.pi) == 0.0 for p in train.pairs for x in (p.pump_phase, p.stokes_phase))
 
 

@@ -224,6 +224,8 @@ def monte_carlo_phase_noise(spec: ScanSpec, sigma: float, samples: int,
         raise ValueError("sigma must be a finite number >= 0")
     if not phases.is_count(samples, 1):
         raise ValueError("need an integer count of at least one sample")
+    if not phases.is_count(seed, 0):
+        raise ValueError("seed must be an integer >= 0")
     seq = spec.sequence
     rows = _evaluate(spec, grid_coords(spec.axes),
                      lambda i: [(_noisy_phase_blocks(seq, sigma, samples, seed, i),

@@ -116,14 +116,15 @@ def compose_sequence(propagators, phases, alternate: bool, initial=None) -> np.n
     if initial is not None and np.shape(initial) != (3,):
         raise ValueError("the initial state must have shape (3,)")
     states = np.eye(3, dtype=complex) if initial is None else np.asarray(initial, dtype=complex)
-    # Phi_k's outer entries per phase set, flat; an overflowing angle gives NaN.
-    phi = np.ones((math.prod(phases.shape[:-2]), n + 2, 2), dtype=complex)
+    sets = phases.reshape(-1, n, 2)
+    v = np.repeat(states.T.reshape(1, -1, 3), len(sets), axis=0)   # the states as rows
+    # Phi_k's outer entries, one pair at a time; an overflowing angle gives NaN.
+    prev = np.ones((len(sets), 2), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        phi[:, 1:-1] = np.exp(1j * (phases.reshape(-1, n, 2) * (1.0, -1.0)))
-        ratios = phi[:, 1:].conj() * phi[:, :-1]
-    v = np.repeat(states.T.reshape(1, -1, 3), len(phi), axis=0)   # the states as rows
-    for k, u in enumerate(props):
-        v[..., ::2] *= ratios[:, None, k]
-        v = (v.reshape(-1, 3) @ np.transpose(u)).reshape(v.shape)
-    v[..., ::2] *= ratios[:, None, n]
+        for k, u in enumerate(props):
+            cur = np.exp(1j * (sets[:, k] * (1.0, -1.0)))
+            v[..., ::2] *= (cur.conj() * prev)[:, None]
+            v = (v.reshape(-1, 3) @ np.transpose(u)).reshape(v.shape)
+            prev = cur
+    v[..., ::2] *= prev[:, None]
     return v.swapaxes(1, 2).reshape(phases.shape[:-2] + states.shape)

@@ -437,13 +437,31 @@ _NAN, _INF = float("nan"), float("inf")
     lambda: decay_compensation_check(_spec(), [0.1], threshold=_INF, iters=3),
     lambda: decay_scan(_spec(), [0.1, _INF]),
     lambda: decay_compensation_check(_spec(), [0.2, _INF], threshold=2e-2),
+    lambda: monte_carlo_phase_noise(_spec(), 0.01, 10, _INF),
+    lambda: monte_carlo_phase_noise(_spec(), 0.01, 10, _NAN),
+    lambda: monte_carlo_phase_noise(_spec(), 0.01, 10, 1.5),
+    lambda: monte_carlo_phase_noise(_spec(), 0.01, 10, True),
+    lambda: monte_carlo_phase_noise(_spec(), 0.01, 10, -1),
+    lambda: monte_carlo_phase_noise(_spec(), 0.01, 10, 2 ** 128),
 ], ids=["gap", "axis-max-inf", "axis-min-nan", "axis-min-minus-inf", "threshold",
         "decay-rate", "sigma", "gap-inf", "gap-int-beyond-float", "sigma-inf",
-        "threshold-inf", "decay-rate-inf", "compensation-rate-inf"])
+        "threshold-inf", "decay-rate-inf", "compensation-rate-inf", "seed-inf", "seed-nan",
+        "seed-float", "seed-bool", "seed-negative", "seed-beyond-128-bits"])
 def test_range_checks_reject_nan_and_infinity(call):
     # Each check is written so that NaN fails it, as a value out of range.
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize("seed", [_INF, 1.5, True, -1], ids=["inf", "float", "bool", "negative"])
+def test_monte_carlo_checks_seed_before_propagating(monkeypatch, seed):
+    # inf once raised OverflowError, and 1.5 and True were read as 1.
+    calls = []
+    monkeypatch.setattr(experiments.dynamics, "propagate_many",
+                        lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError, match=r"^seed must be an integer >= 0$"):
+        monte_carlo_phase_noise(_spec(), 0.01, 10, seed)
+    assert calls == []
 
 
 def test_compensation_checks_rates_before_propagating(monkeypatch):

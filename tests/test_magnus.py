@@ -18,6 +18,7 @@ from cstirap import dynamics
 from cstirap.dynamics import (IntegrationError, SystemParams, hamiltonian,
                               propagate, propagate_effective, propagate_two_state)
 from cstirap.phases import cap_phases, resonant_phases
+from cstirap.propalg import reverse
 from cstirap.pulses import (PulseTrain, ShapeKind, build_train, make_pair, train_window,
                             window)
 
@@ -44,7 +45,7 @@ def _blocks(kernel, model, row, breaks, steps):
 
 def _three_state(kernel, pair, sys, t_span, rtol, atol):
     """The bare product of the 3x3 kernel, unguarded, over t_span."""
-    return dynamics._integrate(kernel, dynamics._hamiltonian, pair, dynamics._row(pair, sys),
+    return dynamics._integrate(kernel, dynamics._generator, pair, dynamics._row(pair, sys),
                                t_span, rtol, atol)
 
 
@@ -121,7 +122,7 @@ def test_fourth_order_convergence(gamma):
     breaks = dynamics._breakpoints(pair, window(pair))
     errs = []
     for n in (8, 16, 32):
-        blocks = _blocks(dynamics._MAGNUS4, dynamics._hamiltonian, dynamics._row(pair, sys),
+        blocks = _blocks(dynamics._MAGNUS4, dynamics._generator, dynamics._row(pair, sys),
                          breaks, np.full(len(breaks) - 1, n))
         errs.append(_dev(dynamics._tree(blocks, [blocks.shape[-1]])[..., 0], ref))
     assert errs[0] / errs[1] > 12 and errs[1] / errs[2] > 12
@@ -138,7 +139,7 @@ def test_sixth_order_convergence(gamma):
     breaks = dynamics._breakpoints(pair, window(pair))
     errs = []
     for n in (8, 16, 32):
-        blocks = _blocks(dynamics._MAGNUS6, dynamics._hamiltonian, dynamics._row(pair, sys),
+        blocks = _blocks(dynamics._MAGNUS6, dynamics._generator, dynamics._row(pair, sys),
                          breaks, np.full(len(breaks) - 1, n))
         errs.append(_dev(dynamics._tree(blocks, [blocks.shape[-1]])[..., 0], ref))
     assert errs[0] / errs[1] > 40 and errs[1] / errs[2] > 40, errs
@@ -224,7 +225,7 @@ def test_fallback_meets_its_tolerance(monkeypatch):
     breaks = dynamics._breakpoints(pair, span)
     guarded = np.ceil(np.diff(breaks) * (sys.delta + 10.0) / 3.0).astype(np.int64)
     assert guarded.sum() == 549_302 and 2 * guarded.sum() > dynamics._MAX_STEPS
-    blocks = _blocks(dynamics._MAGNUS6, dynamics._hamiltonian, dynamics._row(pair, sys), breaks,
+    blocks = _blocks(dynamics._MAGNUS6, dynamics._generator, dynamics._row(pair, sys), breaks,
                      guarded)
     w, _, vh = np.linalg.svd(dynamics._tree(blocks, [blocks.shape[-1]])[..., 0])
     passes = _record_passes(monkeypatch)
@@ -518,6 +519,110 @@ def test_resonant_route_takes_phases_modulo_two_pi(monkeypatch, phase):
     assert not calls
 
 
+def _complex_path(pulses, sys, t_span):
+    """propagate's sixth-order 3x3 job on the complex generator A = -iH, as
+    it runs off resonance: the mirrored half window where propagate takes
+    it, else t_span, with the same guard bound and margin."""
+    train = dynamics._train(pulses)
+    row, bound = dynamics._row(train, sys), abs(sys.delta) + 0.5 * sys.gamma + dynamics._peak(train)
+    if t_span is None and dynamics._mirrored(train):
+        t_i, t_f = train_window(train)
+        job = dynamics._plan(dynamics._MAGNUS6, dynamics._generator, train, row,
+                             (t_i, 0.5 * (t_i + t_f)), margin=2.0, bound=bound,
+                             result=lambda uh: reverse(uh.T) @ uh, **MAGNUS)
+    else:
+        job = dynamics._plan(dynamics._MAGNUS6, dynamics._generator, train, row, t_span,
+                             bound=bound, **MAGNUS)
+    return dynamics._ladder([job])[0]
+
+
+_turns = st.sampled_from([0.0, 2 * np.pi, -2 * np.pi, 4 * np.pi])
+
+
+@settings(max_examples=16, deadline=None, derandomize=True)
+@given(shapes, omegas, delays, st.floats(0.0, 2.0, exclude_min=True), st.booleans(),
+       st.one_of(st.none(), st.tuples(st.floats(-0.2, 0.45), st.floats(0.55, 1.2))),
+       st.lists(_turns, min_size=6, max_size=6))
+def test_real_gauge_matches_complex_path(kind, omega0, delay, gamma, three, span, turns):
+    # At Delta = 0 with real envelopes and gamma > 0, propagate runs the 3x3
+    # kernel on the real generator D* A D and maps its product back; the
+    # complex generator A on the same window gives the same propagator.
+    pair = make_pair(kind, omega0, 1.0, delay)
+    pulses = build_train(pair, turns[:3], turns[3:], True) if three else pair
+    sys = SystemParams(0.0, gamma)
+    t_span = None
+    if span is not None:
+        t0, t1 = train_window(dynamics._train(pulses))
+        t_span = (t0 + span[0] * (t1 - t0), t0 + span[1] * (t1 - t0))
+    want = _complex_path(pulses, sys, t_span)
+    assert _dev(propagate(pulses, sys, t_span, **MAGNUS), want) < 1e-14
+
+
+@pytest.mark.parametrize("kind,gamma,case", [
+    *((kind, gamma, "pair") for kind in ShapeKind for gamma in (0.02, 0.5, 2.0)),
+    *((kind, 2.0, "t_span") for kind in ShapeKind),
+    (ShapeKind.SINE_SQUARED, 0.5, "train"),
+])
+def test_real_gauge_matches_oracle(kind, gamma, case):
+    # The mirrored half window, the full window of a train with a phase of
+    # a whole turn, and a partial t_span.
+    pair = make_pair(kind, 23.0, 1.0, 0.7)
+    pulses = build_train(pair, [0.0, 2 * np.pi, 0.0], [0.0] * 3, True) if case == "train" else pair
+    t0, t1 = window(pair)
+    t_span = (t0 + 0.3, t1 - 0.2) if case == "t_span" else None
+    sys = SystemParams(0.0, gamma)
+    got = propagate(pulses, sys, t_span, **MAGNUS)
+    assert _dev(got, rk45_oracle.propagate(pulses, sys, t_span)) < AGREE
+
+
+def test_gauged_generator_is_real_and_conjugated_by_d():
+    # K = D* (-iH) D with D = diag(1, -i, 1), in float64, at Delta = 0.
+    train = build_train(make_pair(ShapeKind.GAUSSIAN, 12.0, 1.0, 0.4), [0.0, 2 * np.pi, 0.0],
+                        [0.0] * 3, True)
+    row = dynamics._row(train, SystemParams(0.0, 0.7))
+    t = np.linspace(-1.0, 5.0, 24).reshape(3, 8)
+    got = dynamics._gauged(t, row)
+    d = np.diag([1.0, -1j, 1.0])
+    want = d.conj() @ (-1j * dynamics._hamiltonian(t, row)) @ d
+    assert got.dtype == np.float64 and got.shape == (3, 8, 3, 3)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("case,gauged", [
+    (dict(sys=SystemParams(gamma=1e-3)), True),
+    (dict(sys=SystemParams(gamma=1e-3), t_span=(0.0, 1.3)), True),
+    (dict(sys=SystemParams(gamma=1e-3), train=True), True),
+    (dict(sys=SystemParams(delta=1e-3, gamma=1e-3)), False),
+    (dict(sys=SystemParams(gamma=1e-3), pump_phase=0.1), False),
+    (dict(sys=SystemParams(gamma=1e-3), stokes_phase=0.1), False),
+    (dict(sys=SystemParams(delta=1e-3)), False),
+    (dict(sys=SystemParams()), False),
+])
+def test_real_gauge_condition(monkeypatch, case, gauged):
+    # Delta = 0 with real envelopes means real arithmetic: the real gauge at
+    # gamma > 0, float64 block products; everything off resonance or with
+    # a phase that is not a whole turn keeps complex products, and gamma = 0
+    # takes the route, which evaluates no 3x3 generator.
+    calls, dtypes = [], set()
+    real = dynamics._gauged
+    monkeypatch.setattr(dynamics, "_gauged", lambda *a: calls.append(1) or real(*a))
+    chunk_products = dynamics._chunk_products
+
+    def recorded(kernel, model, batch):
+        products = chunk_products(kernel, model, batch)
+        dtypes.update(p.dtype for p in products if kernel[0] is not dynamics._magnus6_su2)
+        return products
+
+    monkeypatch.setattr(dynamics, "_chunk_products", recorded)
+    pair = make_pair(ShapeKind.SINE_SQUARED, 12.0, pump_phase=case.get("pump_phase", 0.0),
+                     stokes_phase=case.get("stokes_phase", 0.0))
+    pulses = build_train(pair, [0.0] * 3, [2 * np.pi] * 3, True) if case.get("train") else pair
+    propagate(pulses, case["sys"], t_span=case.get("t_span"))
+    assert bool(calls) == gauged
+    routed = case["sys"] == SystemParams()
+    assert dtypes == (set() if routed else {np.dtype(float if gauged else complex)})
+
+
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(shapes, st.sampled_from([5.0, 23.0, 60.0]), delays, st.floats(-100.0, 100.0),
        st.floats(0.0, 2.0))
@@ -595,7 +700,7 @@ def test_integration_error_carries_steps_and_estimate(monkeypatch, case, route):
     tol = {"unmeetable": 1e-300, "stalled": 1e-16, "over_limit": 1e-10}[case]
     with pytest.raises(IntegrationError) as info:
         if route == "three_state":
-            dynamics._integrate(dynamics._MAGNUS6, dynamics._hamiltonian, pair,
+            dynamics._integrate(dynamics._MAGNUS6, dynamics._generator, pair,
                                 dynamics._row(pair, sys), None, tol, tol,
                                 bound=30.0)
         else:
