@@ -119,10 +119,10 @@ def compose_sequence(propagators, phases, alternate: bool, initial=None) -> np.n
     sets = phases.reshape(-1, n, 2)
     v = np.repeat(states.T.reshape(1, -1, 3), len(sets), axis=0)   # the states as rows
     # Phi_k's outer entries, one pair at a time; an overflowing angle gives NaN.
-    prev = np.ones((len(sets), 2), dtype=complex)
+    prev, turn = np.ones((len(sets), 2), dtype=complex), np.array([1j, -1j])
     with np.errstate(over="ignore", invalid="ignore"):
         for k, u in enumerate(props):
-            cur = np.exp(1j * (sets[:, k] * (1.0, -1.0)))
+            cur = np.exp(sets[:, k] * turn)
             v[..., ::2] *= (cur.conj() * prev)[:, None]
             v = (v.reshape(-1, 3) @ np.transpose(u)).reshape(v.shape)
             prev = cur
