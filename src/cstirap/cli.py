@@ -60,10 +60,7 @@ _MAX_GRID_ROWS = 1_000_000
 # the composition and the Monte Carlo draws all take time linear in N, so
 # without a bound an N of 10**30 hangs the parser.
 _MAX_PAIRS = 999
-# Monte Carlo samples per grid point. The shipped config uses 1,000; a
-# million already costs about 20 s per point, and its standard error is a
-# thousandth of the spread of one sample.
-_MAX_SAMPLES = 1_000_000
+_MAX_SAMPLES = experiments._MAX_SAMPLES   # Monte Carlo samples per point
 
 
 class ConfigError(ValueError):

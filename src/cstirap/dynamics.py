@@ -11,9 +11,11 @@ picks, all on three Gauss nodes: sixth order for a 3x3 generator
 (_magnus6, behind a first-pass guard, with its fourth-order truncation
 _magnus4 as the fallback), and in closed form for a 2x2 one given as its
 Pauli parts (trace, x, y, z) (_magnus6_su2). Every input is read as a
-train. At Delta = 0 real envelopes mean real arithmetic: the paper's route
-without decay, the 3x3 kernels in a real gauge (_gauged) with it. Off the
-route, a mirrored pair is integrated over half its window (see propagate).
+train. Each 3x3 model is written once from the envelopes in its kernel's
+dtype: A = -iH (_generator; hamiltonian is iA) and its real gauge
+(_gauged). At Delta = 0 real envelopes mean real arithmetic: the paper's
+route without decay, the 3x3 kernels on _gauged with it. Off the route, a
+mirrored pair is integrated over half its window (see propagate).
 
 The integrator runs a batch of points at once: propagate_many reads any
 number, _BATCH at a time, and propagate is the batch of one. Each rung of
@@ -133,37 +135,31 @@ def _matrix(entries, dim: int) -> np.ndarray:
     return m
 
 
-def _hamiltonian(t, cols) -> np.ndarray:
-    """H at t of the points whose _row entries are cols[k] (see hamiltonian)."""
-    wp, ws = (0.5 * w for w in table_envelopes(cols[:-2], t))
-    return _matrix({(0, 1): wp, (1, 0): np.conj(wp), (1, 1): cols[-2] - 0.5j * cols[-1],
-                    (1, 2): ws, (2, 1): np.conj(ws)}, 3)
-
-
 def _generator(t, cols) -> np.ndarray:
-    """A = -iH of dU/dt = A U, the 3x3 kernels' complex model."""
-    a = _hamiltonian(t, cols)
-    a *= -1j
-    return a
-
-
-# Entry (j, k) of D* A D, with D = diag(1, -i, 1), is A[j, k] * _GAUGE[j, k].
-_GAUGE = np.array([[1, -1j, 1], [1j, 1, 1j], [1, -1j, 1]])
+    """A = -iH of dU/dt = A U at t of the points whose _row entries are
+    cols[k], the 3x3 kernels' complex model, anti-Hermitian off the diagonal."""
+    wp, ws = (-0.5j * w for w in table_envelopes(cols[:-2], t))
+    return _matrix({(0, 1): wp, (1, 0): -np.conj(wp), (1, 1): -1j * cols[-2] - 0.5 * cols[-1],
+                    (1, 2): ws, (2, 1): -np.conj(ws)}, 3)
 
 
 def _gauged(t, cols) -> np.ndarray:
-    """Re(D* A D), D = diag(1, -i, 1): the generator of U_b = D* U D,
-    [[0, -Wp/2, 0], [Wp/2, -i Delta - gamma/2, Ws/2], [0, -Ws/2, 0]], real at
+    """K = D* A D, D = diag(1, -i, 1), the generator of U_b = D* U D, in
+    float64: [[0, -Wp/2, 0], [Wp/2, -gamma/2, Ws/2], [0, -Ws/2, 0]], exact at
     Delta = 0 with real envelopes, the only points that take it (propagate)."""
-    return (_generator(t, cols) * _GAUGE).real
+    wp, ws = (0.5 * w.real for w in table_envelopes(cols[:-2], t))
+    return _matrix({(0, 1): -wp, (1, 0): wp, (1, 1): -0.5 * cols[-1], (1, 2): ws, (2, 1): -ws}, 3)
+
+
+# Entry (j, k) of D* U D, with D = diag(1, -i, 1), is U[j, k] * _GAUGE[j, k].
+_GAUGE = np.array([[1, -1j, 1], [1j, 1, 1j], [1, -1j, 1]])
 
 
 def hamiltonian(pulses, sys: SystemParams, t) -> np.ndarray:
-    """The rotating-wave Hamiltonian at time(s) t (two-photon resonance).
-
-    A scalar t gives one 3x3 matrix, an array t a (*t.shape, 3, 3) stack.
-    """
-    return _hamiltonian(t, _row(pulses, sys))
+    """The rotating-wave Hamiltonian H = iA of _generator at time(s) t
+    (two-photon resonance): a scalar t gives one 3x3 matrix, an array t a
+    (*t.shape, 3, 3) stack."""
+    return 1j * _generator(t, _row(pulses, sys))
 
 
 def _min_width(train: PulseTrain):
@@ -426,20 +422,21 @@ def _plan(kernel, model, train: PulseTrain, row, t_span, rtol, atol, margin=1.0,
         raise ValueError("need t_i < t_f")
     breaks = _breakpoints(train, (float(t_i), float(t_f)))
     # Start from steps of at most half a pulse width, so that no envelope
-    # is stepped over unsampled. The count is checked as a float: cast
-    # first, a window of 1e19 widths would wrap around int64.
-    steps = np.ceil(np.diff(breaks) / (0.5 * _min_width(train)))
-    if bound is not None:
-        guarded = np.maximum(steps, np.ceil(np.diff(breaks) * (bound / 3.0)))
-        if 2 * guarded.sum() <= _MAX_STEPS:
-            steps = guarded
-        else:
-            kernel = _MAGNUS4
-    if not 2 * steps.sum() <= _MAX_STEPS:
-        raise IntegrationError(
-            f"Magnus stepping of order {kernel[1]} needs over {_MAX_STEPS} steps for a "
-            f"window of {t_f - t_i:g} with pulses {_min_width(train):g} wide", float(t_i),
-            steps=float(2 * steps.sum()))
+    # is stepped over unsampled. The count is checked as a float, inf
+    # beyond float range: as an int, 1e19 widths would wrap around int64.
+    with np.errstate(over="ignore"):
+        steps = np.ceil(np.diff(breaks) / (0.5 * _min_width(train)))
+        if bound is not None:
+            guarded = np.maximum(steps, np.ceil(np.diff(breaks) * (bound / 3.0)))
+            if 2 * guarded.sum() <= _MAX_STEPS:
+                steps = guarded
+            else:
+                kernel = _MAGNUS4
+        if not 2 * steps.sum() <= _MAX_STEPS:
+            raise IntegrationError(
+                f"Magnus stepping of order {kernel[1]} needs over {_MAX_STEPS} steps for a "
+                f"window of {t_f - t_i:g} with pulses {_min_width(train):g} wide", float(t_i),
+                steps=float(2 * steps.sum()))
     return _Job(kernel, model, row, breaks, steps.astype(np.int64), (atol + rtol) / margin,
                 rtol, atol, result)
 
@@ -621,8 +618,8 @@ def propagate(pulses, sys: SystemParams, t_span=None,
     rtol and atol as given. Any other case takes the sixth-order 3x3 kernel
     behind the first-pass guard of _plan, projected onto the nearest
     unitary matrix at gamma = 0. At Delta = 0 with real envelopes it runs in
-    real arithmetic on K = D* A D, A = -iH, D = diag(1, -i, 1) (_gauged), and
-    maps its product back by D U_b D*, which moves no modulus, no step count.
+    float64 on K = D* A D, A = -iH, D = diag(1, -i, 1) (_gauged), and maps
+    its product back by D U_b D*, which moves no modulus, no step count.
 
     On that path one pair, without t_span, with pump and Stokes of equal
     kind, peak and width and phases of whole turns is mirrored: with S the

@@ -198,6 +198,9 @@ def run_scan(spec: ScanSpec) -> list[FidelityResult]:
 # and at most _MC_PAIRS phased pairs (120 bytes each), so memory stays flat.
 _MC_BLOCK = 4096
 _MC_PAIRS = 2 ** 18
+# Monte Carlo samples per grid point, at most. The shipped config uses 1,000;
+# a million costs about 20 s a point, at a thousandth of one sample's spread.
+_MAX_SAMPLES = 1_000_000
 
 
 def _noise_rng(seed: int, point: int) -> np.random.Generator:
@@ -224,6 +227,8 @@ def monte_carlo_phase_noise(spec: ScanSpec, sigma: float, samples: int,
         raise ValueError("sigma must be a finite number >= 0")
     if not phases.is_count(samples, 1):
         raise ValueError("need an integer count of at least one sample")
+    if samples > _MAX_SAMPLES:
+        raise ValueError(f"samples may be at most {_MAX_SAMPLES}")
     if not phases.is_count(seed, 0):
         raise ValueError("seed must be an integer >= 0")
     seq = spec.sequence

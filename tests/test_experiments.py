@@ -464,6 +464,26 @@ def test_monte_carlo_checks_seed_before_propagating(monkeypatch, seed):
     assert calls == []
 
 
+
+def _no_propagation(*args, **kwargs):
+    raise AssertionError("propagated before the argument checks")
+
+
+@pytest.mark.parametrize("samples", [1_000_001, 2 ** 63, 10 ** 400],
+                         ids=["over-cap", "2**63", "beyond-float"])
+def test_monte_carlo_caps_samples_before_propagating(monkeypatch, samples):
+    # The CLI's cap on noise.samples: beyond it a call once ran without end.
+    monkeypatch.setattr(experiments.dynamics, "propagate_many", _no_propagation)
+    with pytest.raises(ValueError, match=r"^samples may be at most 1000000$"):
+        monte_carlo_phase_noise(_spec(), 0.01, samples, 0)
+
+
+def test_run_scan_delay_beyond_float_range_fails_its_point():
+    # The window's step count overflows: a NaN row with the step limit's
+    # reason, not a numpy overflow warning escaping run_scan.
+    (row,) = run_scan(_spec(delay=1e308))
+    assert np.isnan(row.p3) and "needs over 1048576 steps" in row.error
+
 def test_compensation_checks_rates_before_propagating(monkeypatch):
     # An infinite rate once failed only after the whole search at gamma = 0.2.
     calls = []

@@ -19,8 +19,8 @@ from cstirap.dynamics import (IntegrationError, SystemParams, hamiltonian,
                               propagate, propagate_effective, propagate_two_state)
 from cstirap.phases import cap_phases, resonant_phases
 from cstirap.propalg import reverse
-from cstirap.pulses import (PulseTrain, ShapeKind, build_train, make_pair, train_window,
-                            window)
+from cstirap.pulses import (PulseTrain, ShapeKind, build_train, make_pair, train_envelopes,
+                            train_window, window)
 
 MAGNUS = dict(rtol=1e-8, atol=1e-10)
 AGREE = 1e-7
@@ -334,6 +334,22 @@ def test_step_count_beyond_limit_raises_at_start(width, delay):
     assert err.value.time == window(pair)[0]
 
 
+@pytest.mark.parametrize("call", [
+    lambda pair: propagate(pair, SystemParams(), (0.0, 1e308)),
+    lambda pair: propagate(pair, SystemParams(), (-1e308, 1.0)),
+    lambda pair: propagate_two_state(pair, (0.0, 1e308)),
+    lambda pair: propagate(replace(pair, pump=replace(pair.pump, width=2.0),
+                                   stokes=replace(pair.stokes, width=2.0)),
+                           SystemParams(), (0.0, 1e308)),
+], ids=["propagate-end", "propagate-start", "propagate_two_state", "twice-the-steps"])
+def test_window_beyond_float_range_needs_too_many_steps(call):
+    # Its step count, or twice it, overflows to inf: the step limit's
+    # IntegrationError, not a numpy overflow warning, which the suite turns
+    # into an error.
+    with pytest.raises(IntegrationError, match=r"needs over 1048576 steps"):
+        call(make_pair(ShapeKind.SINE_SQUARED, 30.0))
+
+
 @pytest.mark.parametrize("tol", [1e-300, 5e-324])
 def test_unreachable_tolerance_raises(monkeypatch, tol):
     monkeypatch.setattr(dynamics, "_MAX_STEPS", 1 << 12)
@@ -467,6 +483,16 @@ def test_pair_propagates_as_one_pair_train(kind, omega0, delta, gamma, pump_phas
                                   propagate(PulseTrain((pair,)), sys, span, **MAGNUS))
 
 
+def _count_three_state(monkeypatch) -> list:
+    """A list that grows by one per call of either 3x3 model, _generator or
+    _gauged, from here on."""
+    calls = []
+    for name in ("_generator", "_gauged"):
+        model = getattr(dynamics, name)
+        monkeypatch.setattr(dynamics, name, lambda *a, model=model: calls.append(1) or model(*a))
+    return calls
+
+
 @pytest.mark.parametrize("case,routed", [
     (dict(), True),
     (dict(sys=SystemParams(delta=1e-3)), False),
@@ -477,11 +503,9 @@ def test_pair_propagates_as_one_pair_train(kind, omega0, delta, gamma, pump_phas
     (dict(train=True), True),
 ])
 def test_resonant_route_condition(monkeypatch, case, routed):
-    # Real envelopes at Delta = gamma = 0 skip the three-state Hamiltonian,
+    # Real envelopes at Delta = gamma = 0 evaluate neither 3x3 model,
     # for a pair or a train and over any t_span.
-    calls = []
-    three_state = dynamics._hamiltonian
-    monkeypatch.setattr(dynamics, "_hamiltonian", lambda *a: calls.append(1) or three_state(*a))
+    calls = _count_three_state(monkeypatch)
     pair = make_pair(ShapeKind.SINE_SQUARED, 12.0, pump_phase=case.get("pump_phase", 0.0),
                      stokes_phase=case.get("stokes_phase", 0.0))
     pulses = build_train(pair, [0.0], [0.0], False) if case.get("train") else pair
@@ -493,9 +517,7 @@ def test_resonant_route_condition(monkeypatch, case, routed):
 def test_resonant_train_takes_the_route(monkeypatch, kind):
     # A zero-phase three-pair train, alternating as the resonant protocol
     # does, is lifted from its two-state propagator like a single pair.
-    calls = []
-    three_state = dynamics._hamiltonian
-    monkeypatch.setattr(dynamics, "_hamiltonian", lambda *a: calls.append(1) or three_state(*a))
+    calls = _count_three_state(monkeypatch)
     train = build_train(make_pair(kind, 12.0), [0.0] * 3, [0.0] * 3, True)
     got = propagate(train, SystemParams(), **MAGNUS)
     assert not calls
@@ -508,9 +530,7 @@ def test_resonant_route_takes_phases_modulo_two_pi(monkeypatch, phase):
     # Whole turns of either phase leave the envelopes real, as
     # propagate_two_state accepts them: the pair takes the route and gives
     # the bits of the zero-phase pair.
-    calls = []
-    three_state = dynamics._hamiltonian
-    monkeypatch.setattr(dynamics, "_hamiltonian", lambda *a: calls.append(1) or three_state(*a))
+    calls = _count_three_state(monkeypatch)
     want = propagate(make_pair(ShapeKind.SINE_SQUARED, 12.0), SystemParams(), **MAGNUS)
     for pump_phase, stokes_phase in [(phase, 0.0), (0.0, phase), (phase, phase)]:
         pair = make_pair(ShapeKind.SINE_SQUARED, 12.0, pump_phase=pump_phase,
@@ -575,6 +595,44 @@ def test_real_gauge_matches_oracle(kind, gamma, case):
     assert _dev(got, rk45_oracle.propagate(pulses, sys, t_span)) < AGREE
 
 
+def _written_hamiltonian(pulses, sys, t):
+    """H as the paper writes it, from train_envelopes: Wp/2 and Ws/2 above
+    the diagonal, their conjugates below it, Delta - i gamma/2 on state 2."""
+    wp, ws = train_envelopes(dynamics._train(pulses), t)
+    h = np.zeros(np.shape(wp) + (3, 3), dtype=complex)
+    h[..., 0, 1], h[..., 1, 0] = wp / 2, np.conj(wp) / 2
+    h[..., 1, 2], h[..., 2, 1] = ws / 2, np.conj(ws) / 2
+    h[..., 1, 1] = sys.delta - 0.5j * sys.gamma
+    return h
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(shapes, omegas, delays, st.booleans(), st.booleans(),
+       st.lists(st.floats(-10.0, 10.0), min_size=6, max_size=6),
+       st.lists(_turns, min_size=6, max_size=6), st.floats(-100.0, 100.0), st.floats(0.0, 2.0),
+       st.booleans(), st.lists(st.floats(0.0, 1.0), min_size=12, max_size=12))
+def test_three_state_models_are_written_from_the_envelopes(kind, omega0, delay, three, real,
+                                                           any_phases, turns, delta, gamma,
+                                                           stacked, where):
+    # hamiltonian is i times _generator, bit for bit the matrix written from
+    # the envelopes; at Delta = 0 with whole-turn phases _gauged is its
+    # real gauge Re(D* (-iH) D), D = diag(1, -i, 1), in float64.
+    phases = turns if real else any_phases
+    pair = make_pair(kind, omega0, 1.0, delay, pump_phase=phases[0], stokes_phase=phases[1])
+    pulses = build_train(pair, phases[:3], phases[3:], True) if three else pair
+    t0, t1 = train_window(dynamics._train(pulses))
+    t = t0 + (t1 - t0) * (np.reshape(where, (3, 4)) if stacked else where[0])
+    sys = SystemParams(0.0 if real else delta, gamma)
+    h, row = _written_hamiltonian(pulses, sys, t), dynamics._row(pulses, sys)
+    assert np.array_equal(hamiltonian(pulses, sys, t), h)
+    assert np.array_equal(dynamics._generator(t, row), -1j * h)
+    if real:
+        d = np.diag([1.0, -1j, 1.0])
+        got = dynamics._gauged(t, row)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert np.array_equal(got, (d.conj() @ (-1j * h) @ d).real)
+
+
 def test_gauged_generator_is_real_and_conjugated_by_d():
     # K = D* (-iH) D with D = diag(1, -i, 1), in float64, at Delta = 0.
     train = build_train(make_pair(ShapeKind.GAUSSIAN, 12.0, 1.0, 0.4), [0.0, 2 * np.pi, 0.0],
@@ -583,7 +641,7 @@ def test_gauged_generator_is_real_and_conjugated_by_d():
     t = np.linspace(-1.0, 5.0, 24).reshape(3, 8)
     got = dynamics._gauged(t, row)
     d = np.diag([1.0, -1j, 1.0])
-    want = d.conj() @ (-1j * dynamics._hamiltonian(t, row)) @ d
+    want = d.conj() @ (-1j * dynamics.hamiltonian(train, SystemParams(0.0, 0.7), t)) @ d
     assert got.dtype == np.float64 and got.shape == (3, 8, 3, 3)
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -55,3 +56,36 @@ def test_import_starts_no_thread():
 def test_import_keeps_a_preset_blas_thread_count():
     code = "print(os.environ['OPENBLAS_NUM_THREADS'])"
     assert _import_cstirap(code, OPENBLAS_NUM_THREADS="2") == "2"
+
+
+_PROBE = """
+import warnings
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_passes():
+    pass
+
+
+def test_warns():
+    warnings.warn("a test's own warning", DeprecationWarning)
+"""
+
+
+def test_failing_hypothesis_test_is_reported(tmp_path):
+    # Under the suite's settings a Hypothesis failure, whose report hook
+    # once raised a DeprecationWarning that filterwarnings = ["error"] made
+    # an INTERNALERROR, fails its test alone; a test's own warning still
+    # fails that test.
+    (tmp_path / "test_probe.py").write_text(_PROBE)
+    config = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          "-c", str(config), str(tmp_path / "test_probe.py")],
+                         cwd=tmp_path, capture_output=True, text=True)
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "2 failed, 1 passed" in run.stdout, run.stdout[-2000:]
