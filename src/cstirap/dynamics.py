@@ -14,7 +14,7 @@ Pauli parts (trace, x, y, z) (_magnus6_su2). Every input is read as a
 train. Each 3x3 model is written once from the envelopes in its kernel's
 dtype: A = -iH (_generator; hamiltonian is iA) and its real gauge
 (_gauged). At Delta = 0 real envelopes mean real arithmetic: the paper's
-route without decay, the 3x3 kernels on _gauged with it. Off the route, a
+route without decay, the 3x3 kernels on _gauged with it. On either path a
 mirrored pair is integrated over half its window (see propagate).
 
 The integrator runs a batch of points at once: propagate_many reads any
@@ -38,7 +38,8 @@ import numpy as np
 
 from .phases import is_finite
 from .propalg import extract_ck, lift_to_three, reverse
-from .pulses import PulseTrain, ShapeKind, _support, table_envelopes, train_table, train_window
+from .pulses import (PulseTrain, ShapeKind, _support, envelope, table_envelopes, train_table,
+                     train_window)
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
@@ -63,6 +64,11 @@ _NODES6 = 0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0
 _ALPHA = np.array([[0.0, 1.0, 0.0],
                    [-math.sqrt(15.0) / 3.0, 0.0, math.sqrt(15.0) / 3.0],
                    [10.0 / 3.0, -20.0 / 3.0, 10.0 / 3.0]])
+# A Gaussian's core, its center -/+ _CORE widths, is a segment of its own,
+# so that its tails start with fewer steps (see _plan).
+_CORE = 2.0
+# sqrt(2) S of the route's mirror, S = (sigma_x - sigma_z)/sqrt(2).
+_SXZ = np.array([[-1.0, 1.0], [1.0, 1.0]])
 
 
 def _ps_coefficients(degree: int, powers: int) -> np.ndarray:
@@ -171,15 +177,31 @@ def _peak(train: PulseTrain):
 
 
 def _breakpoints(pulses, t_span) -> np.ndarray:
-    """The ends of t_span plus every sin^2 start and end strictly inside
-    it: the envelopes' second derivatives jump there, so steps end there."""
+    """The ends of t_span plus, strictly inside it, every sin^2 start and
+    end, where the envelopes' second derivatives jump, and every Gaussian's
+    center -/+ _CORE widths, where its tails begin: steps end there."""
     t_i, t_f = t_span
     points = {t_i, t_f}
     for pair in _train(pulses).pairs:
-        for shape in (pair.pump, pair.stokes):
-            if shape.kind is ShapeKind.SINE_SQUARED:
-                points.update(x for x in _support(shape) if t_i < x < t_f)
+        for s in (pair.pump, pair.stokes):
+            ends = (_support(s) if s.kind is ShapeKind.SINE_SQUARED else
+                    (s.center_or_start - _CORE * s.width, s.center_or_start + _CORE * s.width))
+            points.update(x for x in ends if t_i < x < t_f)
     return np.array(sorted(points))
+
+
+def _scale(train: PulseTrain, breaks) -> np.ndarray:
+    """Per segment between breaks, its largest envelope value over the
+    largest peak: a Gaussian's value at the segment's point nearest its
+    center, and a sin^2 hump's peak on any segment, so that a segment of
+    sin^2 pulses alone scales by 1."""
+    lo, hi = breaks[:-1], breaks[1:]
+    top = np.zeros(len(lo))
+    for pair in train.pairs:
+        for s in (pair.pump, pair.stokes):
+            top = np.maximum(top, envelope(s, np.clip(s.center_or_start, lo, hi))
+                             if s.kind is ShapeKind.GAUSSIAN else s.peak)
+    return top / (_peak(train) or 1.0)
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -421,11 +443,13 @@ def _plan(kernel, model, train: PulseTrain, row, t_span, rtol, atol, margin=1.0,
     if not t_i < t_f:
         raise ValueError("need t_i < t_f")
     breaks = _breakpoints(train, (float(t_i), float(t_f)))
-    # Start from steps of at most half a pulse width, so that no envelope
-    # is stepped over unsampled. The count is checked as a float, inf
-    # beyond float range: as an int, 1e19 widths would wrap around int64.
+    # Steps of at most half a pulse width where the envelopes peak, so that
+    # no envelope is stepped over unsampled, fewer in proportion where they
+    # are smaller (_scale), at least one. The count is checked as a float,
+    # inf beyond float range: as an int, 1e19 widths would wrap around int64.
     with np.errstate(over="ignore"):
-        steps = np.ceil(np.diff(breaks) / (0.5 * _min_width(train)))
+        steps = np.maximum(np.ceil(np.diff(breaks) / (0.5 * _min_width(train))
+                                   * _scale(train, breaks)), 1.0)
         if bound is not None:
             guarded = np.maximum(steps, np.ceil(np.diff(breaks) * (bound / 3.0)))
             if 2 * guarded.sum() <= _MAX_STEPS:
@@ -437,8 +461,9 @@ def _plan(kernel, model, train: PulseTrain, row, t_span, rtol, atol, margin=1.0,
                 f"Magnus stepping of order {kernel[1]} needs over {_MAX_STEPS} steps for a "
                 f"window of {t_f - t_i:g} with pulses {_min_width(train):g} wide", float(t_i),
                 steps=float(2 * steps.sum()))
-    return _Job(kernel, model, row, breaks, steps.astype(np.int64), (atol + rtol) / margin,
-                rtol, atol, result)
+    # A subnormal tolerance must not round to 0 under the margin.
+    return _Job(kernel, model, row, breaks, steps.astype(np.int64),
+                max((atol + rtol) / margin, math.ulp(0.0)), rtol, atol, result)
 
 
 def _ladder(jobs) -> list:
@@ -566,24 +591,26 @@ def _propagation(train: PulseTrain, sys: SystemParams, t_span, rtol, atol):
     row = _row(train, sys)
     try:
         real = sys.delta == 0 and _real_envelopes(train)
+        # Per path: kernel, model, guard bound, margin, map back, m -> S m S, finish.
         if real and sys.gamma == 0:
-            return _plan(_MAGNUS6_SU2, _route_parts, train, row, t_span, rtol, atol, margin=2.0,
-                         result=lambda u: lift_to_three(extract_ck(u)))
-        # An upper bound of ||H||: |Delta - i gamma/2| bounds the diagonal, and
-        # the largest peak Rabi frequency bounds the couplings Wp/2 and Ws/2.
-        bound = abs(sys.delta) + 0.5 * sys.gamma + _peak(train)
-        model = _gauged if real else _generator
-        # U = D U_b D* of a product U_b of _gauged steps, before all else.
-        back = (lambda u: u * _GAUGE.conj()) if real else lambda u: u
-        unitary = _polar if sys.gamma == 0 else lambda u: u
+            kernel, model, bound, margin = _MAGNUS6_SU2, _route_parts, None, 2.0
+            back, mirror = (lambda u: u), lambda m: 0.5 * (_SXZ @ m @ _SXZ)
+            done = lambda u: lift_to_three(extract_ck(u))
+        else:
+            # An upper bound of ||H||: |Delta - i gamma/2| bounds the diagonal, and
+            # the largest peak Rabi frequency bounds the couplings Wp/2 and Ws/2.
+            bound = abs(sys.delta) + 0.5 * sys.gamma + _peak(train)
+            kernel, model, margin = _MAGNUS6, _gauged if real else _generator, 1.0
+            # U = D U_b D* of a product U_b of _gauged steps, before all else.
+            back = (lambda u: u * _GAUGE.conj()) if real else lambda u: u
+            mirror, done = reverse, _polar if sys.gamma == 0 else lambda u: u
+        whole = back
         if t_span is None and _mirrored(train):
             t_i, t_f = train_window(train)
-            # S U_h^T S U_h, where S swaps states 1 and 3.
-            return _plan(_MAGNUS6, model, train, row, (t_i, 0.5 * (t_i + t_f)), rtol,
-                         atol, margin=2.0, bound=bound,
-                         result=lambda uh: unitary(reverse(back(uh).T) @ back(uh)))
-        return _plan(_MAGNUS6, model, train, row, t_span, rtol, atol, bound=bound,
-                     result=lambda u: unitary(back(u)))
+            t_span, margin = (t_i, 0.5 * (t_i + t_f)), 2.0 * margin
+            whole = lambda uh: mirror(back(uh).T) @ back(uh)
+        return _plan(kernel, model, train, row, t_span, rtol, atol, margin=margin, bound=bound,
+                     result=lambda u: done(whole(u)))
     except (ValueError, IntegrationError) as exc:
         return exc
 
@@ -614,19 +641,22 @@ def propagate(pulses, sys: SystemParams, t_span=None,
     two-state problem is integrated to half of rtol + atol. The half is a
     heuristic, not a bound: with |a|^2 + |b|^2 = 1, an error d in both
     moves an entry of the lift by up to 2 sqrt(2) d, about 1.4 times the
-    tolerance in the worst case. An IntegrationError from the route quotes
-    rtol and atol as given. Any other case takes the sixth-order 3x3 kernel
-    behind the first-pass guard of _plan, projected onto the nearest
-    unitary matrix at gamma = 0. At Delta = 0 with real envelopes it runs in
+    tolerance in the worst case; against the RK45 oracle, routed pairs stay
+    within 0.7 times it. An IntegrationError from the route quotes rtol and
+    atol as given. Any other case takes the sixth-order 3x3 kernel behind
+    the first-pass guard of _plan, projected onto the nearest unitary
+    matrix at gamma = 0. At Delta = 0 with real envelopes it runs in
     float64 on K = D* A D, A = -iH, D = diag(1, -i, 1) (_gauged), and maps
     its product back by D U_b D*, which moves no modulus, no step count.
 
-    On that path one pair, without t_span, with pump and Stokes of equal
-    kind, peak and width and phases of whole turns is mirrored: with S the
-    swap of states 1 and 3, H(t_i + t_f - t) = S H(t) S and H^T = H at any
-    Delta and gamma, so U = S U_h^T S U_h with U_h = U(mid, t_i). Only that
-    half is integrated, to half of rtol + atol (its error enters twice); an
-    IntegrationError quotes rtol and atol as given, and the half's steps.
+    On either path one pair, without t_span, with pump and Stokes of equal
+    kind, peak and width and phases of whole turns is mirrored:
+    H(t_i + t_f - t) = S H(t) S and H^T = H, with S the swap of states 1 and
+    3 at any Delta and gamma, and on the route S = (sigma_x - sigma_z)/sqrt(2),
+    which maps sigma_x to -sigma_z and sigma_z to -sigma_x. So U = S U_h^T S U_h
+    with U_h = U(mid, t_i). Only that half is integrated, to half the path's
+    tolerance (its error enters twice), a quarter of rtol + atol on the route;
+    an IntegrationError quotes rtol and atol as given, and the half's steps.
     """
     return _raised(propagate_many([(pulses, sys, t_span)], rtol, atol)[0])
 

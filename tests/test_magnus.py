@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 import rk45_oracle
 from cstirap import dynamics
-from cstirap.dynamics import (IntegrationError, SystemParams, hamiltonian,
-                              propagate, propagate_effective, propagate_two_state)
+from cstirap.dynamics import (IntegrationError, SystemParams, hamiltonian, propagate,
+                              propagate_effective, propagate_two_state,
+                              resonant_two_state_hamiltonian)
 from cstirap.phases import cap_phases, resonant_phases
 from cstirap.propalg import reverse
 from cstirap.pulses import (PulseTrain, ShapeKind, build_train, make_pair, train_envelopes,
@@ -742,6 +743,118 @@ def test_half_window_condition(monkeypatch, kind, case, half):
     assert spans == [((t_i, 0.5 * (t_i + t_f)), 2.0) if half else (t_span, 1.0)]
 
 
+@pytest.mark.parametrize("kind", list(ShapeKind))
+@pytest.mark.parametrize("case,half", [
+    ("pair", True),
+    ("one_pair_train", True),
+    ("reversed", True),
+    ("unequal_peaks", False),
+    ("three_pair_train", False),
+    ("phase", False),
+    ("t_span", False),
+])
+def test_route_half_window_condition(monkeypatch, kind, case, half):
+    # At resonance the same rule picks the half window on the route, to a
+    # quarter of rtol + atol; the route's full window takes half of it, and
+    # a phase that is not a whole turn leaves the route for the 3x3 path.
+    plans = []
+    plan = dynamics._plan
+    monkeypatch.setattr(dynamics, "_plan", lambda kernel, model, train, row, t_span, *a, **kw:
+                        plans.append((kernel, t_span, kw["margin"]))
+                        or plan(kernel, model, train, row, t_span, *a, **kw))
+    pair = make_pair(kind, 12.0, reversed=case == "reversed",
+                     pump_phase=0.3 if case == "phase" else 0.0)
+    pulses = {"one_pair_train": PulseTrain((pair,)),
+              "unequal_peaks": _other_pulse(pair, peak=13.0),
+              "three_pair_train": build_train(pair, [0.0] * 3, [2 * np.pi] * 3, True),
+              }.get(case, pair)
+    t_span = window(pair) if case == "t_span" else None
+    propagate(pulses, SystemParams(), t_span, **MAGNUS)
+    t_i, t_f = window(pair)
+    if case == "phase":
+        assert plans == [(dynamics._MAGNUS6, None, 1.0)]
+    else:
+        want = ((t_i, 0.5 * (t_i + t_f)), 4.0) if half else (t_span, 2.0)
+        assert plans == [(dynamics._MAGNUS6_SU2, *want)]
+
+
+@pytest.mark.parametrize("kind", list(ShapeKind))
+def test_route_mirror_reflects_the_two_state_hamiltonian(kind):
+    # S = (sigma_x - sigma_z)/sqrt(2), held as sqrt(2) S, maps sigma_x to
+    # -sigma_z and sigma_z to -sigma_x: for a mirrored pair S H(t) S is
+    # H(t_i + t_f - t), which gives U = S U_h^T S U_h on the route.
+    pair = make_pair(kind, 12.0, 1.0, 0.7)
+    t_i, t_f = window(pair)
+    t = np.linspace(t_i, t_f, 9)
+    h = resonant_two_state_hamiltonian(pair, t)
+    mirrored = 0.5 * (dynamics._SXZ @ h @ dynamics._SXZ)
+    np.testing.assert_allclose(mirrored, resonant_two_state_hamiltonian(pair, t_i + t_f - t),
+                               rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("kind,omega0,delay", [
+    (ShapeKind.SINE_SQUARED, 0.25, 1.5), (ShapeKind.SINE_SQUARED, 3.0, None),
+    (ShapeKind.SINE_SQUARED, 10.0, None), (ShapeKind.SINE_SQUARED, 23.0, 0.5),
+    (ShapeKind.SINE_SQUARED, 60.0, 1.5), (ShapeKind.GAUSSIAN, 0.25, 0.5),
+    (ShapeKind.GAUSSIAN, 3.0, 0.5), (ShapeKind.GAUSSIAN, 10.0, None),
+    (ShapeKind.GAUSSIAN, 23.0, 1.5), (ShapeKind.GAUSSIAN, 60.0, 1.5),
+])
+def test_routed_windows_match_oracle(kind, omega0, delay):
+    # Routed pairs on the half window, Gaussians with coarse tails, stay
+    # within rtol + atol of the oracle at the shipped rtol and at 1e-6, at
+    # the default delay (None) and at 0.5 and 1.5 widths, where sin^2
+    # pulses leave an idle stretch between them. Integrated over the whole
+    # window, sin^2 at Omega0 = 10 and rtol 1e-8 was 1.04 times rtol + atol off.
+    pair = make_pair(kind, omega0, 1.0, delay)
+    ref = rk45_oracle.propagate(pair, SystemParams())
+    for rtol in (1e-8, 1e-6):
+        tol = dict(rtol=rtol, atol=rtol / 100.0)
+        assert _dev(propagate(pair, SystemParams(), **tol), ref) <= rtol + tol["atol"], rtol
+
+
+def _first_pass(train, t_span=None):
+    """The breakpoints and first step counts of the route's job for train."""
+    job = dynamics._plan(dynamics._MAGNUS6_SU2, dynamics._route_parts, train,
+                         dynamics._row(train, SystemParams()), t_span, **MAGNUS)
+    return job.breaks, job.steps
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.floats(0.5, 80.0), st.floats(0.1, 1.6), st.floats(0.5, 2.0), st.booleans(),
+       st.one_of(st.none(), st.tuples(st.floats(-0.2, 0.45), st.floats(0.55, 1.2))))
+def test_sin2_breakpoints_and_first_passes_unchanged(omega0, delay, width, three, span):
+    # sin^2 steps end at every start and end of a hump, and every segment
+    # starts at steps of at most half a width, wherever the envelopes are.
+    pair = make_pair(ShapeKind.SINE_SQUARED, omega0, width, delay)
+    train = build_train(pair, [0.0] * 3, [0.0] * 3, True, gap=0.3) if three else PulseTrain((pair,))
+    t0, t1 = train_window(train)
+    t_span = (t0, t1) if span is None else (t0 + span[0] * (t1 - t0), t0 + span[1] * (t1 - t0))
+    ends = {x for p in train.pairs for s in (p.pump, p.stokes)
+            for x in (s.center_or_start, s.center_or_start + s.width)}
+    breaks, steps = _first_pass(train, t_span)
+    np.testing.assert_array_equal(breaks, sorted({*t_span, *(x for x in ends
+                                                             if t_span[0] < x < t_span[1])}))
+    np.testing.assert_array_equal(steps, np.ceil(np.diff(breaks) / (0.5 * width)))
+
+
+@pytest.mark.parametrize("delay", [0.3, 1.0, 2.5, 6.0])
+def test_gaussian_tails_start_coarser_than_the_core(delay):
+    # Steps end at each Gaussian's center -/+ _CORE widths. A segment that
+    # holds a center starts at half-width steps; the tails beyond every
+    # core start with fewer, at least one.
+    pair = make_pair(ShapeKind.GAUSSIAN, 30.0, 1.0, delay)
+    centers = [pair.stokes.center_or_start, pair.pump.center_or_start]
+    core = [c + k * dynamics._CORE for c in centers for k in (-1.0, 1.0)]
+    breaks, steps = _first_pass(PulseTrain((pair,)))
+    assert set(core) <= set(breaks)
+    lo, hi = breaks[:-1], breaks[1:]
+    peak = np.any([(lo <= c) & (c <= hi) for c in centers], axis=0)
+    tail = (hi <= min(core)) | (lo >= max(core))
+    assert tail.sum() == 2 and peak.any()
+    np.testing.assert_array_equal(steps[peak], np.ceil((hi - lo)[peak] / 0.5))
+    assert np.all(steps[tail] < np.ceil((hi - lo)[tail] / 0.5)) and np.all(steps >= 1)
+
+
 @pytest.mark.parametrize("route", ["two_state", "three_state", "detuned"])
 @pytest.mark.parametrize("case", ["unmeetable", "stalled", "over_limit"])
 def test_integration_error_carries_steps_and_estimate(monkeypatch, case, route):
@@ -771,8 +884,9 @@ def test_integration_error_carries_steps_and_estimate(monkeypatch, case, route):
         return
     assert len(passes) == 2 if case == "unmeetable" else len(passes) <= 6, passes
     assert isinstance(err.steps, int) and err.steps <= dynamics._MAX_STEPS
-    # The resonant route integrates to half of rtol + atol, and so does the
-    # half window of the detuned pair, whose estimate also passes 2 tol.
+    # The resonant route integrates this mirrored pair's half window to a
+    # quarter of rtol + atol, and the detuned pair's to half of it; both
+    # estimates pass 2 tol here.
     assert err.estimate > 2 * tol / (2.0 if route == "two_state" else 1.0)
     assert f"missed rtol={tol:g}, atol={tol:g} with {err.steps} steps " \
            f"(error estimate {err.estimate:.3g}" in str(err)
