@@ -64,10 +64,8 @@ _NODES6 = 0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0
 _ALPHA = np.array([[0.0, 1.0, 0.0],
                    [-math.sqrt(15.0) / 3.0, 0.0, math.sqrt(15.0) / 3.0],
                    [10.0 / 3.0, -20.0 / 3.0, 10.0 / 3.0]])
-# A Gaussian's core, its center -/+ _CORE widths, is a segment of its own,
-# so that its tails start with fewer steps (see _plan).
+# Each Gaussian's core, center -/+ _CORE widths, is its own segment (_plan).
 _CORE = 2.0
-# sqrt(2) S of the route's mirror, S = (sigma_x - sigma_z)/sqrt(2).
 _SXZ = np.array([[-1.0, 1.0], [1.0, 1.0]])
 
 
@@ -591,11 +589,13 @@ def _propagation(train: PulseTrain, sys: SystemParams, t_span, rtol, atol):
     row = _row(train, sys)
     try:
         real = sys.delta == 0 and _real_envelopes(train)
-        # Per path: kernel, model, guard bound, margin, map back, m -> S m S, finish.
+        # Per path: kernel, model, guard bound, margin, map back, x -> S x^T S x, finish.
         if real and sys.gamma == 0:
             kernel, model, bound, margin = _MAGNUS6_SU2, _route_parts, None, 2.0
-            back, mirror = (lambda u: u), lambda m: 0.5 * (_SXZ @ m @ _SXZ)
-            done = lambda u: lift_to_three(extract_ck(u))
+            back, done = (lambda u: u), lambda u: lift_to_three(extract_ck(u))
+            # S = _SXZ/sqrt(2), in einsum: a first matmul would start OpenBLAS's
+            # buffers, 0.2 MB of peak RSS, in a process that runs the route alone.
+            unfold = lambda x: 0.5 * np.einsum("ij,kj,kl,lm->im", _SXZ, x, _SXZ, x)
         else:
             # An upper bound of ||H||: |Delta - i gamma/2| bounds the diagonal, and
             # the largest peak Rabi frequency bounds the couplings Wp/2 and Ws/2.
@@ -603,12 +603,12 @@ def _propagation(train: PulseTrain, sys: SystemParams, t_span, rtol, atol):
             kernel, model, margin = _MAGNUS6, _gauged if real else _generator, 1.0
             # U = D U_b D* of a product U_b of _gauged steps, before all else.
             back = (lambda u: u * _GAUGE.conj()) if real else lambda u: u
-            mirror, done = reverse, _polar if sys.gamma == 0 else lambda u: u
+            unfold, done = (lambda x: reverse(x.T) @ x), _polar if sys.gamma == 0 else lambda u: u
         whole = back
         if t_span is None and _mirrored(train):
             t_i, t_f = train_window(train)
             t_span, margin = (t_i, 0.5 * (t_i + t_f)), 2.0 * margin
-            whole = lambda uh: mirror(back(uh).T) @ back(uh)
+            whole = lambda uh: unfold(back(uh))
         return _plan(kernel, model, train, row, t_span, rtol, atol, margin=margin, bound=bound,
                      result=lambda u: done(whole(u)))
     except (ValueError, IntegrationError) as exc:
