@@ -9,13 +9,14 @@ Oteo and Ros, Phys. Rep. 470, 151 (2009)) on blocks of steps held
 component-major, as (d, d, steps) arrays, with the step kernel the caller
 picks, all on three Gauss nodes: sixth order for a 3x3 generator
 (_magnus6, behind a first-pass guard, with its fourth-order truncation
-_magnus4 as the fallback), and in closed form for a 2x2 one given as its
+_magnus4 as the fallback) or a real symmetric 3x3 H (_magnus6_real, whose
+exponential is closed-form), and in closed form for a 2x2 one given as its
 Pauli parts (trace, x, y, z) (_magnus6_su2). Every input is read as a
 train. Each 3x3 model is written once from the envelopes in its kernel's
-dtype: A = -iH (_generator; hamiltonian is iA) and its real gauge
-(_gauged). At Delta = 0 real envelopes mean real arithmetic: the paper's
-route without decay, the 3x3 kernels on _gauged with it. On either path a
-mirrored pair is integrated over half its window (see propagate).
+dtype: A = -iH (_generator; hamiltonian is iA), its real gauge (_gauged)
+and H (_real_hamiltonian). Real envelopes mean real arithmetic: the paper's
+route at Delta = gamma = 0, _gauged at Delta = 0 and H at gamma = 0. On
+either path a mirrored pair is integrated over half its window (see propagate).
 
 The integrator runs a batch of points at once: propagate_many reads any
 number, _BATCH at a time, and propagate is the batch of one. Each rung of
@@ -155,6 +156,13 @@ def _gauged(t, cols) -> np.ndarray:
     return _matrix({(0, 1): -wp, (1, 0): wp, (1, 1): -0.5 * cols[-1], (1, 2): ws, (2, 1): -ws}, 3)
 
 
+def _real_hamiltonian(t, cols) -> np.ndarray:
+    """H in float64, [[0, Wp/2, 0], [Wp/2, Delta, Ws/2], [0, Ws/2, 0]], exact
+    at gamma = 0 with real envelopes, the only points that take it (propagate)."""
+    wp, ws = (0.5 * w.real for w in table_envelopes(cols[:-2], t))
+    return _matrix({(0, 1): wp, (1, 0): wp, (1, 1): cols[-2], (1, 2): ws, (2, 1): ws}, 3)
+
+
 # Entry (j, k) of D* U D, with D = diag(1, -i, 1), is U[j, k] * _GAUGE[j, k].
 _GAUGE = np.array([[1, -1j, 1], [1j, 1, 1j], [1, -1j, 1]])
 
@@ -292,6 +300,41 @@ def _commutator(a, b):
     return _mul(a, b) - _mul(b, a)
 
 
+def _real_commutator(a, b, mixed: bool):
+    """[a, b] of real component-major stacks, each symmetric or antisymmetric,
+    from one product P = ab: P + P^T when one is of each kind, else P - P^T."""
+    p = _mul(a, b)
+    return p + p.transpose(1, 0, 2) if mixed else p - p.transpose(1, 0, 2)
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _u3_exp(x, y) -> np.ndarray:
+    """exp(X + iY) of real (3, 3, m) stacks, X antisymmetric and Y symmetric,
+    in closed form (Morningstar and Peardon, Phys. Rev. D 69, 054501 (2004)):
+    e^{i tr Y/3} (f0 + f1 Q + f2 Q^2), Q = Y - iX - (tr Y/3) I, from c0 = det Q
+    and c1 = tr Q^2/2 through u = sqrt(c1/3) cos(theta/3), w = sqrt(c1) sin(theta/3)
+    and theta = arccos(|c0|/c0_max): at |c0|, 9u^2 - w^2 >= 2 c1, and u -> -u is
+    f_j(c0) = (-1)^j f_j(-c0)*. A NaN or inf gives a step that is not finite."""
+    phase = np.einsum("iim->m", y) / 3.0
+    q = y - 1j * x
+    q[range(3), range(3)] -= phase
+    q2 = _mul(q, q)
+    c0, c1 = np.einsum("ijm,jim->m", q, q2).real / 3.0, 0.5 * np.einsum("iim->m", q2).real
+    third = np.arccos(np.minimum(np.abs(c0) / (2.0 * (c1 / 3.0) ** 1.5), 1.0)) / 3.0
+    u, w = np.copysign(np.sqrt(c1 / 3.0) * np.cos(third), c0), np.sqrt(c1) * np.sin(third)
+    uu, ww = u * u, w * w
+    sinc = np.where(ww <= 0.0025, 1 - ww / 6 * (1 - ww / 20 * (1 - ww / 42)), np.sin(w) / w)
+    e2, e1, cw = np.exp(2j * u), np.exp(-1j * u), np.cos(w)
+    f = np.array([(uu - ww) * e2 + e1 * (8.0 * uu * cw + 2j * u * (3.0 * uu + ww) * sinc),
+                  2.0 * u * e2 - e1 * (2.0 * u * cw - 1j * (3.0 * uu - ww) * sinc),
+                  e2 - e1 * (cw + 3j * u * sinc)]) / (9.0 * uu - ww)
+    # Below c1 = 1e-24 (c1^1.5 may underflow) f = (1, i, -1/2) misses < 1e-36.
+    f = np.where(c1 <= 1e-24, np.array([[1.0], [1j], [-0.5]]), f) * np.exp(1j * phase)
+    out = f[1] * q + f[2] * q2
+    out[range(3), range(3)] += f[0]
+    return out
+
+
 def _cross(a, b):
     """Cross products of (3, m) stacks of vectors."""
     outer = a[:, None] * b[None]
@@ -344,6 +387,20 @@ def _magnus6(generator, start, h, blocks):
     return _expm(a1 + a3 / 12.0 + _commutator(c1 - 20.0 * a1 - a3, a2 + c2) / 240.0, blocks)
 
 
+def _magnus6_real(symmetric, start, h, blocks):
+    """_magnus6 for a real symmetric H given as itself: alpha_k = -i S_k, S_k
+    the _alphas of H, so Omega = X + iY from seven real products: with
+    Ar = -[S1, S2], Ai = 20 S1 + S3, Br = [S1, S3]/30, Bi = -[S1, [S1, S2]]/60 - S2,
+    X = ([Ar, Br] - [Ai, Bi])/240 and Y = -S1 - S3/12 + ([Ar, Bi] + [Ai, Br])/240.
+    exp(Omega) is closed-form (_u3_exp), so the blocks do not matter."""
+    s1, s2, s3 = _alphas(symmetric, start, h)
+    ar, ai = -_real_commutator(s1, s2, False), 20.0 * s1 + s3
+    br, bi = _real_commutator(s1, s3, False) / 30.0, _real_commutator(s1, ar, True) / 60.0 - s2
+    x = (_real_commutator(ar, br, False) - _real_commutator(ai, bi, False)) / 240.0
+    y = (_real_commutator(ar, bi, True) + _real_commutator(ai, br, True)) / 240.0 - s1 - s3 / 12.0
+    return _u3_exp(x, y)
+
+
 def _magnus6_su2(parts, start, h, blocks):
     """The sixth-order kernel of H = trace + (x, y, z).sigma, a Hermitian
     2x2 generator given as parts(t), the real (4, *t.shape) stack of
@@ -367,7 +424,8 @@ def _magnus6_su2(parts, start, h, blocks):
     return _su2_exp(t[0] + t[2] / 12.0, w)
 
 
-_MAGNUS4, _MAGNUS6, _MAGNUS6_SU2 = (_magnus4, 4), (_magnus6, 6), (_magnus6_su2, 6)
+_MAGNUS4, _MAGNUS6, _MAGNUS6_REAL = (_magnus4, 4), (_magnus6, 6), (_magnus6_real, 6)
+_MAGNUS6_SU2 = (_magnus6_su2, 6)
 
 
 def _chunk_products(kernel, model, passes) -> list:
@@ -453,7 +511,8 @@ def _plan(kernel, model, train: PulseTrain, row, t_span, rtol, atol, margin=1.0,
             if 2 * guarded.sum() <= _MAX_STEPS:
                 steps = guarded
             else:
-                kernel = _MAGNUS4
+                # On A = -iH where the model is H itself: _magnus4 reads a generator.
+                kernel, model = _MAGNUS4, _generator if model is _real_hamiltonian else model
         if not 2 * steps.sum() <= _MAX_STEPS:
             raise IntegrationError(
                 f"Magnus stepping of order {kernel[1]} needs over {_MAX_STEPS} steps for a "
@@ -588,9 +647,9 @@ def _propagation(train: PulseTrain, sys: SystemParams, t_span, rtol, atol):
     IntegrationError that ends it before its ladder."""
     row = _row(train, sys)
     try:
-        real = sys.delta == 0 and _real_envelopes(train)
+        real = _real_envelopes(train)
         # Per path: kernel, model, guard bound, margin, map back, x -> S x^T S x, finish.
-        if real and sys.gamma == 0:
+        if real and sys.delta == sys.gamma == 0:
             kernel, model, bound, margin = _MAGNUS6_SU2, _route_parts, None, 2.0
             back, done = (lambda u: u), lambda u: lift_to_three(extract_ck(u))
             # S = _SXZ/sqrt(2), in einsum: a first matmul would start OpenBLAS's
@@ -599,10 +658,12 @@ def _propagation(train: PulseTrain, sys: SystemParams, t_span, rtol, atol):
         else:
             # An upper bound of ||H||: |Delta - i gamma/2| bounds the diagonal, and
             # the largest peak Rabi frequency bounds the couplings Wp/2 and Ws/2.
-            bound = abs(sys.delta) + 0.5 * sys.gamma + _peak(train)
-            kernel, model, margin = _MAGNUS6, _gauged if real else _generator, 1.0
+            bound, margin = abs(sys.delta) + 0.5 * sys.gamma + _peak(train), 1.0
+            kernel, model = ((_MAGNUS6_REAL, _real_hamiltonian) if real and sys.gamma == 0 else
+                             (_MAGNUS6, _gauged) if real and sys.delta == 0 else
+                             (_MAGNUS6, _generator))
             # U = D U_b D* of a product U_b of _gauged steps, before all else.
-            back = (lambda u: u * _GAUGE.conj()) if real else lambda u: u
+            back = (lambda u: u * _GAUGE.conj()) if model is _gauged else lambda u: u
             unfold, done = (lambda x: reverse(x.T) @ x), _polar if sys.gamma == 0 else lambda u: u
         whole = back
         if t_span is None and _mirrored(train):
@@ -647,7 +708,9 @@ def propagate(pulses, sys: SystemParams, t_span=None,
     the first-pass guard of _plan, projected onto the nearest unitary
     matrix at gamma = 0. At Delta = 0 with real envelopes it runs in
     float64 on K = D* A D, A = -iH, D = diag(1, -i, 1) (_gauged), and maps
-    its product back by D U_b D*, which moves no modulus, no step count.
+    its product back by D U_b D*, which moves no modulus, no step count. At
+    gamma = 0 with real envelopes it reads H in float64 (_magnus6_real),
+    and its fourth-order fallback reads A.
 
     On either path one pair, without t_span, with pump and Stokes of equal
     kind, peak and width and phases of whole turns is mirrored:

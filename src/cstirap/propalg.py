@@ -27,7 +27,8 @@ class CayleyKlein:
     b: complex
 
     def __post_init__(self):
-        if not abs(abs(self.a) ** 2 + abs(self.b) ** 2 - 1.0) <= NORM_TOL:
+        norm = math.hypot(*(x for z in (self.a, self.b) for x in (z.real, z.imag)))
+        if not abs(norm * norm - 1.0) <= NORM_TOL:    # ** 2 may raise OverflowError
             raise ValueError("Cayley-Klein parameters must satisfy |a|^2+|b|^2 = 1")
 
 
@@ -50,6 +51,7 @@ def lift_to_three(ck: CayleyKlein) -> np.ndarray:
     ], dtype=complex)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def extract_ck(u2: np.ndarray) -> CayleyKlein:
     """Read (a, b) off a 2x2 matrix of the form [[a, b], [-b*, a*]]."""
     u2 = np.asarray(u2, dtype=complex)

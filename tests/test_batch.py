@@ -105,15 +105,20 @@ def test_no_kernel_call_exceeds_the_slab(monkeypatch):
     # blocks of _CHUNK steps, _SLAB steps at most, and a call holds steps
     # of several points where their blocks fit.
     sizes = []
-    magnus6 = dynamics._magnus6
 
-    def recorded(generator, start, h, blocks):
-        assert sum(blocks) == len(start) <= dynamics._SLAB
-        assert all(0 < b <= dynamics._CHUNK for b in blocks)
-        sizes.append(len(blocks))
-        return magnus6(generator, start, h, blocks)
+    def recorder(step):
+        def recorded(generator, start, h, blocks):
+            assert sum(blocks) == len(start) <= dynamics._SLAB
+            assert all(0 < b <= dynamics._CHUNK for b in blocks)
+            sizes.append(len(blocks))
+            return step(generator, start, h, blocks)
+        return recorded
 
-    monkeypatch.setattr(dynamics, "_MAGNUS6", (recorded, 6))
+    # Both sixth-order 3x3 kernels: these detuned pairs with real envelopes
+    # take _MAGNUS6_REAL, and the recorded _MAGNUS6 is left for any other.
+    for name in ("_MAGNUS6", "_MAGNUS6_REAL"):
+        step, order = getattr(dynamics, name)
+        monkeypatch.setattr(dynamics, name, (recorder(step), order))
     batch = [(make_pair(kind, omega0), SystemParams(delta), None)
              for kind in ShapeKind for omega0 in (3.0, 40.0) for delta in (2.0, 150.0)]
     got = propagate_many(batch, **TOL)

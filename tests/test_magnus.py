@@ -485,10 +485,10 @@ def test_pair_propagates_as_one_pair_train(kind, omega0, delta, gamma, pump_phas
 
 
 def _count_three_state(monkeypatch) -> list:
-    """A list that grows by one per call of either 3x3 model, _generator or
-    _gauged, from here on."""
+    """A list that grows by one per call of any 3x3 model, _generator,
+    _gauged or _real_hamiltonian, from here on."""
     calls = []
-    for name in ("_generator", "_gauged"):
+    for name in ("_generator", "_gauged", "_real_hamiltonian"):
         model = getattr(dynamics, name)
         monkeypatch.setattr(dynamics, name, lambda *a, model=model: calls.append(1) or model(*a))
     return calls
@@ -594,6 +594,110 @@ def test_real_gauge_matches_oracle(kind, gamma, case):
     sys = SystemParams(0.0, gamma)
     got = propagate(pulses, sys, t_span, **MAGNUS)
     assert _dev(got, rk45_oracle.propagate(pulses, sys, t_span)) < AGREE
+
+
+def _step_exponentials(kernel, model, job, steps):
+    """The step exponentials of one pass of a job, in blocks of _CHUNK steps."""
+    total = int(steps.sum())
+    start, h, _ = dynamics._steps(job.breaks[:-1], job.breaks[1:], steps, np.arange(total))
+    blocks = [min(dynamics._CHUNK, total - k) for k in range(0, total, dynamics._CHUNK)]
+    return kernel[0](lambda t: model(t, job.row[:, None]), start, h, blocks)
+
+
+@settings(max_examples=24, deadline=None, derandomize=True)
+@given(shapes, omegas, delays, st.floats(0.5, 300.0), st.booleans(), st.booleans(),
+       st.one_of(st.none(), st.tuples(st.floats(-0.2, 0.45), st.floats(0.55, 1.2))),
+       st.lists(_turns, min_size=6, max_size=6))
+def test_real_kernel_matches_complex_kernel(kind, omega0, delay, delta, negative, three, span,
+                                            turns):
+    # At gamma = 0 with real envelopes and Delta != 0, propagate's kernel
+    # reads H itself in float64 and takes the closed-form exponential; on
+    # the steps of the same passes (the job's first pass and its doubling)
+    # it gives _magnus6's step exponentials on A = -iH. Their products drift
+    # apart by round-off, up to 2.4e-13 over a block of 512 steps at
+    # Delta = 300; each kernel's block is about 1e-13 from the exact product
+    # of its own steps.
+    pair = make_pair(kind, omega0, 1.0, delay)
+    pulses = build_train(pair, turns[:3], turns[3:], False) if three else pair
+    sys = SystemParams(-delta if negative else delta)
+    t_span = None
+    if span is not None:
+        t0, t1 = train_window(dynamics._train(pulses))
+        t_span = (t0 + span[0] * (t1 - t0), t0 + span[1] * (t1 - t0))
+    job = dynamics._propagation(dynamics._train(pulses), sys, t_span, **MAGNUS)
+    assert (job.kernel, job.model) == (dynamics._MAGNUS6_REAL, dynamics._real_hamiltonian)
+    for steps in (job.steps, 2 * job.steps):
+        got = _step_exponentials(dynamics._MAGNUS6_REAL, dynamics._real_hamiltonian, job, steps)
+        want = _step_exponentials(dynamics._MAGNUS6, dynamics._generator, job, steps)
+        assert _dev(got, want) < 1e-13
+
+
+@pytest.mark.parametrize("sys,phase,path", [
+    (SystemParams(), 0.0, ("_MAGNUS6_SU2", "_route_parts")),
+    (SystemParams(gamma=0.5), 2 * np.pi, ("_MAGNUS6", "_gauged")),
+    (SystemParams(delta=-40.0), 0.0, ("_MAGNUS6_REAL", "_real_hamiltonian")),
+    (SystemParams(delta=3.0), -2 * np.pi, ("_MAGNUS6_REAL", "_real_hamiltonian")),
+    (SystemParams(delta=3.0, gamma=0.5), 0.0, ("_MAGNUS6", "_generator")),
+    (SystemParams(delta=3.0), 0.3, ("_MAGNUS6", "_generator")),
+    (SystemParams(), 0.3, ("_MAGNUS6", "_generator")),
+])
+@pytest.mark.parametrize("train", [False, True])
+def test_path_rule(sys, phase, path, train):
+    # Delta = gamma = 0 takes the route, Delta = 0 with gamma > 0 the real
+    # gauge, gamma = 0 with Delta != 0 the real kernel on H, and everything
+    # else, a phase that is not a whole turn included, the complex generator.
+    pair = make_pair(ShapeKind.GAUSSIAN, 12.0, pump_phase=phase)
+    pulses = build_train(pair, [0.0, phase, 0.0], [0.0] * 3, True) if train else pair
+    job = dynamics._propagation(dynamics._train(pulses), sys, None, **MAGNUS)
+    assert (job.kernel, job.model) == tuple(getattr(dynamics, name) for name in path)
+
+
+def _guard_norm_omega(rng, m, norm):
+    """m anti-Hermitian 3x3 matrices of spectral norm `norm`."""
+    omega = -1j * _random_stack(rng, m, True)
+    return omega * (norm / np.linalg.norm(omega, 2, axis=(1, 2)))[:, None, None]
+
+
+def _degenerate_omega(rng, s):
+    """i diag(1, 1, -2) s, and the same spectrum in a random basis: c0 is
+    -c0_max for s > 0 and c0_max for s < 0."""
+    v, _ = np.linalg.qr(_random_stack(rng, 1, False)[0])
+    d = np.diag([1.0, 1.0, -2.0]) * s
+    return np.array([1j * d, 1j * v @ d @ v.conj().T])
+
+
+def test_closed_form_exponential_matches_scipy():
+    # exp(X + iY) of the real kernel, at Omega = 0, at norms near 1e-12, up
+    # to the guard's h ||H|| = 3 and beyond it, on degenerate spectra with
+    # c0 = +-c0_max, and with c0 of both signs.
+    rng = np.random.default_rng(23)
+    stacks = [np.zeros((1, 3, 3), dtype=complex)]
+    stacks += [_guard_norm_omega(rng, 16, norm) for norm in (3e-13, 1e-12, 3e-12, 1e-6, 0.05,
+                                                             0.5, 1.0, 2.0, 3.0, 4.5)]
+    stacks += [_degenerate_omega(rng, s) for s in (1e-12, 0.3, 1.0, -1.0, -1.4, 1.4)]
+    for omega in stacks:
+        x, y = (np.ascontiguousarray(np.moveaxis(part, 0, -1)) for part in (omega.real, omega.imag))
+        got = np.moveaxis(dynamics._u3_exp(x, y), -1, 0)
+        assert _dev(got, scipy.linalg.expm(omega)) < 1e-14
+    q = -1j * stacks[5]
+    q -= np.trace(q, axis1=1, axis2=2)[:, None, None] * np.eye(3) / 3.0
+    assert {-1.0, 1.0} <= set(np.sign(np.linalg.det(q).real))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("part", ["x", "y"])
+def test_closed_form_exponential_of_non_finite_input(bad, part):
+    # A NaN or inf entry gives a step that is not finite, with no numpy
+    # warning (pyproject.toml turns warnings into errors); the other steps
+    # of the stack keep their values.
+    rng = np.random.default_rng(5)
+    omega = _guard_norm_omega(rng, 4, 2.0)
+    x, y = (np.ascontiguousarray(np.moveaxis(p, 0, -1)) for p in (omega.real, omega.imag))
+    (x if part == "x" else y)[0, 1, 2] = bad
+    got = dynamics._u3_exp(x, y)
+    assert not np.isfinite(got[..., 2]).all()
+    keep = [0, 1, 3]
+    assert _dev(np.moveaxis(got[..., keep], -1, 0), scipy.linalg.expm(omega[keep])) < 1e-14
 
 
 def _written_hamiltonian(pulses, sys, t):

@@ -82,6 +82,22 @@ def test_nan_fails_the_su2_checks(build):
         build()
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: CayleyKlein(1e308, 0), "Cayley-Klein parameters"),
+    (lambda: CayleyKlein(1e308j, 1e308), "Cayley-Klein parameters"),
+    (lambda: extract_ck(np.array([[1e308, 0.0], [0.0, 1.0]])), "not SU\\(2\\)"),
+    (lambda: extract_ck(np.array([[0.6, -1e308], [0.8, 0.6]])), "not SU\\(2\\)"),
+    (lambda: extract_ck(np.array([[0.6, 0.8], [-0.8, 1e308j]])), "not SU\\(2\\)"),
+], ids=["cayley-klein-1e308", "cayley-klein-1e308-both", "extract-ck-1e308-at-0-0",
+        "extract-ck-minus-1e308-at-0-1", "extract-ck-1e308j-at-1-1"])
+def test_overflow_fails_the_su2_checks(build, message):
+    # An entry whose square overflows fails the checks with their own
+    # ValueError: no OverflowError, and no numpy warning (pyproject.toml
+    # turns warnings into errors).
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_angle_roundtrip_on_mirror_class():
     rng = np.random.default_rng(11)
     for _ in range(200):
