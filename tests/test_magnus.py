@@ -504,7 +504,7 @@ def _count_three_state(monkeypatch) -> list:
     (dict(train=True), True),
 ])
 def test_resonant_route_condition(monkeypatch, case, routed):
-    # Real envelopes at Delta = gamma = 0 evaluate neither 3x3 model,
+    # Real envelopes at Delta = gamma = 0 evaluate no 3x3 model,
     # for a pair or a train and over any t_span.
     calls = _count_three_state(monkeypatch)
     pair = make_pair(ShapeKind.SINE_SQUARED, 12.0, pump_phase=case.get("pump_phase", 0.0),
