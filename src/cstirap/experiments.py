@@ -3,8 +3,10 @@
 Each takes one pair propagator per point and composes its sequences from
 it on state 1 (_compose). Scans, Monte Carlo and decay scans evaluate their
 grid through _evaluate, which hands the whole grid, built point by point as
-it is read, to one dynamics.propagate_many call; the compensation search
-and the phase solver propagate one point at a time (dynamics.propagate).
+it is read, to one dynamics.propagate_many call, and composes each request
+for every point in one propalg.compose_sequence call (the Monte Carlo, one
+call per point and block of noise); the compensation search and the phase
+solver propagate and compose one point at a time (dynamics.propagate).
 Every grid point is an independent pure computation, bit for bit the same
 alone or in a batch, and the Monte Carlo draws of each grid point come from
 one stream of a counter-based generator keyed on (seed, grid index), taken
@@ -79,8 +81,9 @@ class ScanSpec:
 
 @dataclass(frozen=True)
 class FidelityResult:
-    """One table row. A failed row (`error` set) holds NaN populations, so it is
-    unequal to every row, itself included: compare `coords` and `error`, or reprs."""
+    """One table row. A failed row (`error` set) holds NaN populations, so it
+    is unequal to an equal-valued copy, though equal to itself (tuple
+    comparison checks identity first): compare `coords` and `error`, or reprs."""
 
     coords: tuple[tuple[str, float], ...]
     p1: float
@@ -91,20 +94,22 @@ class FidelityResult:
     error: str | None = None
 
 
-def _compose(u_pair, sys: dynamics.SystemParams, gap: float, phase_sets,
-             alternate: bool, initial=None) -> np.ndarray:
+def _compose(u_pair, sys, gap: float, phase_sets, alternate: bool, initial=None) -> np.ndarray:
     """Composite propagators, shape (..., 3, 3), or their action on `initial`,
-    for phase sets of shape (..., N, 2) that all reuse one pair propagator."""
+    for phase sets (..., N, 2) of one pair propagator and its system, or of a
+    stack (P, ..., 3, 3) of P points' and the list of their systems."""
     # Fold the inter-pair evolution into all but the last factor; it
     # commutes with the phase imprint and with the reversal. With the fields
     # off, H = diag(0, Delta - i gamma/2, 0): the gap scales state 2's row
-    # alone. A phase that overflows gives NaN, which fails the point with
-    # _NOT_FINITE, so numpy need not warn about it.
+    # alone, by each point's own factor. A phase that overflows gives NaN,
+    # which fails the point with _NOT_FINITE, so numpy need not warn about it.
     first = u_pair
     if gap > 0:
         first = np.array(u_pair, dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
-            first[1] *= np.exp(-1j * (sys.delta - 0.5j * sys.gamma) * gap)
+            scale = [np.exp(-1j * (s.delta - 0.5j * s.gamma) * gap)
+                     for s in ([sys] if isinstance(sys, dynamics.SystemParams) else sys)]
+            first[..., 1, :] *= np.reshape(scale, first.shape[:-2] + (1,))
     props = [first] * (np.shape(phase_sets)[-2] - 1) + [u_pair]
     return propalg.compose_sequence(props, phase_sets, alternate, initial)
 
@@ -134,9 +139,14 @@ _NOT_FINITE = "composed populations are not finite (the gap or the phase noise o
 
 
 def _evaluate(spec: ScanSpec, grid, requests) -> list[list[FidelityResult]]:
-    """Per grid point i, the rows of _point_rows for the requests of
-    requests(i). Each point is built as dynamics.propagate_many reads it;
-    one whose system or pair is invalid goes to it as its ValueError."""
+    """Per grid point, one FidelityResult per request (sets, alternate): the
+    populations left from state 1, averaged over the request's phase sets,
+    a stack (k, N, 2) that the points propagated composes in one call, or a
+    function of the grid index that yields the point's own stacks, one call
+    each (the Monte Carlo's noise, so memory stays flat). A point whose
+    system or pair is invalid goes to dynamics.propagate_many as its
+    ValueError. A failed point gives NaN rows with the reason, as does a
+    request whose populations are not finite."""
     def points():
         for coords in grid:
             try:
@@ -145,37 +155,39 @@ def _evaluate(spec: ScanSpec, grid, requests) -> list[list[FidelityResult]]:
                 yield exc
 
     props = dynamics.propagate_many(points(), spec.rtol, spec.atol)
-    return [_point_rows(spec, coords, u, requests(i))
-            for i, (coords, u) in enumerate(zip(grid, props))]
+    done = [i for i, u in enumerate(props) if not isinstance(u, Exception)]
+    systems = [_system(spec, grid[i]) for i in done]
+    stack = np.reshape([props[i] for i in done], (-1, 1, 3, 3))
+    means = []   # per request, the mean populations of the points in done
+    for sets, alternate in requests:
+        if callable(sets):
+            means.append([_mean(_compose(props[i], s, spec.gap, block, alternate, _START)
+                                for block in sets(i)) for i, s in zip(done, systems)])
+        else:
+            means.append(_mean([_compose(stack, systems, spec.gap, sets, alternate, _START)]))
+    means, nan = iter(zip(*means)), float("nan")
+    return [[FidelityResult(coords, nan, nan, nan, nan, nan, str(u))] * len(requests)
+            if isinstance(u, Exception) else [_row(coords, p) for p in next(means)]
+            for coords, u in zip(grid, props)]
 
 
-def _point_rows(spec: ScanSpec, coords, u, requests) -> list[FidelityResult]:
-    """One FidelityResult per request (blocks, alternate) at one grid point,
-    from u, its pair propagator or the error that ended it. `blocks`
-    iterates over phase-set stacks of shape (k, N, 2); the populations are
-    averaged over all their phase sets, summed block by block in order. A
-    failed point gives every request a NaN row that carries the reason, and
-    so does a request whose populations are not finite."""
-    if isinstance(u, Exception):
-        nan = float("nan")
-        return [FidelityResult(coords, nan, nan, nan, nan, nan, str(u))] * len(requests)
-    sys = _system(spec, coords)
-    rows = []
-    for blocks, alternate in requests:
-        acc, count = np.zeros(3), 0
-        for phase_sets in blocks:
-            v = _compose(u, sys, spec.gap, phase_sets, alternate, _START)
-            acc += np.sum(np.abs(v) ** 2, axis=0)
-            count += len(phase_sets)
-        error = None if np.isfinite(acc).all() else _NOT_FINITE
-        p1, p2, p3 = acc / count if error is None else (float("nan"),) * 3
-        rows.append(FidelityResult(coords, p1, p2, p3, 1.0 - p3, 1.0 - (p1 + p2 + p3), error))
-    return rows
+def _mean(states) -> np.ndarray:
+    """The populations of composed states (..., k, 3), averaged over their
+    k phase sets, summed stack by stack in order."""
+    sums, counts = zip(*((np.sum(np.abs(v) ** 2, axis=-2), v.shape[-2]) for v in states))
+    return sum(sums) / sum(counts)
+
+
+def _row(coords, populations) -> FidelityResult:
+    """The row of mean populations (P1, P2, P3), NaN with the reason unless finite."""
+    error = None if np.isfinite(populations).all() else _NOT_FINITE
+    p1, p2, p3 = populations if error is None else (float("nan"),) * 3
+    return FidelityResult(coords, p1, p2, p3, 1.0 - p3, 1.0 - (p1 + p2 + p3), error)
 
 
 def _request(seq: phases.CompositeSequence):
-    """The request for `seq` alone: one block holding one phase set."""
-    return [np.array([seq.phase_pairs()], dtype=float)], seq.alternate_ordering
+    """The request for `seq` alone: one phase set."""
+    return np.array([seq.phase_pairs()], dtype=float), seq.alternate_ordering
 
 
 def grid_coords(axes) -> list[tuple[tuple[str, float], ...]]:
@@ -190,8 +202,7 @@ def run_scan(spec: ScanSpec) -> list[FidelityResult]:
     Integration failures are recorded on the affected point (error field,
     NaN populations) and the scan continues.
     """
-    requests = [_request(spec.sequence)]
-    return [rows[0] for rows in _evaluate(spec, grid_coords(spec.axes), lambda i: requests)]
+    return [rows[0] for rows in _evaluate(spec, grid_coords(spec.axes), [_request(spec.sequence)])]
 
 
 # Monte Carlo samples per compose_sequence call (a point's shipped 1,000 in one),
@@ -233,8 +244,8 @@ def monte_carlo_phase_noise(spec: ScanSpec, sigma: float, samples: int,
         raise ValueError("seed must be an integer >= 0")
     seq = spec.sequence
     rows = _evaluate(spec, grid_coords(spec.axes),
-                     lambda i: [(_noisy_phase_blocks(seq, sigma, samples, seed, i),
-                                 seq.alternate_ordering)])
+                     [(lambda i: _noisy_phase_blocks(seq, sigma, samples, seed, i),
+                       seq.alternate_ordering)])
     return [r[0] for r in rows]
 
 
@@ -256,7 +267,7 @@ def decay_scan(spec: ScanSpec, gammas) -> dict[str, list[FidelityResult]]:
     """
     gammas = _decay_rates(gammas)
     requests = [_request(phases.resonant_phases(1)), _request(spec.sequence)]
-    rows = _evaluate(spec, [(("gamma", float(g)),) for g in gammas], lambda i: requests)
+    rows = _evaluate(spec, [(("gamma", float(g)),) for g in gammas], requests)
     return {"single": [r[0] for r in rows], "composite": [r[1] for r in rows]}
 
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .phases import is_finite
+
 NORM_TOL = 1e-10
 SU2_TOL = 1e-8       # extract_ck: the largest deviation from SU(2) form let in
 MIRROR_TOL = 1e-6    # to_angles: the largest |Im a + Im b| read as mirror-symmetric
@@ -27,7 +29,9 @@ class CayleyKlein:
     b: complex
 
     def __post_init__(self):
-        norm = math.hypot(*(x for z in (self.a, self.b) for x in (z.real, z.imag)))
+        parts = [x for z in (self.a, self.b) for x in (z.real, z.imag)]
+        # is_finite first: math.hypot raises OverflowError on an int beyond float range.
+        norm = math.hypot(*parts) if is_finite(*parts) else math.nan
         if not abs(norm * norm - 1.0) <= NORM_TOL:    # ** 2 may raise OverflowError
             raise ValueError("Cayley-Klein parameters must satisfy |a|^2+|b|^2 = 1")
 
@@ -39,6 +43,14 @@ class CKAngles:
 
     theta: float
     phi: float
+
+
+def _array(x, dtype, what: str) -> np.ndarray:
+    """x as an array of dtype; an integer beyond float range raises ValueError."""
+    x = np.asarray(x)
+    if x.dtype == object and not is_finite(*(v for v in x.flat if isinstance(v, int))):
+        raise ValueError(f"{what} must be within float range")
+    return x.astype(dtype, copy=False)
 
 
 def lift_to_three(ck: CayleyKlein) -> np.ndarray:
@@ -54,7 +66,7 @@ def lift_to_three(ck: CayleyKlein) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")
 def extract_ck(u2: np.ndarray) -> CayleyKlein:
     """Read (a, b) off a 2x2 matrix of the form [[a, b], [-b*, a*]]."""
-    u2 = np.asarray(u2, dtype=complex)
+    u2 = _array(u2, complex, "matrix entries")
     if u2.shape != (2, 2):
         raise ValueError("expected a 2x2 matrix")
     a, b = u2[0, 0], u2[0, 1]
@@ -85,6 +97,8 @@ def to_angles(ck: CayleyKlein) -> CKAngles:
 
 def from_angles(angles: CKAngles) -> CayleyKlein:
     """Rebuild (a, b) from (theta, phi)."""
+    if not is_finite(angles.theta, angles.phi):
+        raise ValueError("angles must be finite")
     ct, st = math.cos(angles.theta), math.sin(angles.theta)
     return CayleyKlein(ct * math.cos(angles.phi) + 1j * st / math.sqrt(2.0),
                        ct * math.sin(angles.phi) - 1j * st / math.sqrt(2.0))
@@ -101,24 +115,28 @@ def compose_sequence(propagators, phases, alternate: bool, initial=None) -> np.n
 
     `propagators` holds the N pair propagators and `phases` one
     (alpha, beta) per pair, shape (..., N, 2): any leading axes stack phase
-    sets that share the propagators, and the result has shape (..., 3, 3),
-    or (..., 3) for U^(N) applied to a state `initial` of shape (3,). With
-    alternate=True every even pair (second, fourth, ...) enters as its
-    reversed propagator R U R, the resonant protocol; with alternate=False
-    all pairs enter forward, the far-off-resonant protocol. The states take
-    one recursion v <- U_k D_k v, D_k = Phi_k* Phi_{k-1}, Phi_0 = Phi_{N+1} = 1.
+    sets; a propagator is one 3x3 matrix or a stack (..., 3, 3) that
+    broadcasts against them. The result has their broadcast leading axes and
+    (3, 3), or (3,) for U^(N) applied to a state `initial` of shape (3,). An
+    integer phase beyond float range raises ValueError; a NaN phase gives
+    NaN. With alternate=True every even pair (second, fourth, ...) enters as
+    its reversed propagator R U R, the resonant protocol; with
+    alternate=False all pairs enter forward, the far-off-resonant protocol.
+    The states take one recursion v <- U_k D_k v, D_k = Phi_k* Phi_{k-1},
+    Phi_0 = Phi_{N+1} = 1.
     """
     props = [reverse(u) if alternate and k % 2 else u for k, u in enumerate(propagators)]
     n = len(props)
     if n < 1 or n % 2 == 0:
         raise ValueError("sequence length must be odd")
-    phases = np.asarray(phases, dtype=float)
+    phases = _array(phases, float, "phases")
     if phases.shape[-2:] != (n, 2):
         raise ValueError("need one (alpha, beta) per pair")
     if initial is not None and np.shape(initial) != (3,):
         raise ValueError("the initial state must have shape (3,)")
     states = np.eye(3, dtype=complex) if initial is None else np.asarray(initial, dtype=complex)
-    sets = phases.reshape(-1, n, 2)
+    lead = np.broadcast_shapes(phases.shape[:-2], *(np.shape(u)[:-2] for u in props))
+    sets = np.broadcast_to(phases, lead + (n, 2)).reshape(-1, n, 2)
     v = np.repeat(states.T.reshape(1, -1, 3), len(sets), axis=0)   # the states as rows
     # Phi_k's outer entries, one pair at a time; an overflowing angle gives NaN.
     prev, turn = np.ones((len(sets), 2), dtype=complex), np.array([1j, -1j])
@@ -126,7 +144,9 @@ def compose_sequence(propagators, phases, alternate: bool, initial=None) -> np.n
         for k, u in enumerate(props):
             cur = np.exp(sets[:, k] * turn)
             v[..., ::2] *= (cur.conj() * prev)[:, None]
-            v = (v.reshape(-1, 3) @ np.transpose(u)).reshape(v.shape)
+            ut = np.swapaxes(u, -1, -2)    # one product for a u that every set shares
+            v = ((v.reshape(-1, 3) @ ut).reshape(v.shape) if np.ndim(u) == 2
+                 else v @ np.broadcast_to(ut, lead + (3, 3)).reshape(-1, 3, 3))
             prev = cur
     v[..., ::2] *= prev[:, None]
-    return v.swapaxes(1, 2).reshape(phases.shape[:-2] + states.shape)
+    return v.swapaxes(1, 2).reshape(lead + states.shape)

@@ -12,7 +12,7 @@ from cstirap import dynamics, experiments
 from cstirap.dynamics import IntegrationError, SystemParams, propagate, propagate_many
 from cstirap.experiments import (ScanSpec, SweepAxis, decay_scan, monte_carlo_phase_noise,
                                  run_scan)
-from cstirap.phases import resonant_phases
+from cstirap.phases import CompositeSequence, resonant_phases
 from cstirap.pulses import ShapeKind, make_pair, window
 
 TOL = dict(rtol=1e-8, atol=1e-10)
@@ -142,6 +142,29 @@ def test_grids_split_into_batches_give_the_same_rows(monkeypatch):
     whole = [repr(run()) for run in runs]
     monkeypatch.setattr(dynamics, "_BATCH", 3)
     assert [repr(run()) for run in runs] == whole
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.sampled_from([1, 3, 5]), st.booleans(), st.floats(0.1, 2.0),
+       st.lists(st.tuples(st.sampled_from([0.0, -2.0, 5.0]), st.sampled_from([0.0, 0.3, 1.5])),
+                min_size=1, max_size=4),
+       st.integers(0, 4))
+def test_batched_composition_equals_a_batch_of_one(n, alternate, gap, systems, failed):
+    # A request is composed for all the propagated points of a grid in one
+    # compose_sequence call. Each point's rows are bit for bit those of the
+    # point alone: with the gap's factor of each point's own Delta and
+    # gamma, and around a point that fails (a delay <= 0) in the batch.
+    base = resonant_phases(n)
+    seq = CompositeSequence(n, base.pump_phases, base.stokes_phases, alternate)
+    spec = ScanSpec(axes=(), shape=ShapeKind.SINE_SQUARED, omega0=8.0, sequence=seq, gap=gap,
+                    rtol=1e-6, atol=1e-8)
+    grid = [(("delta", delta), ("gamma", gamma)) for delta, gamma in systems]
+    grid.insert(min(failed, len(grid)), (("delta", 1.0), ("gamma", 0.3), ("delay", -0.5)))
+    requests = [experiments._request(resonant_phases(1)), experiments._request(seq)]
+    whole = experiments._evaluate(spec, grid, requests)
+    assert sum(rows[0].error is not None for rows in whole) == 1
+    assert repr(whole) == repr([experiments._evaluate(spec, [coords], requests)[0]
+                                for coords in grid])
 
 
 def test_points_are_read_one_batch_ahead_of_the_ladder(monkeypatch):

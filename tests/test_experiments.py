@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from cstirap import experiments
 from cstirap.dynamics import SystemParams, propagate
-from cstirap.experiments import (ScanSpec, SweepAxis,
+from cstirap.experiments import (FidelityResult, ScanSpec, SweepAxis,
                                  decay_compensation_check, decay_scan,
                                  grid_coords, monte_carlo_phase_noise, run_scan,
                                  solve_phases)
@@ -262,11 +262,26 @@ def test_monte_carlo_composes_each_point_once(monkeypatch):
     assert all(initial is not None for initial in calls)
 
 
-def test_decay_scan_composes_twice_per_point(monkeypatch):
+def test_scans_compose_once_per_request(monkeypatch):
+    # All the points of a grid that propagated are composed in one call per
+    # request, on state 1 alone: the decay scan's single pair and its
+    # composite, and a scan's one sequence, also around a failed point.
     calls = _counting_compose(monkeypatch)
     curves = decay_scan(_spec(sequence=resonant_phases(3)), [0.0, 0.5, 1.0])
-    assert len(curves["composite"]) == 3 and len(calls) == 6
+    assert len(curves["composite"]) == 3 and len(calls) == 2
+    rows = run_scan(_spec(axes=(SweepAxis("delay", -0.2, 0.6, 3),), sequence=resonant_phases(3)))
+    assert [r.error is None for r in rows] == [False, True, True] and len(calls) == 3
     assert all(initial is not None for initial in calls)
+
+
+def test_failed_row_equals_itself_but_no_copy():
+    # Tuple comparison checks identity before equality, so a failed row is
+    # equal to itself; its NaN populations make it unequal to a copy.
+    row = run_scan(_spec(axes=(SweepAxis("delay", -0.5, -0.1, 2),)))[0]
+    assert row.error == "delay must be > 0" and np.isnan(row.p3)
+    assert row == row
+    assert row != FidelityResult(row.coords, *(float("nan"),) * 5, row.error)
+    assert repr(row) == repr(FidelityResult(row.coords, *(float("nan"),) * 5, row.error))
 
 
 def test_monte_carlo_samples_share_no_draw():

@@ -5,7 +5,9 @@ shipped scan and contour configs; the oracle runs at rtol 1e-11. Examples
 are drawn deterministically, so every run checks the same points.
 """
 
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rk45_oracle
-from cstirap import dynamics
+from cstirap import dynamics, experiments
+from cstirap.cli import parse_config
 from cstirap.dynamics import (IntegrationError, SystemParams, hamiltonian, propagate,
                               propagate_effective, propagate_two_state,
                               resonant_two_state_hamiltonian)
@@ -25,6 +28,7 @@ from cstirap.pulses import (PulseTrain, ShapeKind, build_train, make_pair, train
 
 MAGNUS = dict(rtol=1e-8, atol=1e-10)
 AGREE = 1e-7
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 shapes = st.sampled_from(list(ShapeKind))
 omegas = st.floats(0.5, 80.0)
@@ -233,6 +237,101 @@ def test_fallback_meets_its_tolerance(monkeypatch):
     got = propagate(pair, sys, span, **MAGNUS)
     assert {order for order, _ in passes} == {4}
     assert _dev(got, w @ vh) < 10 * MAGNUS["rtol"]
+
+
+def _first_passes(pulses, sys, t_span=None, rtol=1e-8, atol=1e-10):
+    """(job, unguarded, guarded, sized) first passes of a 3x3 point: the
+    envelope rule, the guard's h ||H|| <= 3 on top of it, and the tolerance
+    rule, len * top * _FIRST / tol^(1/7), on top of that."""
+    train = dynamics._train(pulses)
+    job = dynamics._propagation(train, sys, t_span, rtol, atol)
+    spans, scale = np.diff(job.breaks), dynamics._scale(train, job.breaks)
+    plain = np.maximum(np.ceil(spans / (0.5 * dynamics._min_width(train)) * scale), 1.0)
+    bound = abs(sys.delta) + 0.5 * sys.gamma + dynamics._peak(train)
+    guarded = np.maximum(plain, np.ceil(spans * (bound / 3.0)))
+    top = scale * dynamics._peak(train)
+    sized = np.maximum(guarded, np.ceil(spans * top * dynamics._FIRST / job.tol ** (1 / 7)))
+    return job, plain, guarded, sized
+
+
+_SEQ3 = resonant_phases(3)
+
+
+@pytest.mark.parametrize("pulses,sys,rule", [
+    (make_pair(ShapeKind.SINE_SQUARED, 30.0), SystemParams(0.0, 0.02), "sized"),
+    (make_pair(ShapeKind.SINE_SQUARED, 30.0), SystemParams(0.0, 2.0), "sized"),
+    (make_pair(ShapeKind.GAUSSIAN, 20.0, 1.0, 0.6), SystemParams(0.0, 0.5), "sized"),
+    (make_pair(ShapeKind.SINE_SQUARED, 30.0), SystemParams(10.0), "sized"),
+    (make_pair(ShapeKind.GAUSSIAN, 30.0), SystemParams(-30.0), "sized"),
+    (build_train(make_pair(ShapeKind.SINE_SQUARED, 12.0), _SEQ3.pump_phases,
+                 _SEQ3.stokes_phases, True), SystemParams(3.0, 0.5), "sized"),
+    (make_pair(ShapeKind.SINE_SQUARED, 30.0), SystemParams(30.5), "guarded"),
+    (make_pair(ShapeKind.SINE_SQUARED, 30.0), SystemParams(29.9, 0.4), "guarded"),
+    (make_pair(ShapeKind.GAUSSIAN, 40.0), SystemParams(100.0), "guarded"),
+], ids=["decay-0.02", "decay-2", "gaussian-decay", "real-kernel", "delta-at-peak",
+        "phased-train", "delta-above-peak", "delta-and-decay-above-peak", "far-detuned"])
+def test_tolerance_sizes_the_first_pass_where_the_couplings_set_the_bound(pulses, sys, rule):
+    # Where |Delta| + gamma/2 <= peak, the couplings set the guard's bound
+    # and the sixth-order local error, of order (h top)^7, sizes each
+    # segment's first pass from the job's tolerance; elsewhere the guard
+    # alone does.
+    job, _, guarded, sized = _first_passes(pulses, sys)
+    assert job.kernel[1] == 6
+    want = sized if rule == "sized" else guarded
+    np.testing.assert_array_equal(job.steps, want)
+    if rule == "sized":
+        assert np.any(sized > guarded)
+
+
+def test_sized_first_pass_keeps_the_step_limit_and_the_fallback():
+    # Where the sized pass would pass _MAX_STEPS the guarded one stays; a
+    # tolerance near 0 gives such a pass. Where the guarded pass would too,
+    # the point takes the fourth-order kernel from the unguarded pass.
+    cases = [(make_pair(ShapeKind.SINE_SQUARED, 1e6), 1e-8, 6),
+             (make_pair(ShapeKind.SINE_SQUARED, 30.0), 1e-300, 6),
+             (make_pair(ShapeKind.SINE_SQUARED, 3e6), 1e-8, 4)]
+    for pair, tol, order in cases:
+        job, plain, guarded, sized = _first_passes(pair, SystemParams(0.0, 0.5), None, tol, tol)
+        assert 2 * sized.sum() > dynamics._MAX_STEPS
+        assert job.kernel[1] == order
+        np.testing.assert_array_equal(job.steps, guarded if order == 6 else plain)
+
+
+def test_shipped_far_detuned_contour_keeps_its_guarded_first_passes():
+    # At Delta = 100 the detuning sets the bound for every Omega0 of the
+    # shipped contour grid (2 to 80), so no first pass is sized.
+    cfg = parse_config(json.loads((CONFIGS / "contour_far_detuned.json").read_text()), "contour")
+    for coords in experiments.grid_coords(cfg.scan.axes):
+        pair, sys, span = experiments._point(cfg.scan, coords)
+        job, _, guarded, _ = _first_passes(pair, sys, span, cfg.scan.rtol, cfg.scan.atol)
+        np.testing.assert_array_equal(job.steps, guarded)
+
+
+def test_shipped_decay_grid_converges_in_one_round(monkeypatch):
+    # Every point of configs/decay_composite.json meets its tolerance on its
+    # sized first pass: the whole grid takes one _chunk_products call.
+    cfg = parse_config(json.loads((CONFIGS / "decay_composite.json").read_text()), "decay")
+    calls, chunk_products = [], dynamics._chunk_products
+    monkeypatch.setattr(dynamics, "_chunk_products",
+                        lambda *a: calls.append(len(a[2])) or chunk_products(*a))
+    rows = experiments.run_scan(cfg.scan)
+    assert len(rows) == 50 and all(r.error is None for r in rows)
+    assert calls == [100]    # the first and the doubled pass of each point
+
+
+@pytest.mark.parametrize("gamma", [0.02, 0.5, 2.0])
+@pytest.mark.parametrize("pulses", [
+    make_pair(ShapeKind.SINE_SQUARED, 30.0),
+    build_train(make_pair(ShapeKind.SINE_SQUARED, 15.0), _SEQ3.pump_phases,
+                _SEQ3.stokes_phases, True),
+], ids=["pair", "train"])
+def test_sized_first_pass_matches_oracle(pulses, gamma):
+    # The shipped decay drive, and a resonant three-pair train on the
+    # complex path, with first passes sized by the tolerance.
+    sys = SystemParams(0.0, gamma)
+    job, _, guarded, sized = _first_passes(pulses, sys, **MAGNUS)
+    assert np.any(job.steps > guarded)
+    assert _dev(propagate(pulses, sys, **MAGNUS), rk45_oracle.propagate(pulses, sys)) < AGREE
 
 
 @pytest.mark.parametrize("problem", ["two_state", "effective"])

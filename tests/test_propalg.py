@@ -246,6 +246,61 @@ def test_batched_compose_equals_per_row_calls(seed, n, samples, alternate, gap_f
     np.testing.assert_array_equal(stacked[0], got)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seeds, st.sampled_from([1, 3, 5]), st.integers(1, 4), st.booleans(), st.booleans(),
+       st.booleans())
+def test_stacked_propagators_compose_each_point_alone(seed, n, points, alternate, gap_folded,
+                                                      on_state):
+    # A stack of points' propagators, (P, 1, 3, 3), against one phase set
+    # (1, N, 2) gives each point's composite bit for bit as its own call
+    # does, also with a per-point decay factor folded into all but the
+    # last pair.
+    rng = np.random.default_rng(seed)
+    u = _unitaries(seed, (points,))
+    first = u.copy()
+    if gap_folded:
+        first[:, 1] *= (np.exp(-rng.uniform(0, 3, points) - 1j * rng.uniform(0, 3, points))
+                        [:, None])
+    props = [first] * (n - 1) + [u]
+    phase_set = rng.uniform(-np.pi, np.pi, (1, n, 2))
+    initial = np.array([1.0, 0.0, 0.0]) if on_state else None
+    got = compose_sequence([p[:, None] for p in props], phase_set, alternate, initial)
+    assert got.shape == (points, 1) + ((3,) if on_state else (3, 3))
+    for k in range(points):
+        want = compose_sequence([p[k] for p in props], phase_set, alternate, initial)
+        assert np.array_equal(got[k], want)
+
+
+def test_compose_rejects_unbroadcastable_stacks():
+    with pytest.raises(ValueError):
+        compose_sequence([np.zeros((2, 3, 3))] * 3, np.zeros((4, 3, 2)), True)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: compose_sequence([np.eye(3)], [[10 ** 400, 0.0]], False),
+    lambda: compose_sequence([np.eye(3)] * 3, [[0.0, 0.0], [0.0, -10 ** 400], [0.0, 0.0]], True),
+    lambda: CayleyKlein(10 ** 400, 0),
+    lambda: CayleyKlein(0.6, 10 ** 400),
+    lambda: from_angles(CKAngles(10 ** 400, 0.0)),
+    lambda: from_angles(CKAngles(0.0, -10 ** 400)),
+    lambda: to_angles(CayleyKlein(10 ** 400, 0)),
+    lambda: extract_ck(np.array([[10 ** 400, 0], [0, 1]], dtype=object)),
+], ids=["compose-alpha", "compose-beta", "cayley-klein-a", "cayley-klein-b", "from-angles-theta",
+        "from-angles-phi", "to-angles", "extract-ck"])
+def test_integer_beyond_float_range_raises_value_error(build):
+    # An integer beyond float range fails with ValueError, not numpy's or
+    # math's OverflowError.
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_non_finite_float_phase_still_gives_nan():
+    got = compose_sequence([np.eye(3)] * 3, [[math.nan, 0.0], [0.0, 0.0], [math.inf, 0.0]], True)
+    assert np.isnan(got).any()
+    mixed = compose_sequence([np.eye(3)], np.array([[2 ** 70, math.nan]], dtype=object), False)
+    assert np.isnan(mixed).any()
+
+
 @pytest.mark.parametrize("phases", [
     np.zeros(3), np.zeros((3, 3)), np.zeros((5, 2)), np.zeros((2, 3)),
     np.zeros(()), np.zeros((4, 3, 3)), [(0.0, 0.0), (0.0,), (0.0, 0.0)],

@@ -4,10 +4,11 @@
 
 Runs each configs/*.json of this checkout at --seed 42 on both trees, each
 run in a fresh process with that tree's src/ directory on PYTHONPATH, and
-prints per table the largest difference between numeric cells, or
-`identical` when both outputs are equal byte for byte, and whether the
-comment lines are equal. A text cell (a header, the phases line) must
-match exactly, and NaN matches only NaN.
+prints per table the largest difference between numeric cells with the
+column and the data row (counted from 0) where it is, or `identical` when
+both outputs are equal byte for byte, and whether the comment lines are
+equal. A text cell (a header, the phases line) must match exactly, and
+NaN matches only NaN.
 
 A solve-phases table is compared on its solved phases and its infidelity
 instead: the Nelder-Mead search stops anywhere in a basin where the
@@ -66,19 +67,34 @@ def _cell_diff(a: str, b: str) -> float:
     return abs(x - y)
 
 
-def _max_diff(rows_a, rows_b, columns=None) -> float:
-    """The largest cell difference over `columns` (all when None); rows or
-    cells that do not pair up count as infinitely far apart."""
+def _max_diff(rows_a, rows_b, columns=None) -> tuple[float, int | None, int | None]:
+    """The largest cell difference over `columns` (all when None), and the
+    row and column where it is first reached; rows or cells that do not
+    pair up count as infinitely far apart."""
     if len(rows_a) != len(rows_b):
-        return math.inf
-    worst = 0.0
-    for ra, rb in zip(rows_a, rows_b):
+        return math.inf, None, None
+    worst = (0.0, None, None)
+    for row, (ra, rb) in enumerate(zip(rows_a, rows_b)):
         ca, cb = ra.split(","), rb.split(",")
         if len(ca) != len(cb):
-            return math.inf
+            return math.inf, row, None
         for i in range(len(ca)) if columns is None else columns:
-            worst = max(worst, _cell_diff(ca[i], cb[i]))
+            diff = _cell_diff(ca[i], cb[i])
+            if diff > worst[0]:
+                worst = (diff, row, i)
     return worst
+
+
+def _where(rows, row, column) -> str:
+    """Where the difference found by _max_diff over `rows`, the header
+    first, is: ` at <column name>, row <data row>`."""
+    if row is None:
+        return " (row counts differ)"
+    if row == 0:
+        return " in the header"
+    names = rows[0].split(",")
+    name = names[column] if column is not None and column < len(names) else "the cell count"
+    return f" at {name}, row {row - 1}"
 
 
 def _infidelity(comments) -> str:
@@ -93,19 +109,19 @@ def compare(config: Path, parent: Path, change: Path, tmp: Path) -> bool:
     data = json.loads(config.read_text())
     if data["experiment"] == "solve-phases":
         xatol = data.get("solver", {}).get("xatol", DEFAULT_XATOL)
-        moved = _max_diff(rows_a[1:], rows_b[1:], columns=(1, 2))
+        moved, *where = _max_diff(rows_a, rows_b, columns=(1, 2))
         infid = [_infidelity(notes_a), _infidelity(notes_b)]
         drift = _cell_diff(*infid)
         same_notes = ([c for c in notes_a if not c.startswith("# infidelity=")]
                       == [c for c in notes_b if not c.startswith("# infidelity=")])
         ok = (rows_a[:1] == rows_b[:1] and moved <= xatol and drift <= BOUND)
-        detail = (f"max phase move {moved:.3g} (xatol {xatol:g}), "
-                  f"infidelity {infid[0]} -> {infid[1]} (diff {drift:.3g})")
+        detail = (f"max phase move {moved:.3g}{_where(rows_a, *where) if moved else ''} "
+                  f"(xatol {xatol:g}), infidelity {infid[0]} -> {infid[1]} (diff {drift:.3g})")
     else:
-        worst = _max_diff(rows_a, rows_b)
+        worst, *where = _max_diff(rows_a, rows_b)
         same_notes = notes_a == notes_b
         ok = worst <= BOUND
-        detail = f"max cell diff {worst:.3g}"
+        detail = f"max cell diff {worst:.3g}{_where(rows_a, *where) if worst else ''}"
     if outs[0].read_bytes() == outs[1].read_bytes():
         detail = "identical"
     ok = ok and same_notes and codes[0] == codes[1]
