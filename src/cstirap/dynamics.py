@@ -8,16 +8,16 @@ All propagators share one integrator, a Magnus method (Blanes, Casas,
 Oteo and Ros, Phys. Rep. 470, 151 (2009)) on blocks of steps held
 component-major, as (d, d, steps) arrays, with the step kernel the caller
 picks, all on three Gauss nodes: sixth order for a 3x3 generator
-(_magnus6, behind a first-pass guard that the tolerance sizes where the
-couplings set it, with its fourth-order truncation _magnus4 as the fallback)
-or a real symmetric 3x3 H (_magnus6_real, whose exponential is closed-form),
-and in closed form for a 2x2 one given as its Pauli parts (trace, x, y, z)
-(_magnus6_su2). Every input is read as a train. Each 3x3 model is written
-once from the envelopes in its kernel's dtype: A = -iH (_generator;
-hamiltonian is iA), its real gauge (_gauged) and H (_real_hamiltonian).
-Real envelopes mean real arithmetic: the paper's route at Delta = gamma = 0,
-_gauged at Delta = 0 and H at gamma = 0. On either path a mirrored pair is
-integrated over half its window (see propagate).
+(_magnus6, behind a first-pass guard, sized by the tolerance where the
+couplings set it, with its fourth-order truncation _magnus4 as the
+fallback) or a real symmetric 3x3 H (_magnus6_real, whose exponential is
+closed-form), and in closed form for a 2x2 one given as its Pauli parts
+(trace, x, y, z) (_magnus6_su2). Every input is read as a train. Each 3x3
+model is written once from the envelopes in its kernel's dtype: A = -iH
+(_generator; hamiltonian is iA), its real gauge (_gauged) and H
+(_real_hamiltonian). Real envelopes mean real arithmetic: the route at
+Delta = gamma = 0, _gauged at Delta = 0 and H at gamma = 0. On either
+path a mirrored pair is integrated over half its window (see propagate).
 
 The integrator runs a batch of points at once: propagate_many reads any
 number, _BATCH at a time, and propagate is the batch of one. Each rung of
@@ -68,9 +68,7 @@ _ALPHA = np.array([[0.0, 1.0, 0.0],
                    [10.0 / 3.0, -20.0 / 3.0, 10.0 / 3.0]])
 # Each Gaussian's core, center -/+ _CORE widths, is its own segment (_plan).
 _CORE = 2.0
-# Steps per unit of envelope value and time of a first pass sized at tol = 1
-# (_plan), calibrated on 180 points (README, "Integrator"), where the least
-# value that converged in one rung had median 0.075 (sin^2), 0.055 (Gaussian).
+# A sized first pass's steps per unit envelope and time at tol = 1 (_plan; README).
 _FIRST = 0.06
 _SXZ = np.array([[-1.0, 1.0], [1.0, 1.0]])
 
@@ -492,15 +490,14 @@ def _plan(kernel, model, train: PulseTrain, row, t_span, rtol, atol, margin=1.0,
 
     A guard bound is an upper bound of ||H||. Each segment's first pass then
     takes steps of h * bound <= 3, inside the Magnus convergence radius pi
-    (Moan and Niesen, Found. Comput. Math. 8, 291 (2008)). Where the
-    couplings set the bound (|Delta| + gamma/2 <= peak), the local error of
-    order (h top)^7 sizes it: len * top * _FIRST / tol^(1/7) steps at least,
-    top the segment's largest envelope value and tol the job's, while their
-    fine pass stays within _MAX_STEPS. Where that of the guarded steps would
-    not, the point is integrated as without the guard, by the fourth-order
-    kernel instead. A first pass beyond _MAX_STEPS raises IntegrationError
-    here; a t_span that is not increasing, or an rtol or atol that is not
-    finite and > 0, ValueError.
+    (Moan and Niesen, Found. Comput. Math. 8, 291 (2008)); where the
+    couplings set the bound (|Delta| + gamma/2 <= peak), len * top * _FIRST
+    / tol^(1/7) if more, from the (h top)^7 local error, top the segment's
+    largest envelope. Where a fine pass would pass _MAX_STEPS, sized steps
+    fall back to guarded ones, and those to the fourth-order kernel without
+    the guard. A first pass beyond _MAX_STEPS raises IntegrationError here;
+    a t_span that is not increasing, or an rtol or atol that is not finite
+    and > 0, ValueError.
     """
     if not (is_finite(rtol, atol) and rtol > 0 and atol > 0):
         raise ValueError("rtol and atol must be finite numbers > 0")
@@ -520,7 +517,7 @@ def _plan(kernel, model, train: PulseTrain, row, t_span, rtol, atol, margin=1.0,
         if bound is not None:
             guarded = np.maximum(steps, np.ceil(spans * (bound / 3.0)))
             if bound <= 2.0 * peak:
-                sized = np.maximum(guarded, np.ceil(spans * scale * peak * _FIRST / tol ** (1 / 7)))
+                sized = np.maximum(guarded, np.ceil(spans * scale * peak * _FIRST / tol ** (1/7)))
                 guarded = sized if 2 * sized.sum() <= _MAX_STEPS else guarded
             if 2 * guarded.sum() <= _MAX_STEPS:
                 steps = guarded

@@ -4,9 +4,8 @@ Each takes one pair propagator per point and composes its sequences from
 it on state 1 (_compose). Scans, Monte Carlo and decay scans evaluate their
 grid through _evaluate, which hands the whole grid, built point by point as
 it is read, to one dynamics.propagate_many call, and composes each request
-for every point in one propalg.compose_sequence call (the Monte Carlo, one
-call per point and block of noise); the compensation search and the phase
-solver propagate and compose one point at a time (dynamics.propagate).
+for all its points in one call (the Monte Carlo, per point and noise block);
+the compensation search and the phase solver work point by point.
 Every grid point is an independent pure computation, bit for bit the same
 alone or in a batch, and the Monte Carlo draws of each grid point come from
 one stream of a counter-based generator keyed on (seed, grid index), taken
@@ -81,9 +80,8 @@ class ScanSpec:
 
 @dataclass(frozen=True)
 class FidelityResult:
-    """One table row. A failed row (`error` set) holds NaN populations, so it
-    is unequal to an equal-valued copy, though equal to itself (tuple
-    comparison checks identity first): compare `coords` and `error`, or reprs."""
+    """One table row. A failed row (`error` set) holds NaN populations: equal to
+    itself (identity first) but to no copy. Compare `coords` and `error`, or reprs."""
 
     coords: tuple[tuple[str, float], ...]
     p1: float
@@ -95,9 +93,8 @@ class FidelityResult:
 
 
 def _compose(u_pair, sys, gap: float, phase_sets, alternate: bool, initial=None) -> np.ndarray:
-    """Composite propagators, shape (..., 3, 3), or their action on `initial`,
-    for phase sets (..., N, 2) of one pair propagator and its system, or of a
-    stack (P, ..., 3, 3) of P points' and the list of their systems."""
+    """Composite propagators (..., 3, 3), or their action on `initial`, for phase
+    sets (..., N, 2) of a pair's propagator and system, or P points' (P, ..., 3, 3) and list."""
     # Fold the inter-pair evolution into all but the last factor; it
     # commutes with the phase imprint and with the reversal. With the fields
     # off, H = diag(0, Delta - i gamma/2, 0): the gap scales state 2's row
@@ -140,13 +137,12 @@ _NOT_FINITE = "composed populations are not finite (the gap or the phase noise o
 
 def _evaluate(spec: ScanSpec, grid, requests) -> list[list[FidelityResult]]:
     """Per grid point, one FidelityResult per request (sets, alternate): the
-    populations left from state 1, averaged over the request's phase sets,
-    a stack (k, N, 2) that the points propagated composes in one call, or a
-    function of the grid index that yields the point's own stacks, one call
-    each (the Monte Carlo's noise, so memory stays flat). A point whose
-    system or pair is invalid goes to dynamics.propagate_many as its
-    ValueError. A failed point gives NaN rows with the reason, as does a
-    request whose populations are not finite."""
+    populations left from state 1, averaged over phase sets `sets` (k, N, 2),
+    composed for every propagated point in one call, or over the stacks that
+    sets(i) yields for point i, one call each (the Monte Carlo's noise, so
+    memory stays flat). A point whose system or pair is invalid goes to
+    dynamics.propagate_many as its ValueError. A failed point, or a request
+    whose populations are not finite, gives NaN rows with the reason."""
     def points():
         for coords in grid:
             try:
@@ -158,13 +154,11 @@ def _evaluate(spec: ScanSpec, grid, requests) -> list[list[FidelityResult]]:
     done = [i for i, u in enumerate(props) if not isinstance(u, Exception)]
     systems = [_system(spec, grid[i]) for i in done]
     stack = np.reshape([props[i] for i in done], (-1, 1, 3, 3))
-    means = []   # per request, the mean populations of the points in done
-    for sets, alternate in requests:
-        if callable(sets):
-            means.append([_mean(_compose(props[i], s, spec.gap, block, alternate, _START)
-                                for block in sets(i)) for i, s in zip(done, systems)])
-        else:
-            means.append(_mean([_compose(stack, systems, spec.gap, sets, alternate, _START)]))
+    # Per request, the mean populations of the points in done.
+    means = [[_mean(_compose(props[i], s, spec.gap, block, alternate, _START)
+                    for block in sets(i)) for i, s in zip(done, systems)] if callable(sets)
+             else _mean([_compose(stack, systems, spec.gap, sets, alternate, _START)])
+             for sets, alternate in requests]
     means, nan = iter(zip(*means)), float("nan")
     return [[FidelityResult(coords, nan, nan, nan, nan, nan, str(u))] * len(requests)
             if isinstance(u, Exception) else [_row(coords, p) for p in next(means)]
@@ -172,8 +166,7 @@ def _evaluate(spec: ScanSpec, grid, requests) -> list[list[FidelityResult]]:
 
 
 def _mean(states) -> np.ndarray:
-    """The populations of composed states (..., k, 3), averaged over their
-    k phase sets, summed stack by stack in order."""
+    """Populations of composed states (..., k, 3) averaged over k, summed stack by stack."""
     sums, counts = zip(*((np.sum(np.abs(v) ** 2, axis=-2), v.shape[-2]) for v in states))
     return sum(sums) / sum(counts)
 

@@ -30,8 +30,7 @@ class CayleyKlein:
 
     def __post_init__(self):
         parts = [x for z in (self.a, self.b) for x in (z.real, z.imag)]
-        # is_finite first: math.hypot raises OverflowError on an int beyond float range.
-        norm = math.hypot(*parts) if is_finite(*parts) else math.nan
+        norm = math.hypot(*parts) if is_finite(*parts) else math.nan   # hypot raises on a huge int
         if not abs(norm * norm - 1.0) <= NORM_TOL:    # ** 2 may raise OverflowError
             raise ValueError("Cayley-Klein parameters must satisfy |a|^2+|b|^2 = 1")
 
@@ -113,17 +112,15 @@ def reverse(u: np.ndarray) -> np.ndarray:
 def compose_sequence(propagators, phases, alternate: bool, initial=None) -> np.ndarray:
     """U^(N) for a sequence of N phased pairs; rightmost factor = first pair.
 
-    `propagators` holds the N pair propagators and `phases` one
-    (alpha, beta) per pair, shape (..., N, 2): any leading axes stack phase
-    sets; a propagator is one 3x3 matrix or a stack (..., 3, 3) that
-    broadcasts against them. The result has their broadcast leading axes and
-    (3, 3), or (3,) for U^(N) applied to a state `initial` of shape (3,). An
-    integer phase beyond float range raises ValueError; a NaN phase gives
-    NaN. With alternate=True every even pair (second, fourth, ...) enters as
-    its reversed propagator R U R, the resonant protocol; with
-    alternate=False all pairs enter forward, the far-off-resonant protocol.
-    The states take one recursion v <- U_k D_k v, D_k = Phi_k* Phi_{k-1},
-    Phi_0 = Phi_{N+1} = 1.
+    `propagators` holds the N pair propagators, each (..., 3, 3), and
+    `phases` one (alpha, beta) per pair, shape (..., N, 2); their leading
+    axes broadcast and lead the result, (..., 3, 3), or (..., 3) for U^(N)
+    applied to a state `initial` of shape (3,). An integer phase beyond
+    float range raises ValueError; a NaN phase gives NaN. With alternate=True
+    every even pair (second, fourth, ...) enters as its reversed propagator
+    R U R, the resonant protocol; with alternate=False all pairs enter
+    forward, the far-off-resonant protocol. The states take one recursion
+    v <- U_k D_k v, D_k = Phi_k* Phi_{k-1}, Phi_0 = Phi_{N+1} = 1.
     """
     props = [reverse(u) if alternate and k % 2 else u for k, u in enumerate(propagators)]
     n = len(props)

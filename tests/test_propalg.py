@@ -272,25 +272,30 @@ def test_stacked_propagators_compose_each_point_alone(seed, n, points, alternate
 
 
 def test_compose_rejects_unbroadcastable_stacks():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cannot be broadcast"):
         compose_sequence([np.zeros((2, 3, 3))] * 3, np.zeros((4, 3, 2)), True)
 
 
-@pytest.mark.parametrize("build", [
-    lambda: compose_sequence([np.eye(3)], [[10 ** 400, 0.0]], False),
-    lambda: compose_sequence([np.eye(3)] * 3, [[0.0, 0.0], [0.0, -10 ** 400], [0.0, 0.0]], True),
-    lambda: CayleyKlein(10 ** 400, 0),
-    lambda: CayleyKlein(0.6, 10 ** 400),
-    lambda: from_angles(CKAngles(10 ** 400, 0.0)),
-    lambda: from_angles(CKAngles(0.0, -10 ** 400)),
-    lambda: to_angles(CayleyKlein(10 ** 400, 0)),
-    lambda: extract_ck(np.array([[10 ** 400, 0], [0, 1]], dtype=object)),
+_NORM = r"Cayley-Klein parameters must satisfy"
+
+
+@pytest.mark.parametrize("build,match", [
+    (lambda: compose_sequence([np.eye(3)], [[10 ** 400, 0.0]], False), "phases must be within"),
+    (lambda: compose_sequence([np.eye(3)] * 3, [[0.0, 0.0], [0.0, -10 ** 400], [0.0, 0.0]], True),
+     "phases must be within"),
+    (lambda: CayleyKlein(10 ** 400, 0), _NORM),
+    (lambda: CayleyKlein(0.6, 10 ** 400), _NORM),
+    (lambda: from_angles(CKAngles(10 ** 400, 0.0)), "angles must be finite"),
+    (lambda: from_angles(CKAngles(0.0, -10 ** 400)), "angles must be finite"),
+    (lambda: to_angles(CayleyKlein(10 ** 400, 0)), _NORM),
+    (lambda: extract_ck(np.array([[10 ** 400, 0], [0, 1]], dtype=object)),
+     "matrix entries must be within"),
 ], ids=["compose-alpha", "compose-beta", "cayley-klein-a", "cayley-klein-b", "from-angles-theta",
         "from-angles-phi", "to-angles", "extract-ck"])
-def test_integer_beyond_float_range_raises_value_error(build):
+def test_integer_beyond_float_range_raises_value_error(build, match):
     # An integer beyond float range fails with ValueError, not numpy's or
     # math's OverflowError.
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=match):
         build()
 
 
